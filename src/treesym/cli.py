@@ -33,15 +33,12 @@ __all__ = ["main", "run"]
 DEFAULT_MAX_N = 8
 
 
-def _max_n() -> int:
-    try:
-        return int(os.environ.get("TREESYM_MAX_N", DEFAULT_MAX_N))
-    except ValueError:
-        return DEFAULT_MAX_N
-
-
 def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
-    cap = _max_n()
+    raw = os.environ.get("TREESYM_MAX_N")
+    try:
+        cap = DEFAULT_MAX_N if raw is None else int(raw)
+    except ValueError:
+        parser.error("TREESYM_MAX_N must be an integer, not %r" % raw)
     if n < 0 or n > cap:
         parser.error(
             "size %d outside supported range 0..%d "
@@ -402,6 +399,9 @@ def run(argv=None) -> int:
         return args.handler(args, parser)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except ValueError as exc:  # includes tc.ParseError
+        print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -5,23 +5,26 @@ The three partial orders, their Mobius functions, and interval-retract checks.
   that of ``v``; covers swap adjacent values ``k, k+1`` appearing in order;
 * trees: covers move a child node from the left to the right branch of its
   parent (a rotation); the order is the transitive closure;
-* marked trees: ``(s; S) <= (t; T)`` iff ``s <= t`` for trees and ``S >= T``.
+* marked trees: ``(s; S) <= (t; T)`` iff ``s <= t`` for trees and ``S >= T``;
+  the order is the closure of three kinds of local moves.
 
 :class:`FinitePoset` stores the order relation of a finite poset as bitmask
-rows and computes covers and exact Mobius values from it.  Chain-counting
-oracles (used by the test suite to cross-check Mobius values) live here too.
+rows, built from the covers, and computes covers and exact Mobius values
+from it.  Chain-counting oracles (used by the test suite to cross-check
+Mobius values) live here too.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import trees_core as tc
 
 __all__ = [
-    "FinitePoset", "node_poset", "family_poset", "inversion_set", "weak_leq",
-    "weak_covers", "tamari_leq", "tamari_covers", "m_leq", "m_covers",
+    "FinitePoset", "family_poset", "inversion_set", "weak_leq", "weak_covers",
+    "weak_mobius_row", "tamari_leq", "tamari_covers", "m_leq", "m_covers",
     "m_covers_by_types", "mobius", "chain_sum", "all_chains",
     "chain_sum_meeting_all_blocks", "hall_mobius", "interval_retract_verify",
     "fiberwise_mobius_verify", "hasse_dot",
@@ -29,36 +32,46 @@ __all__ = [
 
 
 class FinitePoset:
-    """A finite poset with precomputed reachability bitmasks."""
+    """A finite poset with precomputed reachability bitmasks.
+
+    ``up[i]`` and ``down[i]`` are the bitmasks of the elements above and
+    below ``elements[i]`` (both reflexive).  Built from cover pairs, they are
+    the closures of the covers and of the reversed covers; built from
+    ``leq``, every pair is tested.  Mobius values are read from sparse rows
+    ``mu(x, .)``, each computed on first use, in closed form when
+    ``mobius_row`` (an element to ``{element: value}``) is given.
+    """
 
     def __init__(self, elements: Sequence, *, leq: Callable = None,
-                 cover_pairs: Iterable[tuple] = None):
+                 cover_pairs: Iterable[tuple] = None,
+                 mobius_row: Callable = None):
         self.elements = tuple(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         n = len(self.elements)
         if cover_pairs is not None:
-            succ = [0] * n
+            succ = [[] for _ in range(n)]
+            pred = [[] for _ in range(n)]
             for x, y in cover_pairs:
-                succ[self.index[x]] |= 1 << self.index[y]
+                i, j = self.index[x], self.index[y]
+                succ[i].append(j)
+                pred[j].append(i)
             self.up = _transitive_closure(succ)
+            self.down = _transitive_closure(pred)
+            # every cover is one of the given pairs
+            self._cover_candidates = [sorted(set(js)) for js in succ]
         elif leq is not None:
-            self.up = []
+            self.up, self.down = [0] * n, [0] * n
             for i, x in enumerate(self.elements):
-                mask = 0
                 for j, y in enumerate(self.elements):
                     if leq(x, y):
-                        mask |= 1 << j
-                self.up.append(mask)
+                        self.up[i] |= 1 << j
+                        self.down[j] |= 1 << i
+            self._cover_candidates = None
         else:
             raise ValueError("need either leq or cover_pairs")
-        self.down = [0] * n
-        for i in range(n):
-            m = self.up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                self.down[j] |= 1 << i
-                m &= m - 1
-        self._mobius_memo: dict = {}
+        self._row_rule = mobius_row
+        self._rows: dict = {}
+        self._heights = None
         self._covers = None
 
     def __len__(self) -> int:
@@ -72,99 +85,102 @@ class FinitePoset:
         if self._covers is None:
             out = []
             for i, x in enumerate(self.elements):
-                strict_up = self.up[i] & ~(1 << i)
-                m = strict_up
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    between = strict_up & self.down[j] & ~(1 << j)
-                    if not between:
+                if self._cover_candidates is not None:
+                    above = self._cover_candidates[i]
+                else:
+                    above = _bits(self.up[i] & ~(1 << i))
+                for j in above:
+                    if self.up[i] & self.down[j] == (1 << i) | (1 << j):
                         out.append((x, self.elements[j]))
-                    m &= m - 1
             self._covers = tuple(out)
         return self._covers
 
     def interval(self, x, y) -> list:
         """Elements ``z`` with ``x <= z <= y``."""
         m = self.up[self.index[x]] & self.down[self.index[y]]
-        out = []
-        while m:
-            j = (m & -m).bit_length() - 1
-            out.append(self.elements[j])
-            m &= m - 1
-        return out
+        return [self.elements[j] for j in _bits(m)]
 
     def is_interval_subset(self, subset) -> bool:
         """Is ``subset`` exactly an interval ``[lo, hi]`` of this poset?"""
         idx = [self.index[x] for x in subset]
         if not idx:
             return False
-        mins = [i for i in idx if all(
-            not (self.up[j] >> i & 1) or j == i for j in idx)]
-        maxs = [i for i in idx if all(
-            not (self.up[i] >> j & 1) or j == i for j in idx)]
-        if len(mins) != 1 or len(maxs) != 1:
-            return False
-        lo, hi = mins[0], maxs[0]
-        full = self.up[lo] & self.down[hi]
         mask = 0
         for i in idx:
             mask |= 1 << i
-        return full == mask
+        mins = [i for i in idx if self.down[i] & mask == 1 << i]
+        maxs = [i for i in idx if self.up[i] & mask == 1 << i]
+        if len(mins) != 1 or len(maxs) != 1:
+            return False
+        return self.up[mins[0]] & self.down[maxs[0]] == mask
 
     def mobius(self, x, y) -> int:
-        i, j = self.index[x], self.index[y]
-        return self._mobius_idx(i, j)
+        return self._mobius_row(self.index[x]).get(self.index[y], 0)
 
-    def _mobius_idx(self, i: int, j: int) -> int:
-        if not (self.up[i] >> j & 1):
-            return 0
-        if i == j:
-            return 1
-        memo = self._mobius_memo
-        key = (i, j)
-        if key not in memo:
-            total = 0
-            m = self.up[i] & self.down[j] & ~(1 << j)
-            while m:
-                k = (m & -m).bit_length() - 1
-                total += self._mobius_idx(i, k)
-                m &= m - 1
-            memo[key] = -total
-        return memo[key]
+    def _mobius_row(self, i: int) -> dict:
+        """The nonzero values ``mu(elements[i], .)``, keyed by index."""
+        row = self._rows.get(i)
+        if row is None:
+            if self._row_rule is not None:
+                row = {self.index[y]: mu
+                       for y, mu in self._row_rule(self.elements[i]).items()}
+            else:
+                row = self._row_from_order(i)
+            self._rows[i] = row
+        return row
+
+    def _row_from_order(self, i: int) -> dict:
+        """``mu(x, y) = -sum of mu(x, z) over x <= z < y``, for ``y`` above
+        ``x`` in a linear extension, summing over the nonzero ``z`` only."""
+        if self._heights is None:
+            # z < y strictly implies fewer elements below z than below y
+            self._heights = [m.bit_count() for m in self.down]
+        above = _bits(self.up[i] & ~(1 << i))
+        above.sort(key=self._heights.__getitem__)
+        row = {i: 1}
+        support = 1 << i
+        for j in above:
+            total = sum(row[k] for k in _bits(support & self.down[j]))
+            if total:
+                row[j] = -total
+                support |= 1 << j
+        return row
+
+
+def _bits(mask: int) -> list:
+    """Positions of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _transitive_closure(succ: list) -> list:
-    """Reflexive-transitive closure of a DAG given as successor bitmasks."""
+    """Reflexive-transitive closure of a DAG given as successor index lists,
+    as bitmasks."""
     n = len(succ)
-    up = [None] * n
+    reach = [None] * n
 
     def solve(i: int) -> int:
-        if up[i] is None:
-            up[i] = -1  # sentinel; the input must be acyclic
+        if reach[i] is None:
+            reach[i] = -1  # sentinel; the input must be acyclic
             mask = 1 << i
-            m = succ[i]
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in succ[i]:
                 mask |= solve(j)
-                m &= m - 1
-            up[i] = mask
-        elif up[i] == -1:
+            reach[i] = mask
+        elif reach[i] == -1:
             raise ValueError("cover relation contains a cycle")
-        return up[i]
+        return reach[i]
 
     for i in range(n):
         solve(i)
-    return up
+    return reach
 
 
 # ---------------------------------------------------------------------------
 # the three families
-
-
-def node_poset(t: tuple) -> FinitePoset:
-    """Node order of a tree: elements ``1..n``, the root is the maximum."""
-    n = tc.nodes(t)
-    return FinitePoset(range(1, n + 1), cover_pairs=tc.node_covers(t))
 
 
 @lru_cache(maxsize=None)
@@ -195,6 +211,32 @@ def weak_covers(w: tuple) -> tuple:
     return tuple(out)
 
 
+def weak_mobius_row(u: tuple) -> dict:
+    """The nonzero Mobius values ``mu(u, .)`` of the weak order, in closed
+    form (Aguiar-Sottile, Adv. Math. 191, 2005).
+
+    ``mu(u, v) = (-1)**len(J)`` when ``J`` is a set of values ``k`` with
+    ``k`` before ``k+1`` in ``u`` and ``v`` is ``u`` with each block of
+    consecutive values joined by ``J`` reversed; otherwise ``mu(u, v) = 0``.
+    """
+    pos = {a: i for i, a in enumerate(u)}
+    ascents = [k for k in range(1, len(u)) if pos[k] < pos[k + 1]]
+    row = {}
+    for r in range(len(ascents) + 1):
+        for J in combinations(ascents, r):
+            image = list(range(len(u) + 1))
+            i = 0
+            while i < r:
+                start = i
+                while i + 1 < r and J[i + 1] == J[i] + 1:
+                    i += 1
+                lo, hi = J[start], J[i] + 1
+                image[lo:hi + 1] = range(hi, lo - 1, -1)
+                i += 1
+            row[tuple(image[a] for a in u)] = -1 if r % 2 else 1
+    return row
+
+
 def tamari_covers(t: tuple) -> tuple:
     """All single rotations moving a left child to the right branch."""
     out = []
@@ -213,20 +255,34 @@ def tamari_covers(t: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def family_poset(family: str, n: int) -> FinitePoset:
+    """The order on one graded piece, built from its covers."""
+    # The pairs are generated lazily: each candidate is a fresh object,
+    # dropped once the poset has mapped it to an index.
     elements = tc.enumerate_family(family, n)
     if family == "S":
-        return FinitePoset(elements, leq=weak_leq)
+        pairs = ((w, v) for w in elements for v in weak_covers(w))
+        return FinitePoset(elements, cover_pairs=pairs,
+                           mobius_row=weak_mobius_row)
     if family == "Y":
-        pairs = [(t, s) for t in elements for s in tamari_covers(t)]
+        pairs = ((t, s) for t in elements for s in tamari_covers(t))
         return FinitePoset(elements, cover_pairs=pairs)
     if family == "M":
-        ytail = family_poset("Y", n)
-
-        def leq(b, c):
-            return ytail.leq(b.tree, c.tree) and b.ideal >= c.ideal
-
-        return FinitePoset(elements, leq=leq)
+        return FinitePoset(elements,
+                           cover_pairs=_m_cover_pairs(elements, n))
     raise ValueError(f"unknown family {family!r}")
+
+
+def _m_cover_pairs(elements: tuple, n: int) -> Iterator[tuple]:
+    """The candidate covers of every bi-leveled tree, each checked against
+    the definition: a bad candidate would add a false relation."""
+    ytail = family_poset("Y", n)
+    for b in elements:
+        for c in m_covers_by_types(b):
+            if not (ytail.leq(b.tree, c.tree) and b.ideal >= c.ideal):
+                raise RuntimeError(
+                    "cover candidate %s -> %s is not a relation" % (
+                        tc.format_bileveled(b), tc.format_bileveled(c)))
+            yield b, c
 
 
 def tamari_leq(s: tuple, t: tuple) -> bool:
@@ -261,10 +317,10 @@ def _rotate_leftmost_node(t: tuple) -> tuple:
 def m_covers_by_types(b: tc.BiLeveledTree) -> dict:
     """Candidate covers of ``b`` from the three local moves, with types.
 
-    Used by tests as a cross-check of :func:`m_covers`: (i) rotate inside
-    exactly one component of the forest form, mark count unchanged;
-    (ii) rotate the leftmost node across
-    its parent -- allowed when the parent has no other marked child -- and
+    :func:`family_poset` builds the bi-leveled order as the closure of
+    these candidates: (i) rotate inside exactly one component of the forest
+    form, mark count unchanged; (ii) rotate the leftmost node across its
+    parent -- allowed when the parent has no other marked child -- and
     unmark the parent; (iii) keep the tree, unmark one marked node other
     than the two smallest.  Returns ``{candidate: sorted tuple of types}``
     without filtering by minimality.
@@ -421,23 +477,32 @@ def interval_retract_verify(n: int) -> dict:
 
 
 def fiberwise_mobius_verify(n: int) -> dict:
-    """Compare Mobius values across the fiber projection, all pairs."""
+    """Check that each Mobius value on bi-leveled trees is the sum of the
+    Mobius values between the two fibers, on all pairs.
+
+    One pass over the permutations adds each nonzero ``mu_S(a, v)`` to the
+    entry ``(beta(a), beta(v))``.  The rows of the bi-leveled order itself
+    are then compared with these sums; pairs missing from both are zero.
+    """
     from . import projections as pj
 
     sposet = family_poset("S", n)
     mposet = family_poset("M", n)
-    fibers: dict = {}
-    for w in sposet.elements:
-        fibers.setdefault(pj.beta(w), []).append(w)
+    fiber_of = [None] * len(sposet)
+    for b, fiber in pj.beta_fibers(n).items():
+        for w in fiber:
+            fiber_of[sposet.index[w]] = mposet.index[b]
+    sums = [{} for _ in mposet.elements]
+    for a, x in enumerate(fiber_of):
+        acc = sums[x]
+        for v, mu in sposet._mobius_row(a).items():
+            y = fiber_of[v]
+            acc[y] = acc.get(y, 0) + mu
     violations = []
-    for x in mposet.elements:
-        for y in mposet.elements:
-            lhs = mposet.mobius(x, y)
-            rhs = sum(
-                sposet.mobius(a, b)
-                for a in fibers[x] for b in fibers[y]
-                if sposet.leq(a, b)
-            )
+    for i, x in enumerate(mposet.elements):
+        for j in sorted(sums[i].keys() | mposet._mobius_row(i).keys()):
+            y = mposet.elements[j]
+            lhs, rhs = mposet.mobius(x, y), sums[i].get(j, 0)
             if lhs != rhs:
                 violations.append(
                     (tc.format_bileveled(x), tc.format_bileveled(y), lhs, rhs))

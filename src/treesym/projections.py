@@ -21,8 +21,8 @@ from .trees_core import BiLeveledTree
 __all__ = [
     "tau", "t_set", "beta", "phi", "min_perm", "max_perm",
     "BiLeveledFactorization", "bileveled_factorization", "iota",
-    "beta_fiber", "tau_fiber", "avoids", "avoids_pinned", "PINNED_PATTERNS",
-    "beta_max",
+    "beta_fibers", "beta_fiber", "tau_fiber", "avoids", "avoids_pinned",
+    "PINNED_PATTERNS", "beta_max",
 ]
 
 
@@ -151,13 +151,19 @@ def tau_fiber(t: tuple) -> tuple:
     return tuple(sorted(w for w in tc.all_perms(n) if tau(w) == t))
 
 
+@lru_cache(maxsize=None)
+def beta_fibers(n: int) -> dict:
+    """Every nonempty fiber of ``beta`` in degree ``n``, from one pass over
+    the permutations: ``{b: canonically sorted permutations}``."""
+    fibers: dict = {}
+    for w in tc.all_perms(n):  # lexicographic, so each fiber comes sorted
+        fibers.setdefault(beta(w), []).append(w)
+    return {b: tuple(ws) for b, ws in fibers.items()}
+
+
 def beta_fiber(b: BiLeveledTree) -> tuple:
     """All permutations mapping to ``b``, canonically sorted."""
-    n = tc.nodes(b.tree)
-    if n == 0:
-        return ((),)
-    return tuple(
-        sorted(w for w in tc.all_perms(n) if beta(w) == b))
+    return beta_fibers(tc.nodes(b.tree)).get(b, ())
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "LEAF", "PlanarTree", "Permutation", "BiLeveledTree", "DecoratedForest",
-    "ParseError", "nodes", "leaves", "vee", "backslash", "indecomposables",
+    "ParseError", "nodes", "leaves", "backslash", "indecomposables",
     "tree_indecomposables", "perm_indecomposables", "node_covers",
     "node_descendants", "leftmost_branch", "parse_tree", "format_tree",
     "parse_perm", "format_perm", "parse_bileveled", "format_bileveled",
@@ -85,11 +85,6 @@ def nodes(t: tuple) -> int:
 
 def leaves(t: tuple) -> int:
     return nodes(t) + 1
-
-
-def vee(t_l: tuple, t_r: tuple) -> tuple:
-    """Join two trees under a new root node."""
-    return (t_l, t_r)
 
 
 def backslash(t1: tuple, t2: tuple) -> tuple:
@@ -260,7 +255,11 @@ def parse_bileveled(text: str) -> BiLeveledTree:
     if not (ideal_part.startswith("{") and ideal_part.endswith("}")):
         raise ParseError("expected '{i,...}' after ';'", len(tree_part) + 1)
     body = ideal_part[1:-1].strip()
-    ideal = frozenset(int(s) for s in body.split(",")) if body else frozenset()
+    try:
+        ideal = frozenset(int(s) for s in body.split(",") if body)
+    except ValueError:
+        raise ParseError(f"bad node number in {text!r}",
+                         len(tree_part) + 1) from None
     b = BiLeveledTree(t, ideal)
     if not is_admissible_ideal(t, ideal):
         raise ParseError(f"inadmissible node set in {text!r}", 0)

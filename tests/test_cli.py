@@ -59,6 +59,21 @@ def test_map_rejects_malformed_element(capsys):
     assert code == 2
 
 
+def test_map_rejects_bad_node_number(capsys):
+    code, out, err = invoke(capsys, "map", "iota", "(..);{x}")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("treesym: error: bad node number")
+
+
+def test_value_error_is_a_usage_error(capsys, monkeypatch):
+    def fail(*args):
+        raise ValueError("no such element")
+
+    monkeypatch.setattr(cli.po, "mobius", fail)
+    code, out, err = invoke(capsys, "mobius", "--family", "S", "12", "21")
+    assert (code, out, err) == (2, "", "treesym: error: no such element\n")
+
+
 def test_mobius_value(capsys):
     code, out, _ = invoke(capsys, "mobius", "--family", "S", "123", "213")
     assert code == 0 and out.strip() == "-1"
@@ -180,6 +195,13 @@ def test_size_cap_override(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "enumerate", "--family", "Y", "--n", "9",
                           "--count")
     assert code == 0 and out.strip() == "4862"
+
+
+def test_size_cap_override_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("TREESYM_MAX_N", "abc")
+    code, out, err = invoke(capsys, "enumerate", "--family", "Y", "--n", "3",
+                            "--count")
+    assert code == 2 and out == "" and "TREESYM_MAX_N" in err
 
 
 def test_bad_subcommand(capsys):

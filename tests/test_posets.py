@@ -215,6 +215,72 @@ def test_fiberwise_mobius_comparison():
 
 
 # ---------------------------------------------------------------------------
+# the fast paths against the definitions they replace
+
+
+def leq_poset(family, n):
+    """The order built by testing the defining relation on every pair."""
+    elements = tc.enumerate_family(family, n)
+    if family == "S":
+        return po.FinitePoset(elements, leq=po.weak_leq)
+    tamari = po.family_poset("Y", n)
+    return po.FinitePoset(
+        elements,
+        leq=lambda b, c: tamari.leq(b.tree, c.tree) and b.ideal >= c.ideal)
+
+
+@pytest.mark.parametrize("family,top", [("S", 6), ("M", 7)])
+def test_cover_built_orders_match_definition(family, top):
+    for n in range(top + 1):
+        fast, slow = po.family_poset(family, n), leq_poset(family, n)
+        assert fast.elements == slow.elements
+        assert fast.up == slow.up and fast.down == slow.down, n
+        assert fast.covers() == slow.covers(), n
+
+
+@pytest.mark.parametrize("family,top", [("S", 5), ("Y", 6), ("M", 6)])
+def test_mobius_rows_match_chain_oracle(family, top):
+    for n in range(top + 1):
+        fast = po.family_poset(family, n)
+        # the Tamari order is defined by its covers, so it is its own oracle
+        slow = fast if family == "Y" else leq_poset(family, n)
+        for x in fast.elements:
+            for y in fast.elements:
+                assert fast.mobius(x, y) == po.hall_mobius(slow, x, y), (x, y)
+
+
+def test_beta_fibers_match_scan():
+    for n in range(7):
+        images = {w: pj.beta(w) for w in tc.all_perms(n)}
+        assert set(pj.beta_fibers(n)) == set(tc.all_bileveled(n))
+        for b in tc.all_bileveled(n):
+            scan = tuple(sorted(w for w, c in images.items() if c == b))
+            assert pj.beta_fiber(b) == scan
+
+
+def test_interval_retract_reports_a_bad_fiber(monkeypatch):
+    top = pj.beta((3, 2, 1))
+    fiber = pj.beta_fiber
+    monkeypatch.setattr(pj, "beta_fiber", lambda b: fiber(b) + (
+        ((1, 2, 3),) if b == top else ()))
+    report = po.interval_retract_verify(3)
+    assert report["violations"] == [
+        ("fiber-not-interval", tc.format_bileveled(top))]
+
+
+def test_fiberwise_mobius_reports_a_bad_row(monkeypatch):
+    mposet = po.family_poset("M", 3)
+    row = dict(mposet._mobius_row(0))
+    j = min(set(range(len(mposet))) - set(row))
+    row[j] = 1
+    monkeypatch.setitem(mposet._rows, 0, row)
+    report = po.fiberwise_mobius_verify(3)
+    x, y = mposet.elements[0], mposet.elements[j]
+    assert report["violations"] == [
+        (tc.format_bileveled(x), tc.format_bileveled(y), 1, 0)]
+
+
+# ---------------------------------------------------------------------------
 # DOT export
 
 
