@@ -7,6 +7,11 @@ Mobius value), ``op`` (products, coproducts, coactions in either basis),
 counterexample), ``series`` (enumerating series and the quotient sign
 report), and ``hasse`` (DOT export of a cover relation).
 
+Each verify suite is one row of :data:`SUITES`: a report function for one
+degree (``posets.*_verify`` or ``hopf_modules.*_verify``, returning
+``{"n", "ok", "violations"}``), the first degree it runs at, and the claim
+its OK line states; ``verify --n N`` runs it at every degree up to ``N``.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
 deterministic; progress for long verifications goes to standard error.
 The exhaustive size cap defaults to 8 and may be overridden with the
@@ -19,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import product
 
 from . import hopf_algebra as ha
 from . import hopf_modules as hm
@@ -60,7 +64,7 @@ def _cmd_enumerate(args, parser) -> int:
         payload = len(elements)
         print(json.dumps(payload) if args.json else payload)
         return 0
-    encoded = [tc.format_element(args.family, x) for x in elements]
+    encoded = [tc.FAMILIES[args.family].format(x) for x in elements]
     if args.json:
         print(json.dumps(encoded))
     else:
@@ -80,28 +84,32 @@ MAP_TABLE = {
 }
 
 
-def _cmd_map(args, parser) -> int:
-    src, dst, fn = MAP_TABLE[args.name]
+def _parse(family: str, text: str, parser: argparse.ArgumentParser):
+    """One element of ``family``: a usage error when it is malformed or its
+    degree is above the size cap."""
+    # The tree parser recurses once per '(', so its depth is capped first.
+    _check_size(text.count("("), parser)
+    fam = tc.FAMILIES[family]
     try:
-        x = tc.parse_element(src, args.element)
+        x = fam.parse(text)
     except tc.ParseError as exc:
         parser.error(str(exc))
-    _check_size(ha.element_degree(src, x), parser)
-    result = tc.format_element(dst, fn(x))
+    _check_size(fam.degree(x), parser)
+    return x
+
+
+def _cmd_map(args, parser) -> int:
+    src, dst, fn = MAP_TABLE[args.name]
+    result = tc.FAMILIES[dst].format(fn(_parse(src, args.element, parser)))
     print(json.dumps(result) if args.json else result)
     return 0
 
 
 def _cmd_mobius(args, parser) -> int:
-    try:
-        x = tc.parse_element(args.family, args.x)
-        y = tc.parse_element(args.family, args.y)
-    except tc.ParseError as exc:
-        parser.error(str(exc))
-    dx = ha.element_degree(args.family, x)
-    if dx != ha.element_degree(args.family, y):
+    x, y = (_parse(args.family, text, parser) for text in (args.x, args.y))
+    degree = tc.FAMILIES[args.family].degree
+    if degree(x) != degree(y):
         parser.error("both elements must have the same degree")
-    _check_size(dx, parser)
     value = po.mobius(args.family, x, y)
     print(json.dumps(value) if args.json else value)
     return 0
@@ -127,12 +135,7 @@ def _basis_vector(family, flavor, element):
 
 def _cmd_op(args, parser) -> int:
     family, flavor = args.family, args.basis
-    try:
-        elements = [tc.parse_element(family, text) for text in args.elements]
-    except tc.ParseError as exc:
-        parser.error(str(exc))
-    for x in elements:
-        _check_size(ha.element_degree(family, x), parser)
+    elements = [_parse(family, text, parser) for text in args.elements]
 
     if args.operation == "mul":
         if len(elements) != 2:
@@ -170,123 +173,39 @@ def _cmd_op(args, parser) -> int:
 # verification suites
 
 
-def _fail(payload, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps({"ok": False, "counterexample": payload}))
-    else:
-        print("FAIL: %s" % (payload,))
-    return 1
-
-
-def _ok(as_json: bool, summary: str) -> int:
-    if as_json:
-        print(json.dumps({"ok": True, "summary": summary}))
-    else:
-        print("OK: %s" % summary)
-    return 0
-
-
-def _suite_mobius_fibers(n: int, as_json: bool) -> int:
-    for k in range(n + 1):
-        _progress("mobius-fibers: degree %d" % k)
-        report = po.fiberwise_mobius_verify(k)
-        if not report["ok"]:
-            return _fail(report["violations"][0], as_json)
-    return _ok(as_json, "Mobius values agree across fibers through degree %d" % n)
-
-
-def _suite_interval_retract(n: int, as_json: bool) -> int:
-    for k in range(n + 1):
-        _progress("interval-retract: degree %d" % k)
-        report = po.interval_retract_verify(k)
-        if not report["ok"]:
-            return _fail(report["violations"][0], as_json)
-    return _ok(as_json, "interval retract verified through degree %d" % n)
-
-
-def _suite_hopf_module_plus(n: int, as_json: bool) -> int:
-    for n1 in range(1, n + 1):
-        for n2 in range(0, n - n1 + 1):
-            _progress("hopf-module-plus: degrees %d + %d" % (n1, n2))
-            for b in tc.all_bileveled(n1):
-                for t in tc.all_trees(n2):
-                    lhs = hm.plus_coaction(
-                        hm.plus_action(ha.F("M", b), ha.F("Y", t)))
-                    rhs = ha.tensor_mul(
-                        hm.plus_coaction(ha.F("M", b)),
-                        ha.comul_F(ha.F("Y", t)),
-                        hm.plus_action, ha.mul_F)
-                    if lhs != rhs:
-                        return _fail(
-                            (tc.format_bileveled(b), tc.format_tree(t)),
-                            as_json)
-    return _ok(as_json, "restricted Hopf-module law through degree %d" % n)
-
-
-def _suite_hopf_module_bbslash(n: int, as_json: bool) -> int:
-    for n1 in range(0, n + 1):
-        for n2 in range(0, n - n1 + 1):
-            _progress("hopf-module-bbslash: degrees %d + %d" % (n1, n2))
-            for b in tc.all_bileveled(n1):
-                bp, t = hm.bbslash_decompose(b)
-                for s in tc.all_trees(n2):
-                    lhs = ha.to_M(hm.msym_action_F(
-                        ha.to_F(ha.Mb("M", b)), ha.to_F(ha.Mb("Y", s))))
-                    if lhs != hm.msym_action_M(bp, t, s):
-                        return _fail(
-                            (tc.format_bileveled(b), tc.format_tree(s)),
-                            as_json)
-                if hm.msym_coaction_M(bp, t) != ha.rho_M_closed(b):
-                    return _fail(tc.format_bileveled(b), as_json)
-    return _ok(as_json, "transported structure consistent through degree %d" % n)
-
-
-def _suite_coinvariants(n: int, as_json: bool) -> int:
-    for k in range(1, n + 1):
-        _progress("coinvariants: degree %d" % k)
-        if len(hm.coinvariant_kernel(k, restricted=True)) != len(hm.b_basis(k)):
-            return _fail(("restricted", k), as_json)
-        if len(hm.coinvariant_kernel(k, restricted=False)) != \
-                len(hm.b_prime_basis(k)):
-            return _fail(("full", k), as_json)
-    return _ok(as_json, "coinvariant dimensions match through degree %d" % n)
-
-
-def _suite_kappa(n: int, as_json: bool) -> int:
-    for k in range(n + 1):
-        _progress("kappa: degree %d" % k)
-        target = set(hm.script_s(k))
-        built = {}
-        for j in range(k + 1):
-            lefts = [hm.EMPTY_B] if j == 0 else hm.b_prime_basis(j)
-            for bp in lefts:
-                for v in hm.script_s_prime(k - j):
-                    u = hm.kappa(bp, v)
-                    if u in built or u not in target:
-                        return _fail(tc.format_perm(u), as_json)
-                    built[u] = (bp, v)
-        if set(built) != target:
-            missing = sorted(target - set(built))[0]
-            return _fail(tc.format_perm(missing), as_json)
-        for u, pair in built.items():
-            if hm.kappa_inverse(u) != pair:
-                return _fail(tc.format_perm(u), as_json)
-    return _ok(as_json, "bijection verified through degree %d" % n)
-
-
 SUITES = {
-    "mobius-fibers": _suite_mobius_fibers,
-    "interval-retract": _suite_interval_retract,
-    "hopf-module-plus": _suite_hopf_module_plus,
-    "hopf-module-bbslash": _suite_hopf_module_bbslash,
-    "coinvariants": _suite_coinvariants,
-    "kappa": _suite_kappa,
+    # name: (report for one degree, first degree, claim of the OK line);
+    # each lambda looks its report up when it runs, so that a wrapper put
+    # on the module attribute after import is called
+    "mobius-fibers": (lambda k: po.fiberwise_mobius_verify(k), 0,
+                      "Mobius values agree across fibers"),
+    "interval-retract": (lambda k: po.interval_retract_verify(k), 0,
+                         "interval retract verified"),
+    "hopf-module-plus": (lambda k: hm.plus_module_verify(k), 1,
+                         "restricted Hopf-module law"),
+    "hopf-module-bbslash": (lambda k: hm.bbslash_verify(k), 0,
+                            "transported structure consistent"),
+    "coinvariants": (lambda k: hm.coinvariants_verify(k), 1,
+                     "coinvariant dimensions match"),
+    "kappa": (lambda k: hm.kappa_verify(k), 0, "bijection verified"),
 }
 
 
 def _cmd_verify(args, parser) -> int:
     _check_size(args.n, parser)
-    return SUITES[args.suite](args.n, args.json)
+    check, first, claim = SUITES[args.suite]
+    for k in range(first, args.n + 1):
+        _progress("%s: degree %d" % (args.suite, k))
+        report = check(k)
+        if not report["ok"]:
+            payload = report["violations"][0]
+            print(json.dumps({"ok": False, "counterexample": payload})
+                  if args.json else "FAIL: %s" % (payload,))
+            return 1
+    summary = "%s through degree %d" % (claim, args.n)
+    print(json.dumps({"ok": True, "summary": summary})
+          if args.json else "OK: %s" % summary)
+    return 0
 
 
 def _cmd_series(args, parser) -> int:

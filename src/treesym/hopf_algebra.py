@@ -28,9 +28,9 @@ from .trees_core import BiLeveledTree
 
 __all__ = [
     "BasisKey", "LinComb", "TensorComb",
-    "empty_element", "element_degree",
     "F", "Mb", "unit",
-    "mul_F", "comul_F", "coaction_rho", "ssym_comodule_on_msym",
+    "mul_F", "comul_F", "coaction_rho", "split_coaction",
+    "ssym_comodule_on_msym",
     "lin_tau", "lin_beta", "lin_phi",
     "to_M", "to_F",
     "comul_M_closed", "rho_M_closed",
@@ -49,36 +49,18 @@ class BasisKey(NamedTuple):
     element: object
 
     def degree(self) -> int:
-        return element_degree(self.family, self.element)
+        return tc.FAMILIES[self.family].degree(self.element)
 
     def format(self) -> str:
         if self.degree() == 0:
             return "1"
         return "%s[%s:%s]" % (
-            self.flavor, self.family, tc.format_element(self.family, self.element))
-
-
-def empty_element(family: str):
-    """The unique degree-0 element of a family."""
-    if family == "M":
-        return BiLeveledTree(tc.LEAF, frozenset())
-    if family in ("S", "Y"):
-        return ()
-    raise ValueError("unknown family %r" % (family,))
-
-
-def element_degree(family: str, element) -> int:
-    if family == "S":
-        return len(element)
-    if family == "Y":
-        return tc.nodes(element)
-    if family == "M":
-        return tc.nodes(element.tree)
-    raise ValueError("unknown family %r" % (family,))
+            self.flavor, self.family,
+            tc.FAMILIES[self.family].format(self.element))
 
 
 def _validate_key(key: BasisKey) -> None:
-    if key.family not in ("S", "M", "Y"):
+    if key.family not in tc.FAMILIES:
         raise ValueError("unknown family %r" % (key.family,))
     if key.flavor not in ("F", "M"):
         raise ValueError("unknown flavor %r" % (key.flavor,))
@@ -196,7 +178,7 @@ def Mb(family: str, element) -> LinComb:
 
 def unit(family: str, flavor: str = "F") -> LinComb:
     """The degree-0 basis vector (both flavors agree there)."""
-    return LinComb({BasisKey(family, flavor, empty_element(family)): 1})
+    return LinComb({BasisKey(family, flavor, tc.FAMILIES[family].empty): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +190,7 @@ def _sorted_items(terms):
         keys = entry[0]
         if isinstance(keys, BasisKey):
             keys = (keys,)
-        return tuple(tc.sort_key(k.family, k.element) for k in keys)
+        return tuple(tc.FAMILIES[k.family].format(k.element) for k in keys)
 
     return sorted(terms.items(), key=key_of)
 
@@ -273,8 +255,9 @@ def mul_F(a: LinComb, b: LinComb) -> LinComb:
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
             m = kb.degree()
-            for forest in tc.splittings(ka.element, m):
-                key = BasisKey(family, "F", tc.graft(forest, kb.element))
+            for forest in tc.splittings(family, ka.element, m):
+                key = BasisKey(family, "F",
+                               tc.graft(family, forest, kb.element))
                 out[key] = out.get(key, 0) + ca * cb
     return LinComb(out)
 
@@ -289,7 +272,7 @@ def comul_F(a: LinComb) -> TensorComb:
     family = sig[0]
     out: dict = {}
     for key, c in a.terms.items():
-        for left, right in tc.splittings(key.element, 1):
+        for left, right in tc.splittings(family, key.element, 1):
             if family == "S":
                 left, right = tc.standardize(left), tc.standardize(right)
             keys = (BasisKey(family, "F", left), BasisKey(family, "F", right))
@@ -300,10 +283,16 @@ def comul_F(a: LinComb) -> TensorComb:
 def coaction_rho(a: LinComb) -> TensorComb:
     """Coaction of the tree family on bi-leveled trees: split in two, keep
     the marks on the first part, forget them on the second."""
+    return split_coaction(a, lambda b: tc.splittings("M", b, 1))
+
+
+def split_coaction(a: LinComb, split: Callable) -> TensorComb:
+    """The coaction through ``split``, which gives the two-part splittings
+    of one bi-leveled tree."""
     _require(a, "F", families=("M",))
     out: dict = {}
     for key, c in a.terms.items():
-        for (t0, m0), (t1, _m1) in tc.splittings(key.element, 1):
+        for (t0, m0), (t1, _m1) in split(key.element):
             keys = (
                 BasisKey("M", "F", BiLeveledTree(t0, m0)),
                 BasisKey("Y", "F", t1),
@@ -382,16 +371,9 @@ def to_F(a: LinComb) -> LinComb:
     out: dict = {}
     for key, c in a.terms.items():
         poset = po.family_poset(family, key.degree())
-        i = poset.index[key.element]
-        mask = poset.up[i]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            y = poset.elements[j]
-            mu = poset.mobius(key.element, y)
-            if mu:
-                new = BasisKey(family, "F", y)
-                out[new] = out.get(new, 0) + c * mu
-            mask &= mask - 1
+        for j, mu in poset.mobius_row(poset.index[key.element]).items():
+            new = BasisKey(family, "F", poset.elements[j])
+            out[new] = out.get(new, 0) + c * mu
     return LinComb(out)
 
 
@@ -437,14 +419,12 @@ def bileveled_backslash_decompositions(b: BiLeveledTree) -> tuple:
 def comul_M_closed(family: str, element) -> TensorComb:
     """Coproduct of one second-basis vector as a sum over two-factor
     backslash decompositions."""
-    if family == "S":
-        decomps = perm_backslash_decompositions(element)
-    elif family == "Y":
-        decomps = tree_backslash_decompositions(element)
-    else:
+    if family == "M":
         raise ValueError("no coproduct on family M")
+    decompose = {"S": perm_backslash_decompositions,
+                 "Y": tree_backslash_decompositions}[family]
     out: dict = {}
-    for u, v in decomps:
+    for u, v in decompose(element):
         keys = (BasisKey(family, "M", u), BasisKey(family, "M", v))
         out[keys] = out.get(keys, 0) + 1
     return TensorComb(out)
@@ -463,7 +443,7 @@ def rho_M_closed(b: BiLeveledTree) -> TensorComb:
         out[keys] = out.get(keys, 0) + 1
     if b.ideal == tc.leftmost_branch(b.tree):
         keys = (
-            BasisKey("M", "M", empty_element("M")),
+            BasisKey("M", "M", tc.FAMILIES["M"].empty),
             BasisKey("Y", "M", b.tree),
         )
         out[keys] = out.get(keys, 0) + 1

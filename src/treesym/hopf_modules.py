@@ -13,6 +13,10 @@ Two structures are implemented:
 The final bijection pairs these coinvariant index sets with permutations
 whose last indecomposable component contains a 132-pattern, establishing the
 nonnegativity of one quotient of enumerating series.
+
+The ``*_verify`` functions check these structures in one total degree each
+and return a report ``{"n", "ok", "violations"}``; the ``verify`` suites of
+the command line run them degree by degree.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ __all__ = [
     "in_script_s", "in_script_s_prime", "script_s", "script_s_prime",
     "kappa", "kappa_inverse",
     "coinvariant_kernel", "EMPTY_B",
+    "plus_module_verify", "bbslash_verify", "coinvariants_verify",
+    "kappa_verify",
 ]
 
-EMPTY_B = ha.empty_element("M")
+EMPTY_B = tc.FAMILIES["M"].empty
 
 
 # ---------------------------------------------------------------------------
@@ -55,40 +61,30 @@ def plus_action(a: LinComb, h: LinComb) -> LinComb:
             raise ValueError("the action is defined on positive degrees only")
         for kh, ch in h.terms.items():
             m = tc.nodes(kh.element)
+            # the first part of each forest is nonempty, so the grafted
+            # marks never read the base's own (here empty) marks
+            base = BiLeveledTree(kh.element, frozenset())
             for forest in tc.restricted_splittings(ka.element, m):
-                key = BasisKey(
-                    "M", "F", tc.graft_forest_on_tree(forest, kh.element))
+                key = BasisKey("M", "F", tc.graft_bileveled(forest, base))
                 out[key] = out.get(key, 0) + ca * ch
     return LinComb(out)
 
 
 def plus_coaction(a: LinComb) -> TensorComb:
     """Coaction with restricted splittings: the first part keeps its marks
-    and must be nonempty, the second part forgets them."""
-    ha._require(a, "F", families=("M",))
-    out: dict = {}
-    for key, c in a.terms.items():
-        if not key.element.tree:
-            raise ValueError("the coaction is defined on positive degrees only")
-        for (t0, m0), (t1, _m1) in tc.restricted_splittings(key.element, 1):
-            keys = (
-                BasisKey("M", "F", BiLeveledTree(t0, m0)),
-                BasisKey("Y", "F", t1),
-            )
-            out[keys] = out.get(keys, 0) + c
-    return TensorComb(out)
+    and must be nonempty, the second part forgets them.  Defined on positive
+    degrees only."""
+    return ha.split_coaction(a, lambda b: tc.restricted_splittings(b, 1))
 
 
 def plus_coaction_M_closed(b: BiLeveledTree) -> TensorComb:
     """The restricted coaction of one second-basis vector: a sum over all
-    two-factor backslash decompositions (no exceptional term)."""
+    two-factor backslash decompositions, that is the closed full coaction
+    without its exceptional term (the one with an empty first factor)."""
     if not b.tree:
         raise ValueError("the coaction is defined on positive degrees only")
-    out: dict = {}
-    for c, s in ha.bileveled_backslash_decompositions(b):
-        keys = (BasisKey("M", "M", c), BasisKey("Y", "M", s))
-        out[keys] = out.get(keys, 0) + 1
-    return TensorComb(out)
+    return TensorComb({keys: c for keys, c in ha.rho_M_closed(b).terms.items()
+                       if keys[0].element.tree})
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +317,79 @@ def coinvariant_kernel(n: int, restricted: bool) -> list:
             BasisKey("M", "F", basis[i]): v
             for i, v in enumerate(ints) if v}))
     return out
+
+
+# ---------------------------------------------------------------------------
+# verification reports, one total degree each
+
+
+def plus_module_verify(n: int) -> dict:
+    """Check the restricted Hopf-module law on every pair of a bi-leveled
+    tree of positive degree and a tree, of total degree ``n``."""
+    violations = []
+    for n1 in range(1, n + 1):
+        for b in tc.all_bileveled(n1):
+            fb = F("M", b)
+            coact = plus_coaction(fb)
+            for t in tc.all_trees(n - n1):
+                ft = F("Y", t)
+                lhs = plus_coaction(plus_action(fb, ft))
+                rhs = ha.tensor_mul(
+                    coact, ha.comul_F(ft), plus_action, ha.mul_F)
+                if lhs != rhs:
+                    violations.append(
+                        (tc.format_bileveled(b), tc.format_tree(t)))
+    return {"n": n, "ok": not violations, "violations": violations}
+
+
+def bbslash_verify(n: int) -> dict:
+    """Check the transported structure in total degree ``n``: the action of
+    a tree on a bi-leveled tree, computed in the fundamental basis, is the
+    reindexed tree product in the second basis; and the coaction of each
+    bi-leveled tree of degree ``n`` is its closed form."""
+    violations = []
+    for n1 in range(n + 1):
+        for b in tc.all_bileveled(n1):
+            bp, t = bbslash_decompose(b)
+            fb = ha.to_F(Mb("M", b))
+            for s in tc.all_trees(n - n1):
+                lhs = ha.to_M(msym_action_F(fb, ha.to_F(Mb("Y", s))))
+                if lhs != msym_action_M(bp, t, s):
+                    violations.append(
+                        (tc.format_bileveled(b), tc.format_tree(s)))
+            if n1 == n and msym_coaction_M(bp, t) != ha.rho_M_closed(b):
+                violations.append(tc.format_bileveled(b))
+    return {"n": n, "ok": not violations, "violations": violations}
+
+
+def coinvariants_verify(n: int) -> dict:
+    """Check that the coinvariants in degree ``n``, solved exactly, have
+    the dimensions of the stated index sets, for the restricted and the
+    full coaction."""
+    violations = []
+    if len(coinvariant_kernel(n, restricted=True)) != len(b_basis(n)):
+        violations.append(("restricted", n))
+    if len(coinvariant_kernel(n, restricted=False)) != len(b_prime_basis(n)):
+        violations.append(("full", n))
+    return {"n": n, "ok": not violations, "violations": violations}
+
+
+def kappa_verify(n: int) -> dict:
+    """Check that ``kappa`` maps the pairs of total degree ``n`` one to one
+    onto the big index set, and that ``kappa_inverse`` undoes it."""
+    target = set(script_s(n))
+    built: dict = {}
+    violations = []
+    for j in range(n + 1):
+        for bp in b_prime_basis(j):
+            for v in script_s_prime(n - j):
+                u = kappa(bp, v)
+                if u in built or u not in target:
+                    violations.append(tc.format_perm(u))
+                else:
+                    built[u] = (bp, v)
+    violations += [tc.format_perm(u) for u in sorted(target - set(built))]
+    for u, pair in built.items():
+        if kappa_inverse(u) != pair:
+            violations.append(tc.format_perm(u))
+    return {"n": n, "ok": not violations, "violations": violations}

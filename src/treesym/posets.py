@@ -10,8 +10,8 @@ The three partial orders, their Mobius functions, and interval-retract checks.
 
 :class:`FinitePoset` stores the order relation of a finite poset as bitmask
 rows, built from the covers, and computes covers and exact Mobius values
-from it.  Chain-counting oracles (used by the test suite to cross-check
-Mobius values) live here too.
+from it.  :data:`ORDERS` gives each family tag its cover generator and, where
+one is known, its closed-form Mobius row.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import trees_core as tc
 
 __all__ = [
-    "FinitePoset", "family_poset", "inversion_set", "weak_leq", "weak_covers",
-    "weak_mobius_row", "tamari_leq", "tamari_covers", "m_leq", "m_covers",
-    "m_covers_by_types", "mobius", "chain_sum", "all_chains",
-    "chain_sum_meeting_all_blocks", "hall_mobius", "interval_retract_verify",
+    "FinitePoset", "ORDERS", "family_poset", "inversion_set", "weak_leq",
+    "weak_covers", "weak_mobius_row", "tamari_leq", "tamari_covers", "m_leq",
+    "m_covers", "m_covers_by_types", "mobius", "interval_retract_verify",
     "fiberwise_mobius_verify", "hasse_dot",
 ]
 
@@ -115,9 +114,9 @@ class FinitePoset:
         return self.up[mins[0]] & self.down[maxs[0]] == mask
 
     def mobius(self, x, y) -> int:
-        return self._mobius_row(self.index[x]).get(self.index[y], 0)
+        return self.mobius_row(self.index[x]).get(self.index[y], 0)
 
-    def _mobius_row(self, i: int) -> dict:
+    def mobius_row(self, i: int) -> dict:
         """The nonzero values ``mu(elements[i], .)``, keyed by index."""
         row = self._rows.get(i)
         if row is None:
@@ -256,33 +255,12 @@ def tamari_covers(t: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def family_poset(family: str, n: int) -> FinitePoset:
     """The order on one graded piece, built from its covers."""
+    covers, mobius_row = ORDERS[family]
+    elements = tc.enumerate_family(family, n)
     # The pairs are generated lazily: each candidate is a fresh object,
     # dropped once the poset has mapped it to an index.
-    elements = tc.enumerate_family(family, n)
-    if family == "S":
-        pairs = ((w, v) for w in elements for v in weak_covers(w))
-        return FinitePoset(elements, cover_pairs=pairs,
-                           mobius_row=weak_mobius_row)
-    if family == "Y":
-        pairs = ((t, s) for t in elements for s in tamari_covers(t))
-        return FinitePoset(elements, cover_pairs=pairs)
-    if family == "M":
-        return FinitePoset(elements,
-                           cover_pairs=_m_cover_pairs(elements, n))
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _m_cover_pairs(elements: tuple, n: int) -> Iterator[tuple]:
-    """The candidate covers of every bi-leveled tree, each checked against
-    the definition: a bad candidate would add a false relation."""
-    ytail = family_poset("Y", n)
-    for b in elements:
-        for c in m_covers_by_types(b):
-            if not (ytail.leq(b.tree, c.tree) and b.ideal >= c.ideal):
-                raise RuntimeError(
-                    "cover candidate %s -> %s is not a relation" % (
-                        tc.format_bileveled(b), tc.format_bileveled(c)))
-            yield b, c
+    pairs = ((x, y) for x in elements for y in covers(x))
+    return FinitePoset(elements, cover_pairs=pairs, mobius_row=mobius_row)
 
 
 def tamari_leq(s: tuple, t: tuple) -> bool:
@@ -359,91 +337,36 @@ def m_covers_by_types(b: tc.BiLeveledTree) -> dict:
     return {cand: tuple(sorted(kinds)) for cand, kinds in out.items()}
 
 
+def _checked_m_covers(b: tc.BiLeveledTree) -> Iterator[tc.BiLeveledTree]:
+    """The candidate covers of ``b``, each checked against the definition
+    (trees in Tamari order, marks by reverse inclusion): a bad candidate
+    would add a false relation.  A candidate keeps the tree or rotates it
+    once, so its tree must be ``b``'s or one of its Tamari covers."""
+    rotations = tamari_covers(b.tree)
+    for c in m_covers_by_types(b):
+        if not ((c.tree == b.tree or c.tree in rotations)
+                and b.ideal >= c.ideal):
+            raise RuntimeError(
+                "cover candidate %s -> %s is not a relation" % (
+                    tc.format_bileveled(b), tc.format_bileveled(c)))
+        yield c
+
+
+ORDERS = {
+    # tag: (the covers of one element, its closed-form Mobius row or None)
+    "S": (weak_covers, weak_mobius_row),
+    "Y": (tamari_covers, None),
+    "M": (_checked_m_covers, None),
+}
+
+
 # ---------------------------------------------------------------------------
-# Mobius values and chain oracles
+# Mobius values
 
 
 def mobius(family: str, x, y) -> int:
     """Exact Mobius value between two same-degree elements of a family."""
-    if family == "S":
-        n = len(x)
-    elif family == "Y":
-        n = tc.nodes(x)
-    else:
-        n = tc.nodes(x.tree)
-    return family_poset(family, n).mobius(x, y)
-
-
-def all_chains(poset: FinitePoset) -> Iterator[tuple]:
-    """All nonempty chains, as tuples of elements in increasing order."""
-    n = len(poset.elements)
-
-    def extend(prefix: tuple, i: int) -> Iterator[tuple]:
-        yield prefix
-        above = poset.up[i] & ~(1 << i)
-        m = above
-        while m:
-            j = (m & -m).bit_length() - 1
-            yield from extend(prefix + (poset.elements[j],), j)
-            m &= m - 1
-
-    for i in range(n):
-        yield from extend((poset.elements[i],), i)
-
-
-def chain_sum(poset: FinitePoset) -> int:
-    """Sum of ``(-1)**edges`` over all nonempty chains; 1 on intervals."""
-    n = len(poset.elements)
-    memo = [None] * n
-
-    def starting_at(i: int) -> int:
-        if memo[i] is None:
-            total = 1
-            m = poset.up[i] & ~(1 << i)
-            while m:
-                j = (m & -m).bit_length() - 1
-                total -= starting_at(j)
-                m &= m - 1
-            memo[i] = total
-        return memo[i]
-
-    return sum(starting_at(i) for i in range(n))
-
-
-def chain_sum_meeting_all_blocks(poset: FinitePoset, blocks: Sequence[set]) -> int:
-    """Sum of ``(-1)**edges`` over chains meeting every block."""
-    block_of = {}
-    for i, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = i
-    total = 0
-    for chain in all_chains(poset):
-        if {block_of[x] for x in chain} == set(range(len(blocks))):
-            total += (-1) ** (len(chain) - 1)
-    return total
-
-
-def hall_mobius(poset: FinitePoset, x, y) -> int:
-    """Mobius value via chains from ``x`` to ``y`` (test oracle)."""
-    if not poset.leq(x, y):
-        return 0
-    i0, j0 = poset.index[x], poset.index[y]
-    memo: dict = {}
-
-    def from_idx(i: int) -> int:
-        if i == j0:
-            return 1
-        if i not in memo:
-            total = 0
-            m = poset.up[i] & poset.down[j0] & ~(1 << i)
-            while m:
-                j = (m & -m).bit_length() - 1
-                total -= from_idx(j)
-                m &= m - 1
-            memo[i] = total
-        return memo[i]
-
-    return from_idx(i0)
+    return family_poset(family, tc.FAMILIES[family].degree(x)).mobius(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +418,12 @@ def fiberwise_mobius_verify(n: int) -> dict:
     sums = [{} for _ in mposet.elements]
     for a, x in enumerate(fiber_of):
         acc = sums[x]
-        for v, mu in sposet._mobius_row(a).items():
+        for v, mu in sposet.mobius_row(a).items():
             y = fiber_of[v]
             acc[y] = acc.get(y, 0) + mu
     violations = []
     for i, x in enumerate(mposet.elements):
-        for j in sorted(sums[i].keys() | mposet._mobius_row(i).keys()):
+        for j in sorted(sums[i].keys() | mposet.mobius_row(i).keys()):
             y = mposet.elements[j]
             lhs, rhs = mposet.mobius(x, y), sums[i].get(j, 0)
             if lhs != rhs:
@@ -512,15 +435,12 @@ def fiberwise_mobius_verify(n: int) -> dict:
 def hasse_dot(family: str, n: int) -> str:
     """DOT digraph of the cover relation, edges pointing upward."""
     poset = family_poset(family, n)
+    fmt = tc.FAMILIES[family].format
     lines = [f'digraph "{family}{n}" {{']
     for x in poset.elements:
-        lines.append(f'  "{tc.format_element(family, x)}";')
-    for x, y in sorted(
-            poset.covers(),
-            key=lambda p: (tc.format_element(family, p[0]),
-                           tc.format_element(family, p[1]))):
-        lines.append(
-            f'  "{tc.format_element(family, x)}" -> '
-            f'"{tc.format_element(family, y)}";')
+        lines.append(f'  "{fmt(x)}";')
+    for x, y in sorted(poset.covers(),
+                       key=lambda p: (fmt(p[0]), fmt(p[1]))):
+        lines.append(f'  "{fmt(x)}" -> "{fmt(y)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,28 +14,32 @@ Three families of objects, all immutable:
 Nodes and the gaps between leaves are numbered ``1..n`` from left to right
 (in-order); leaves are numbered ``0..n`` from left to right.
 
-The module also implements splitting a tree along a multiset of leaves and
-grafting a forest onto the leaves of a base tree, for all three families.
+The module also implements splitting an element along a multiset of leaves
+and grafting a forest onto the leaves of a base element.  :data:`FAMILIES`
+holds one :class:`Family` record per tag (``"S"``, ``"Y"``, ``"M"``) with its
+text encoding, degree, empty element, generator, splitting and grafting;
+code that handles all three families reads this table instead of guessing
+the family from the shape of a value (the empty permutation and the empty
+tree are both ``()``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "LEAF", "PlanarTree", "Permutation", "BiLeveledTree", "DecoratedForest",
-    "ParseError", "nodes", "leaves", "backslash", "indecomposables",
+    "ParseError", "Family", "FAMILIES", "nodes", "leaves", "backslash",
     "tree_indecomposables", "perm_indecomposables", "node_covers",
     "node_descendants", "leftmost_branch", "parse_tree", "format_tree",
     "parse_perm", "format_perm", "parse_bileveled", "format_bileveled",
-    "parse_element", "format_element", "standardize", "all_trees",
-    "all_perms", "all_bileveled", "is_admissible_ideal", "splittings",
-    "perm_splittings", "tree_splittings", "bileveled_splittings",
-    "restricted_splittings", "graft", "graft_trees", "graft_perms",
-    "graft_bileveled", "graft_forest_on_tree", "forest_form", "ideal_form",
-    "tree_backslash_bileveled", "enumerate_family", "sort_key",
+    "standardize", "all_trees", "all_perms", "all_bileveled",
+    "is_admissible_ideal", "splittings", "perm_splittings", "tree_splittings",
+    "bileveled_splittings", "restricted_splittings", "graft", "graft_trees",
+    "graft_perms", "graft_bileveled", "forest_form", "ideal_form",
+    "tree_backslash_bileveled", "enumerate_family",
 ]
 
 # The empty tree.  A nonempty tree is a pair (left, right) of trees.
@@ -105,13 +109,6 @@ def tree_indecomposables(t: tuple) -> tuple:
         out.append((t[0], LEAF))
         t = t[1]
     return tuple(out)
-
-
-def indecomposables(x) -> tuple:
-    """Indecomposable factors of a tree or a permutation."""
-    if x and isinstance(x[0], int):
-        return perm_indecomposables(x)
-    return tree_indecomposables(x)
 
 
 def perm_indecomposables(w: tuple) -> tuple:
@@ -266,31 +263,6 @@ def parse_bileveled(text: str) -> BiLeveledTree:
     return b
 
 
-def format_element(family: str, x) -> str:
-    if family == "S":
-        return format_perm(x)
-    if family == "Y":
-        return format_tree(x)
-    if family == "M":
-        return format_bileveled(x)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def parse_element(family: str, text: str):
-    if family == "S":
-        return parse_perm(text)
-    if family == "Y":
-        return parse_tree(text)
-    if family == "M":
-        return parse_bileveled(text)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def sort_key(family: str, x) -> str:
-    """Canonical total order on each family: lexicographic on encodings."""
-    return format_element(family, x)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive generation
 
@@ -355,15 +327,10 @@ def all_bileveled(n: int) -> tuple:
 
 
 def enumerate_family(family: str, n: int) -> tuple:
-    if family == "S":
-        items = all_perms(n)
-    elif family == "Y":
-        items = all_trees(n)
-    elif family == "M":
-        items = all_bileveled(n)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return tuple(sorted(items, key=lambda x: sort_key(family, x)))
+    """Every element of degree ``n``, in the canonical order of the family:
+    lexicographic on the text encodings."""
+    fam = FAMILIES[family]
+    return tuple(sorted(fam.generate(n), key=fam.format))
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +396,9 @@ def bileveled_splittings(b: BiLeveledTree, m: int) -> Iterator[DecoratedForest]:
         yield tuple(parts)
 
 
-def splittings(x, m: int):
+def splittings(family: str, x, m: int) -> list:
     """All splittings of ``x`` along a multiset of ``m`` leaves."""
-    if isinstance(x, BiLeveledTree):
-        return list(bileveled_splittings(x, m))
-    if x and isinstance(x[0], int):
-        return list(perm_splittings(x, m))
-    return list(tree_splittings(x, m))
+    return list(FAMILIES[family].split(x, m))
 
 
 def restricted_splittings(b: BiLeveledTree, m: int) -> Iterator[DecoratedForest]:
@@ -518,33 +481,36 @@ def graft_bileveled(forest: DecoratedForest, base: BiLeveledTree) -> BiLeveledTr
     return BiLeveledTree(tree, ideal)
 
 
-def graft_forest_on_tree(forest: DecoratedForest, base: tuple) -> BiLeveledTree:
-    """Graft a decorated forest onto a plain tree.
-
-    The marked set always absorbs the base's nodes (used by the module
-    action on the positively graded part).
-    """
-    part_trees = [p[0] for p in forest]
-    tree = graft_trees(part_trees, base)
-    base_pos, part_offsets = _grafted_positions([nodes(p) for p in part_trees])
-    ideal = frozenset(base_pos) | frozenset(
-        part_offsets[j] + k for j, (pt, marks) in enumerate(forest) for k in marks
-    )
-    return BiLeveledTree(tree, ideal)
+def graft(family: str, forest, base):
+    """Graft a forest onto a base element of ``family``."""
+    return FAMILIES[family].graft(forest, base)
 
 
-def graft(forest, base):
-    """Graft a forest onto a base tree, permutation, or bi-leveled tree."""
-    if isinstance(base, BiLeveledTree):
-        return graft_bileveled(forest, base)
-    if base and isinstance(base[0], int):
-        return graft_perms(forest, base)
-    if forest and isinstance(forest[0], tuple) and len(forest[0]) == 2 \
-            and isinstance(forest[0][1], frozenset):
-        return graft_forest_on_tree(forest, base)
-    if base == LEAF and forest and forest[0] and isinstance(forest[0][0], int):
-        return graft_perms(forest, base)
-    return graft_trees(forest, base)
+# ---------------------------------------------------------------------------
+# the family table
+
+
+class Family(NamedTuple):
+    """How one family is written, measured, generated, split and grafted."""
+
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+    degree: Callable[[Any], int]
+    empty: Any
+    generate: Callable[[int], tuple]  # every element of one degree
+    split: Callable[[Any, int], Iterator[tuple]]
+    graft: Callable[[Sequence, Any], Any]
+
+
+FAMILIES = {
+    "S": Family(parse_perm, format_perm, len, (), all_perms,
+                perm_splittings, graft_perms),
+    "Y": Family(parse_tree, format_tree, nodes, LEAF, all_trees,
+                tree_splittings, graft_trees),
+    "M": Family(parse_bileveled, format_bileveled, lambda b: nodes(b.tree),
+                BiLeveledTree(LEAF, frozenset()), all_bileveled,
+                bileveled_splittings, graft_bileveled),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +582,3 @@ def tree_backslash_bileveled(b: BiLeveledTree, s: tuple) -> BiLeveledTree:
     if not b.tree:
         raise ValueError("left factor must be nonempty")
     return BiLeveledTree(backslash(b.tree, s), b.ideal)
-
-
-def fold_backslash(parts: Sequence[tuple]) -> tuple:
-    """Refold trees or permutations under ``backslash``."""
-    if not parts:
-        return LEAF
-    if isinstance(parts[0], tuple) and parts[0] and isinstance(parts[0][0], int):
-        # permutations: labels of earlier factors sit above later ones
-        def pbackslash(u, v):
-            k = len(v)
-            return tuple(a + k for a in u) + tuple(v)
-        return reduce(pbackslash, parts)
-    return reduce(backslash, parts)

@@ -157,15 +157,9 @@ def test_06_second_basis_closed_forms():
 
 def test_07_hopf_module_structures():
     # restricted structure, total degree <= 5
-    for n1 in range(1, 5):
-        for n2 in range(0, 6 - n1):
-            for b in tc.enumerate_family("M", n1):
-                for t in tc.all_trees(n2):
-                    fb, ft = F("M", b), F("Y", t)
-                    assert hm.plus_coaction(hm.plus_action(fb, ft)) == \
-                        ha.tensor_mul(
-                            hm.plus_coaction(fb), ha.comul_F(ft),
-                            hm.plus_action, ha.mul_F)
+    for n in range(1, 6):
+        report = hm.plus_module_verify(n)
+        assert report["ok"], report["violations"][:3]
     # transported structure on the full space, total degree <= 5
     for n1 in range(0, 4):
         for n2 in range(0, 5 - n1):
@@ -198,11 +192,10 @@ def test_08_coinvariants():
     b_counts = [1, 1, 3, 11, 44]
     cats = [1, 1, 2, 5, 14]
     for n in range(1, 6):
-        restricted = hm.coinvariant_kernel(n, restricted=True)
-        assert len(restricted) == b_counts[n - 1] == len(hm.b_basis(n))
-        full = hm.coinvariant_kernel(n, restricted=False)
-        assert len(full) == b_counts[n - 1] - cats[n - 1] == \
-            len(hm.b_prime_basis(n))
+        report = hm.coinvariants_verify(n)
+        assert report["ok"], report["violations"]
+        assert len(hm.b_basis(n)) == b_counts[n - 1]
+        assert len(hm.b_prime_basis(n)) == b_counts[n - 1] - cats[n - 1]
         # the stated bases really are coinvariant
         for b in hm.b_basis(n):
             vec = ha.to_F(Mb("M", b))
@@ -211,9 +204,9 @@ def test_08_coinvariants():
             vec = ha.to_F(Mb("M", b))
             assert ha.coaction_rho(vec) == ha.tensor_of(vec, ha.unit("Y"))
         # solved kernels span the same space: every solution is coinvariant
-        for vec in restricted:
+        for vec in hm.coinvariant_kernel(n, restricted=True):
             assert hm.plus_coaction(vec) == ha.tensor_of(vec, ha.unit("Y"))
-        for vec in full:
+        for vec in hm.coinvariant_kernel(n, restricted=False):
             assert ha.coaction_rho(vec) == ha.tensor_of(vec, ha.unit("Y"))
 
 
@@ -235,16 +228,8 @@ def test_09_series_identities_and_signs():
 
 def test_10_final_bijection():
     for n in range(8):
-        images = {}
-        for k in range(n + 1):
-            for bp in hm.b_prime_basis(k):
-                for v in hm.script_s_prime(n - k):
-                    w = hm.kappa(bp, v)
-                    assert w not in images
-                    images[w] = (bp, v)
-        assert set(images) == set(hm.script_s(n))
-        for w, pair in images.items():
-            assert hm.kappa_inverse(w) == pair
+        report = hm.kappa_verify(n)
+        assert report["ok"], report["violations"][:3]
     quotient = se.series("S", 7) / se.series("M", 7)
     assert quotient.coeffs == tuple(
         len(hm.script_s_prime(n)) for n in range(8))

@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from treesym import cli
+from treesym import trees_core as tc
 
 
 def invoke(capsys, *argv):
@@ -63,6 +67,55 @@ def test_map_rejects_bad_node_number(capsys):
     code, out, err = invoke(capsys, "map", "iota", "(..);{x}")
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith("treesym: error: bad node number")
+
+
+DEEP_TREE = "(" * 1200 + "." + ".)" * 1200
+
+
+@pytest.mark.parametrize("name,text", [
+    ("min", DEEP_TREE), ("phi", DEEP_TREE + ";{1}")])
+def test_map_rejects_deep_tree_without_traceback(capsys, name, text):
+    code, out, err = invoke(capsys, "map", name, text)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert [l for l in lines if "error" in l] == lines[-1:]
+    assert lines[-1].startswith("treesym: error: size 1200 outside")
+
+
+JUNK_TEXT = st.text(alphabet="().;{},1234x-", max_size=10)
+
+
+def element_text(family):
+    """Encodings of the elements of ``family`` up to degree 3, random text,
+    and encodings with random text spliced in."""
+    valid = st.sampled_from([tc.FAMILIES[family].format(x) for n in range(4)
+                             for x in tc.enumerate_family(family, n)])
+    return st.one_of(
+        valid, JUNK_TEXT,
+        st.builds(lambda text, junk, cut: text[:cut] + junk + text[cut:],
+                  valid, JUNK_TEXT, st.integers(0, 20)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_random_element_text_gives_a_result_or_a_usage_error(capsys, data):
+    draw = data.draw
+    command = draw(st.sampled_from(("map", "mobius", "op")))
+    family = draw(st.sampled_from("SMY"))
+    if command == "map":
+        name = draw(st.sampled_from(sorted(cli.MAP_TABLE)))
+        argv = ["map", name, draw(element_text(cli.MAP_TABLE[name][0]))]
+    elif command == "mobius":
+        argv = ["mobius", "--family", family,
+                draw(element_text(family)), draw(element_text(family))]
+    else:
+        argv = ["op", draw(st.sampled_from(("mul", "comul", "rho"))),
+                "--family", family, "--basis", draw(st.sampled_from("FM"))]
+        argv += [draw(element_text(family))
+                 for _ in range(draw(st.integers(1, 2)))]
+    code, _, err = invoke(capsys, *argv)
+    assert code in (0, 2), (argv, err)
 
 
 def test_value_error_is_a_usage_error(capsys, monkeypatch):

@@ -268,11 +268,12 @@ def test_second_basis_primitives_are_indecomposables():
                 d = ha.comul_M_closed(family, x)
                 primitive_shape = TensorComb({
                     (BasisKey(family, "M", x),
-                     BasisKey(family, "M", ha.empty_element(family))): 1,
-                    (BasisKey(family, "M", ha.empty_element(family)),
+                     BasisKey(family, "M", tc.FAMILIES[family].empty)): 1,
+                    (BasisKey(family, "M", tc.FAMILIES[family].empty),
                      BasisKey(family, "M", x)): 1,
                 })
-                parts = tc.indecomposables(x)
+                parts = {"S": tc.perm_indecomposables,
+                         "Y": tc.tree_indecomposables}[family](x)
                 assert (d == primitive_shape) == (len(parts) == 1)
 
 

@@ -3,6 +3,7 @@ trees, their coinvariants, and the final graded bijection."""
 
 import pytest
 
+from treesym import cli
 from treesym import hopf_algebra as ha
 from treesym import hopf_modules as hm
 from treesym import projections as pj
@@ -281,7 +282,7 @@ def test_kappa_membership_validation():
     with pytest.raises(ValueError):
         hm.kappa(pj.beta_max(tc.parse_tree("(..)")), ())
     with pytest.raises(ValueError):
-        hm.kappa(ha.empty_element("M"), (1, 2))  # 12 is not in the index set
+        hm.kappa(tc.FAMILIES["M"].empty, (1, 2))  # 12 is not in the index set
     with pytest.raises(ValueError):
         hm.kappa_inverse((1, 2))
 
@@ -293,3 +294,50 @@ def test_series_quotient_counts_script_s_prime():
     quotient = s / m
     assert quotient.coeffs == tuple(
         len(hm.script_s_prime(n)) for n in range(order + 1))
+
+
+# ---------------------------------------------------------------------------
+# each verification report can fail
+
+
+def assert_report_and_suite_fail(capsys, report, suite):
+    assert not report["ok"] and report["violations"]
+    code = cli.run(["verify", "--suite", suite, "--n", "3"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.startswith("FAIL: "), out
+
+
+def test_plus_module_report_catches_a_dropped_term(monkeypatch, capsys):
+    action = hm.plus_action
+
+    def drop_first_term(a, h):
+        terms = dict(action(a, h).terms)
+        if len(terms) > 1:
+            terms.pop(next(iter(terms)))
+        return LinComb(terms)
+
+    monkeypatch.setattr(hm, "plus_action", drop_first_term)
+    assert_report_and_suite_fail(
+        capsys, hm.plus_module_verify(3), "hopf-module-plus")
+
+
+def test_bbslash_report_catches_an_extra_coaction_term(monkeypatch, capsys):
+    closed = ha.rho_M_closed
+    extra = ha.tensor_of(Mb("M", hm.EMPTY_B), Mb("Y", tc.LEAF))
+    monkeypatch.setattr(ha, "rho_M_closed", lambda b: closed(b) + extra)
+    assert_report_and_suite_fail(
+        capsys, hm.bbslash_verify(3), "hopf-module-bbslash")
+
+
+def test_coinvariants_report_catches_a_short_index_set(monkeypatch, capsys):
+    basis = hm.b_basis
+    monkeypatch.setattr(hm, "b_basis", lambda n: basis(n)[:-1])
+    assert_report_and_suite_fail(
+        capsys, hm.coinvariants_verify(3), "coinvariants")
+
+
+def test_kappa_report_catches_a_wrong_inverse(monkeypatch, capsys):
+    inverse = hm.kappa_inverse
+    monkeypatch.setattr(hm, "kappa_inverse", lambda w: (
+        (hm.EMPTY_B, w) if len(w) == 3 else inverse(w)))
+    assert_report_and_suite_fail(capsys, hm.kappa_verify(3), "kappa")

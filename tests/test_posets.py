@@ -7,6 +7,8 @@ from treesym import posets as po
 from treesym import projections as pj
 from treesym import trees_core as tc
 
+from oracles import chain_sum, chain_sum_meeting_all_blocks, hall_mobius
+
 
 # ---------------------------------------------------------------------------
 # weak order
@@ -159,7 +161,7 @@ def test_mobius_against_chain_oracle(family, n):
     poset = po.family_poset(family, n)
     for x in poset.elements:
         for y in poset.elements:
-            assert poset.mobius(x, y) == po.hall_mobius(poset, x, y)
+            assert poset.mobius(x, y) == hall_mobius(poset, x, y)
 
 
 def test_mobius_row_sums_vanish():
@@ -182,7 +184,7 @@ def test_chain_sum_is_one_on_intervals():
                 if poset.leq(x, y):
                     interval = po.FinitePoset(
                         poset.interval(x, y), leq=poset.leq)
-                    assert po.chain_sum(interval) == 1
+                    assert chain_sum(interval) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +207,7 @@ def test_fibers_factor_into_blocks():
             fiber = pj.beta_fiber(b)
             sub = po.FinitePoset(fiber, leq=po.weak_leq)
             # one-block partition: the whole fiber
-            assert po.chain_sum_meeting_all_blocks(sub, [set(fiber)]) == 1
+            assert chain_sum_meeting_all_blocks(sub, [set(fiber)]) == 1
 
 
 def test_fiberwise_mobius_comparison():
@@ -246,7 +248,7 @@ def test_mobius_rows_match_chain_oracle(family, top):
         slow = fast if family == "Y" else leq_poset(family, n)
         for x in fast.elements:
             for y in fast.elements:
-                assert fast.mobius(x, y) == po.hall_mobius(slow, x, y), (x, y)
+                assert fast.mobius(x, y) == hall_mobius(slow, x, y), (x, y)
 
 
 def test_beta_fibers_match_scan():
@@ -270,7 +272,7 @@ def test_interval_retract_reports_a_bad_fiber(monkeypatch):
 
 def test_fiberwise_mobius_reports_a_bad_row(monkeypatch):
     mposet = po.family_poset("M", 3)
-    row = dict(mposet._mobius_row(0))
+    row = dict(mposet.mobius_row(0))
     j = min(set(range(len(mposet))) - set(row))
     row[j] = 1
     monkeypatch.setitem(mposet._rows, 0, row)

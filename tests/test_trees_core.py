@@ -1,6 +1,7 @@
 """Core encodings, generation, splitting, grafting, and the two
 representations of bi-leveled trees."""
 
+from functools import reduce
 from math import comb
 
 import pytest
@@ -93,7 +94,7 @@ def test_enumeration_is_canonically_sorted():
     for family in "SMY":
         for n in range(5):
             elements = tc.enumerate_family(family, n)
-            keys = [tc.sort_key(family, x) for x in elements]
+            keys = [tc.FAMILIES[family].format(x) for x in elements]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
 
@@ -212,18 +213,23 @@ def test_ideal_form_arity_validation():
 # decompositions
 
 
+def perm_backslash(u, v):
+    """``u`` over ``v``: the letters of ``u`` shifted above those of ``v``."""
+    return tuple(a + len(v) for a in u) + v
+
+
 def test_perm_indecomposables_refold():
     for n in range(6):
         for w in tc.all_perms(n):
             parts = tc.perm_indecomposables(w)
-            assert tc.fold_backslash(parts) == w or (not w and not parts)
+            assert reduce(perm_backslash, parts, ()) == w
 
 
 def test_tree_indecomposables_refold():
     for n in range(6):
         for t in tc.all_trees(n):
             parts = tc.tree_indecomposables(t)
-            assert tc.fold_backslash(parts) == t
+            assert reduce(tc.backslash, parts, tc.LEAF) == t
 
 
 def test_leftmost_branch_positions():
