@@ -15,7 +15,9 @@ its OK line states; ``verify --n N`` runs it at every degree up to ``N``.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
 deterministic; progress for long verifications goes to standard error.
 The exhaustive size cap defaults to 8 and may be overridden with the
-``TREESYM_MAX_N`` environment variable.
+``TREESYM_MAX_N`` environment variable, up to :data:`MAX_N_CEILING`; it
+bounds the degree of every input and of a product.  ``series --order`` is
+at most :data:`MAX_ORDER`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ from . import trees_core as tc
 __all__ = ["main", "run"]
 
 DEFAULT_MAX_N = 8
+# The tree helpers recurse once per level, through an lru_cache wrapper
+# that counts as a second frame; trees of this depth stay well inside
+# Python's default recursion limit.
+MAX_N_CEILING = 400
+MAX_ORDER = 500
 
 
 def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
@@ -43,6 +50,9 @@ def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
         cap = DEFAULT_MAX_N if raw is None else int(raw)
     except ValueError:
         parser.error("TREESYM_MAX_N must be an integer, not %r" % raw)
+    if cap > MAX_N_CEILING:
+        parser.error("TREESYM_MAX_N must be at most %d, not %d"
+                     % (MAX_N_CEILING, cap))
     if n < 0 or n > cap:
         parser.error(
             "size %d outside supported range 0..%d "
@@ -140,6 +150,7 @@ def _cmd_op(args, parser) -> int:
     if args.operation == "mul":
         if len(elements) != 2:
             parser.error("mul needs two elements")
+        _check_size(sum(map(tc.FAMILIES[family].degree, elements)), parser)
         a, b = (_basis_vector(family, flavor, x) for x in elements)
         if flavor == "F":
             result = ha.mul_F(a, b)
@@ -209,8 +220,9 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_series(args, parser) -> int:
-    if args.order < 0:
-        parser.error("order must be nonnegative")
+    if not 0 <= args.order <= MAX_ORDER:
+        parser.error("order %d outside supported range 0..%d"
+                     % (args.order, MAX_ORDER))
     if args.quotients:
         report = se.quotient_sign_report(args.order)
         rows = [

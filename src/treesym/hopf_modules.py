@@ -21,6 +21,8 @@ the command line run them degree by degree.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 from . import hopf_algebra as ha
@@ -285,38 +287,91 @@ def coinvariant_kernel(n: int, restricted: bool) -> list:
     """Basis of the coinvariants in degree ``n``, by an exact kernel solve.
 
     Solves ``coaction(x) = x (x) 1`` over the rationals in the fundamental
-    basis, using the restricted coaction when ``restricted`` is true.
+    basis, using the restricted coaction when ``restricted`` is true.  Each
+    free column of the reduced row echelon form gives one vector, in
+    increasing column order: 1 at the free column and minus the pivot rows'
+    entries there, scaled to integers by the lcm of their denominators.
     Returns a list of fundamental-basis combinations with integer entries.
     """
-    from sympy import Matrix, lcm
-
-    basis = list(tc.enumerate_family("M", n))
     if restricted and n == 0:
         return []
-    index = {b: i for i, b in enumerate(basis)}
-    unit_y = BasisKey("Y", "F", tc.LEAF)
+    basis = tc.enumerate_family("M", n)
     rows: dict = {}
     for j, b in enumerate(basis):
         image = plus_coaction(F("M", b)) if restricted \
             else ha.coaction_rho(F("M", b))
         for (kb, ky), c in image.terms.items():
-            rows.setdefault((kb.element, ky.element), [0] * len(basis))[j] += c
+            row = rows.setdefault((kb.element, ky.element), {})
+            row[j] = row.get(j, 0) + c
         # subtract x (x) 1
-        rows.setdefault((b, ()), [0] * len(basis))[j] -= 1
-    mat = Matrix([row for row in rows.values() if any(row)])
-    if not rows:
-        return []
-    kernel = mat.nullspace() if mat.rows else [
-        Matrix([1 if i == j else 0 for i in range(len(basis))])
-        for j in range(len(basis))]
+        row = rows.setdefault((b, tc.LEAF), {})
+        row[j] = row.get(j, 0) - 1
+    pivots = _echelon(rows.values())
+    pivots_by_free: dict = {}
+    for p, row in pivots.items():
+        for c in row:
+            if c != p:
+                pivots_by_free.setdefault(c, []).append(p)
     out = []
-    for vec in kernel:
-        denom = lcm([e.q for e in vec])
-        ints = [int(e * denom) for e in vec]
-        out.append(LinComb({
-            BasisKey("M", "F", basis[i]): v
-            for i, v in enumerate(ints) if v}))
+    for f in range(len(basis)):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for p in pivots_by_free.get(f, ()):
+            vec[p] = Fraction(-pivots[p][f], pivots[p][p])
+        denom = math.lcm(*(v.denominator for v in vec.values()))
+        out.append(LinComb({BasisKey("M", "F", basis[i]): int(vec[i] * denom)
+                            for i in sorted(vec)}))
     return out
+
+
+def _echelon(rows) -> dict:
+    """The reduced row echelon form of sparse integer rows ``{column:
+    value}``, each row scaled to coprime integers: ``{pivot column: row}``
+    with a positive entry at the pivot and none at any other pivot column.
+    Only integer row operations are used; dividing each row by its pivot
+    entry gives the form over the rationals."""
+    pivots: dict = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = _primitive(row, row[lead])
+                break
+            row = _eliminate(row, pivots[lead], lead)
+    # a pivot row right of ``p`` is already reduced, so clearing its column
+    # from row ``p`` brings in no other pivot column
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for c in [c for c in row if c != p and c in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        pivots[p] = row
+    return pivots
+
+
+def _eliminate(row: dict, prow: dict, col: int) -> dict:
+    """``prow[col] * row - row[col] * prow``, which is 0 at ``col``, made
+    primitive with the sign kept."""
+    a, b = prow[col], row[col]
+    if a != 1:
+        row = {c: a * x for c, x in row.items()}
+    for c, x in prow.items():
+        y = row.get(c, 0) - b * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+    return _primitive(row, 1) if row else row
+
+
+def _primitive(row: dict, sign: int) -> dict:
+    """``row`` divided by the gcd of its entries, negated when ``sign`` is
+    negative."""
+    g = math.gcd(*row.values())
+    if sign < 0:
+        g = -g
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
-"""Chain-counting oracles for Mobius values, used by the tests only.
+"""Slow reference implementations, used by the tests only.
 
-Each works on any :class:`treesym.posets.FinitePoset` through its ``up`` and
-``down`` bitmasks, independently of the sparse Mobius rows it checks.
+The chain-counting oracles for Mobius values work on any
+:class:`treesym.posets.FinitePoset` through its ``up`` and ``down``
+bitmasks, independently of the sparse Mobius rows they check.
+:func:`sympy_coinvariant_kernel` is the coinvariant solve by sympy's
+``nullspace``, against which the plain-Python elimination is checked.
 """
 
 from typing import Iterator, Sequence
+
+from treesym import hopf_algebra as ha
+from treesym import trees_core as tc
+from treesym.hopf_algebra import BasisKey, LinComb, F
+from treesym.hopf_modules import plus_coaction
 
 
 def all_chains(poset) -> Iterator[tuple]:
@@ -77,3 +85,41 @@ def hall_mobius(poset, x, y) -> int:
         return memo[i]
 
     return from_idx(i0)
+
+
+def sympy_coinvariant_kernel(n: int, restricted: bool) -> list:
+    """Basis of the coinvariants in degree ``n``, by an exact kernel solve.
+
+    Solves ``coaction(x) = x (x) 1`` over the rationals in the fundamental
+    basis, using the restricted coaction when ``restricted`` is true.
+    Returns a list of fundamental-basis combinations with integer entries.
+    """
+    from sympy import Matrix, lcm
+
+    basis = list(tc.enumerate_family("M", n))
+    if restricted and n == 0:
+        return []
+    index = {b: i for i, b in enumerate(basis)}
+    unit_y = BasisKey("Y", "F", tc.LEAF)
+    rows: dict = {}
+    for j, b in enumerate(basis):
+        image = plus_coaction(F("M", b)) if restricted \
+            else ha.coaction_rho(F("M", b))
+        for (kb, ky), c in image.terms.items():
+            rows.setdefault((kb.element, ky.element), [0] * len(basis))[j] += c
+        # subtract x (x) 1
+        rows.setdefault((b, ()), [0] * len(basis))[j] -= 1
+    mat = Matrix([row for row in rows.values() if any(row)])
+    if not rows:
+        return []
+    kernel = mat.nullspace() if mat.rows else [
+        Matrix([1 if i == j else 0 for i in range(len(basis))])
+        for j in range(len(basis))]
+    out = []
+    for vec in kernel:
+        denom = lcm([e.q for e in vec])
+        ints = [int(e * denom) for e in vec]
+        out.append(LinComb({
+            BasisKey("M", "F", basis[i]): v
+            for i, v in enumerate(ints) if v}))
+    return out

@@ -172,6 +172,17 @@ def test_op_mul_wrong_arity(capsys):
     assert code == 2
 
 
+def test_op_mul_product_degree_is_capped(capsys, monkeypatch):
+    monkeypatch.setenv("TREESYM_MAX_N", "3")
+    code, out, err = invoke(
+        capsys, "op", "mul", "--family", "S", "--basis", "M", "123", "123")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("treesym: error: size 6 outside")
+    code, out, _ = invoke(
+        capsys, "op", "mul", "--family", "S", "--basis", "M", "12", "1")
+    assert code == 0 and out
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -218,6 +229,16 @@ def test_series_quotient_report(capsys):
     assert rows["M+/M"]["trivial"] is True
 
 
+def test_series_order_is_capped(capsys):
+    code, out, _ = invoke(capsys, "series", "--which", "M", "--order",
+                          str(cli.MAX_ORDER))
+    assert code == 0 and len(out.split()) == cli.MAX_ORDER + 1
+    code, out, err = invoke(capsys, "series", "--quotients", "--order",
+                            str(cli.MAX_ORDER + 1))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("treesym: error: order 501 outside")
+
+
 def test_series_requires_which_or_quotients(capsys):
     code, _, _ = invoke(capsys, "series", "--order", "5")
     assert code == 2
@@ -255,6 +276,22 @@ def test_size_cap_override_must_be_an_integer(capsys, monkeypatch):
     code, out, err = invoke(capsys, "enumerate", "--family", "Y", "--n", "3",
                             "--count")
     assert code == 2 and out == "" and "TREESYM_MAX_N" in err
+
+
+@pytest.mark.parametrize("name", ["min", "max"])
+def test_size_cap_override_has_a_ceiling(capsys, monkeypatch, name):
+    ceiling = cli.MAX_N_CEILING
+    monkeypatch.setenv("TREESYM_MAX_N", str(ceiling))
+    left_comb = "(" * ceiling + "." + ".)" * ceiling
+    code, out, _ = invoke(capsys, "map", name, left_comb)
+    assert code == 0 and len(out.split(",")) == ceiling
+    for raw in (str(ceiling + 1), "2000"):
+        monkeypatch.setenv("TREESYM_MAX_N", raw)
+        code, out, err = invoke(capsys, "map", name, DEEP_TREE)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == (
+            "treesym: error: TREESYM_MAX_N must be at most %d, not %s"
+            % (ceiling, raw))
 
 
 def test_bad_subcommand(capsys):

@@ -1,6 +1,11 @@
 """The two module/comodule structures of the bi-leveled family over the
 trees, their coinvariants, and the final graded bijection."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from treesym import cli
@@ -244,6 +249,28 @@ def test_full_coinvariants_are_the_restricted_index_set():
             assert ha.coaction_rho(vec) == ha.tensor_of(vec, unit_y())
 
 
+@pytest.mark.parametrize("restricted", [True, False])
+def test_coinvariant_kernel_equals_the_sympy_solve(restricted):
+    pytest.importorskip("sympy")
+    from oracles import sympy_coinvariant_kernel
+    for n in range(6):
+        assert hm.coinvariant_kernel(n, restricted) == \
+            sympy_coinvariant_kernel(n, restricted)
+
+
+def test_coinvariants_suite_runs_without_sympy():
+    script = ("import sys; from treesym import cli; "
+              "code = cli.run(['verify', '--suite', 'coinvariants', '--n', '4']); "
+              "print('sympy' in sys.modules); sys.exit(code)")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": "src"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "OK: coinvariant dimensions match through degree 4", "False"]
+
+
 # ---------------------------------------------------------------------------
 # the final bijection
 
@@ -341,3 +368,30 @@ def test_kappa_report_catches_a_wrong_inverse(monkeypatch, capsys):
     monkeypatch.setattr(hm, "kappa_inverse", lambda w: (
         (hm.EMPTY_B, w) if len(w) == 3 else inverse(w)))
     assert_report_and_suite_fail(capsys, hm.kappa_verify(3), "kappa")
+
+
+FLIPPED = tc.parse_bileveled("((..)(..));{1,2}")
+
+
+@pytest.mark.parametrize("module,name,label", [
+    (hm, "plus_coaction", "restricted"), (ha, "coaction_rho", "full")])
+def test_coinvariants_report_catches_a_flipped_coefficient(
+        monkeypatch, capsys, module, name, label):
+    coaction = getattr(module, name)
+
+    def flip_one(a):
+        image = coaction(a)
+        if a != F("M", FLIPPED):
+            return image
+        terms = dict(image.terms)
+        key = next(iter(terms))
+        terms[key] = -terms[key]
+        return TensorComb(terms)
+
+    monkeypatch.setattr(module, name, flip_one)
+    failing = [report for report in map(hm.coinvariants_verify, range(1, 5))
+               if not report["ok"]]
+    assert failing and failing[0]["violations"] == [(label, 3)]
+    code = cli.run(["verify", "--suite", "coinvariants", "--n", "4"])
+    out = capsys.readouterr().out
+    assert code == 1 and out == "FAIL: ('%s', 3)\n" % label, out
