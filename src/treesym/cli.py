@@ -12,7 +12,8 @@ degree (``posets.*_verify`` or ``hopf_modules.*_verify``, returning
 ``{"n", "ok", "violations"}``), the first degree it runs at, and the claim
 its OK line states; ``verify --n N`` runs it at every degree up to ``N``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
+Exit codes: 0 success, 1 verification failure, 2 usage error, and
+:data:`EXIT_BROKEN_PIPE` when standard output is closed early.  Output is
 deterministic; progress for long verifications goes to standard error.
 The exhaustive size cap defaults to 8 and may be overridden with the
 ``TREESYM_MAX_N`` environment variable, up to :data:`MAX_N_CEILING`; it
@@ -42,6 +43,8 @@ DEFAULT_MAX_N = 8
 # Python's default recursion limit.
 MAX_N_CEILING = 400
 MAX_ORDER = 500
+# 128 + SIGPIPE: neither success nor the verification failure code
+EXIT_BROKEN_PIPE = 141
 
 
 def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
@@ -57,10 +60,6 @@ def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
         parser.error(
             "size %d outside supported range 0..%d "
             "(override with TREESYM_MAX_N)" % (n, cap))
-
-
-def _progress(msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -126,56 +125,39 @@ def _cmd_mobius(args, parser) -> int:
 
 
 def _print_comb(comb, as_json: bool) -> None:
-    if isinstance(comb, ha.LinComb):
-        text, items = ha.format_lincomb(comb), [
-            (key.format(), c) for key, c in ha._sorted_items(comb.terms)]
-    else:
-        text, items = ha.format_tensor(comb), [
-            (" (x) ".join(k.format() for k in keys), c)
-            for keys, c in ha._sorted_items(comb.terms)]
     if as_json:
-        print(json.dumps(items))
+        print(json.dumps(ha._formatted_terms(comb)))
     else:
-        print(text)
+        print(ha.format_lincomb(comb))
 
 
-def _basis_vector(family, flavor, element):
-    return ha.F(family, element) if flavor == "F" else ha.Mb(family, element)
+OPS = {
+    # name: (number of elements, the families it is defined on, the usage
+    # error on any other, the operation on elements in the F and in the M
+    # basis); each lambda looks its function up when it runs, as in SUITES
+    "mul": (2, tc.FAMILIES, None,
+            lambda f, x, y: ha.mul_F(ha.F(f, x), ha.F(f, y)),
+            lambda f, x, y: ha.mul_M(ha.Mb(f, x), ha.Mb(f, y))),
+    "comul": (1, ha.COPRODUCTS, "the bi-leveled family has no coproduct",
+              lambda f, x: ha.comul_F(ha.F(f, x)),
+              lambda f, x: ha.comul_M_closed(f, x)),
+    "rho": (1, ("M",), "the coaction lives on the bi-leveled family",
+            lambda f, x: ha.coaction_rho(ha.F(f, x)),
+            lambda f, x: ha.rho_M_closed(x)),
+}
 
 
 def _cmd_op(args, parser) -> int:
-    family, flavor = args.family, args.basis
+    family = args.family
+    arity, families, off_family, in_F, in_M = OPS[args.operation]
     elements = [_parse(family, text, parser) for text in args.elements]
-
-    if args.operation == "mul":
-        if len(elements) != 2:
-            parser.error("mul needs two elements")
-        _check_size(sum(map(tc.FAMILIES[family].degree, elements)), parser)
-        a, b = (_basis_vector(family, flavor, x) for x in elements)
-        if flavor == "F":
-            result = ha.mul_F(a, b)
-        else:
-            result = ha.to_M(ha.mul_F(ha.to_F(a), ha.to_F(b)))
-    elif args.operation == "comul":
-        if len(elements) != 1:
-            parser.error("comul needs one element")
-        if family == "M":
-            parser.error("the bi-leveled family has no coproduct")
-        if flavor == "F":
-            result = ha.comul_F(_basis_vector(family, "F", elements[0]))
-        else:
-            result = ha.comul_M_closed(family, elements[0])
-    elif args.operation == "rho":
-        if len(elements) != 1:
-            parser.error("rho needs one element")
-        if family != "M":
-            parser.error("the coaction lives on the bi-leveled family")
-        if flavor == "F":
-            result = ha.coaction_rho(_basis_vector("M", "F", elements[0]))
-        else:
-            result = ha.rho_M_closed(elements[0])
-    else:  # pragma: no cover - argparse restricts choices
-        parser.error("unknown operation")
+    if len(elements) != arity:
+        parser.error("%s needs %s" % (
+            args.operation, ("one element", "two elements")[arity - 1]))
+    if family not in families:
+        parser.error(off_family)
+    _check_size(sum(map(tc.FAMILIES[family].degree, elements)), parser)
+    result = (in_F if args.basis == "F" else in_M)(family, *elements)
     _print_comb(result, args.json)
     return 0
 
@@ -206,7 +188,7 @@ def _cmd_verify(args, parser) -> int:
     _check_size(args.n, parser)
     check, first, claim = SUITES[args.suite]
     for k in range(first, args.n + 1):
-        _progress("%s: degree %d" % (args.suite, k))
+        print("%s: degree %d" % (args.suite, k), file=sys.stderr)
         report = check(k)
         if not report["ok"]:
             payload = report["violations"][0]
@@ -292,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mobius)
 
     p = sub.add_parser("op", help="products, coproducts, coactions")
-    p.add_argument("operation", choices=("mul", "comul", "rho"))
+    p.add_argument("operation", choices=tuple(OPS))
     p.add_argument("--family", choices=("S", "M", "Y"), required=True)
     p.add_argument("--basis", choices=("F", "M"), default="F")
     p.add_argument("elements", nargs="+")
@@ -301,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive verification suites")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--n", "--max-degree", dest="n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
@@ -336,4 +318,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of standard output went away (``treesym ... | head``):
+        # send what is left, including the flush at exit, to the null
+        # device, and exit as a process killed by SIGPIPE shows in a shell.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -11,8 +11,9 @@ along the family's order.  This module implements:
 * the coaction of ``Y`` on ``M`` and the comodule map of ``S`` on ``M``;
 * linear extensions of the projection maps;
 * basis changes ``to_M`` / ``to_F`` and the closed forms for the second
-  basis: coproducts as sums over two-factor backslash decompositions and
-  the coaction with its single exceptional term.
+  basis: coproducts as sums over the two-factor backslash decompositions
+  of :data:`trees_core.FAMILIES` and the coaction with its single
+  exceptional term.
 
 All coefficients are exact integers.
 """
@@ -28,14 +29,12 @@ from .trees_core import BiLeveledTree
 
 __all__ = [
     "BasisKey", "LinComb", "TensorComb",
-    "F", "Mb", "unit",
-    "mul_F", "comul_F", "coaction_rho", "split_coaction",
+    "F", "Mb", "unit", "COPRODUCTS",
+    "mul_F", "mul_M", "comul_F", "coaction_rho", "split_coaction",
     "ssym_comodule_on_msym",
     "lin_tau", "lin_beta", "lin_phi",
     "to_M", "to_F",
     "comul_M_closed", "rho_M_closed",
-    "tree_backslash_decompositions", "perm_backslash_decompositions",
-    "bileveled_backslash_decompositions",
     "tensor_of", "tensor_apply", "tensor_mul",
     "format_lincomb", "format_tensor",
 ]
@@ -112,9 +111,22 @@ class _Comb:
             return self.scale(c)
         return NotImplemented
 
+    def __str__(self) -> str:
+        return format_lincomb(self)
+
+    def leg_items(self) -> list:
+        """The terms as ``(tuple of basis keys, coefficient)`` pairs, one
+        key per tensor leg."""
+        legs = self._legs
+        return [(legs(k), c) for k, c in self.terms.items()]
+
 
 class LinComb(_Comb):
     """Integer combination of basis vectors sharing one family and flavor."""
+
+    @staticmethod
+    def _legs(key: BasisKey) -> tuple:
+        return (key,)
 
     def _check(self, terms) -> None:
         tags = set()
@@ -137,9 +149,6 @@ class LinComb(_Comb):
             out[new] = out.get(new, 0) + c
         return LinComb(out)
 
-    def __str__(self) -> str:
-        return format_lincomb(self)
-
 
 class TensorComb(_Comb):
     """Integer combination of tensors of basis vectors.
@@ -148,6 +157,8 @@ class TensorComb(_Comb):
     all legs share one flavor, and within each tensor position all terms
     share one family (the families of different legs may differ).
     """
+
+    _legs = staticmethod(tuple)
 
     def _check(self, terms) -> None:
         shapes = set()
@@ -161,9 +172,6 @@ class TensorComb(_Comb):
             (shape,) = shapes
             if len({flavor for _, flavor in shape}) > 1:
                 raise ValueError("tensor legs must share one flavor")
-
-    def __str__(self) -> str:
-        return format_tensor(self)
 
 
 def F(family: str, element) -> LinComb:
@@ -185,14 +193,12 @@ def unit(family: str, flavor: str = "F") -> LinComb:
 # display
 
 
-def _sorted_items(terms):
-    def key_of(entry):
-        keys = entry[0]
-        if isinstance(keys, BasisKey):
-            keys = (keys,)
-        return tuple(tc.FAMILIES[k.family].format(k.element) for k in keys)
-
-    return sorted(terms.items(), key=key_of)
+def _formatted_terms(a: LinComb) -> list:
+    """``(text, coefficient)`` per term of a linear or tensor combination,
+    legs joined by ``(x)``, ordered by the text encodings of the elements."""
+    items = sorted(a.leg_items(), key=lambda entry: tuple(
+        tc.FAMILIES[k.family].format(k.element) for k in entry[0]))
+    return [(" (x) ".join(k.format() for k in keys), c) for keys, c in items]
 
 
 def _join(parts) -> str:
@@ -213,16 +219,11 @@ def _scalar_prefix(c: int) -> str:
 
 
 def format_lincomb(a: LinComb) -> str:
-    parts = [
-        _scalar_prefix(c) + key.format() for key, c in _sorted_items(a.terms)]
-    return _join(parts)
+    """A linear or tensor combination as text."""
+    return _join([_scalar_prefix(c) + text for text, c in _formatted_terms(a)])
 
 
-def format_tensor(a: TensorComb) -> str:
-    parts = [
-        _scalar_prefix(c) + " (x) ".join(k.format() for k in keys)
-        for keys, c in _sorted_items(a.terms)]
-    return _join(parts)
+format_tensor = format_lincomb
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +263,34 @@ def mul_F(a: LinComb, b: LinComb) -> LinComb:
     return LinComb(out)
 
 
+def mul_M(a: LinComb, b: LinComb) -> LinComb:
+    """Product in the second basis, through the fundamental basis."""
+    return to_M(mul_F(to_F(a), to_F(b)))
+
+
+COPRODUCTS = {
+    # the families with a coproduct: how one part of a two-part splitting
+    # becomes an element of the family (a permutation's parts keep the
+    # letters of the whole, so they are standardized)
+    "S": lambda part: tc.standardize(part),
+    "Y": lambda part: part,
+}
+
+
 def comul_F(a: LinComb) -> TensorComb:
-    """Coproduct on families S and Y: all two-part splittings, each part
-    renormalized to a genuine element."""
-    _require(a, "F", families=("S", "Y"))
+    """Coproduct on the families of :data:`COPRODUCTS`: all two-part
+    splittings, each part made a genuine element."""
+    _require(a, "F", families=COPRODUCTS)
     sig = a.signature()
     if sig is None:
         return TensorComb({})
     family = sig[0]
+    element = COPRODUCTS[family]
     out: dict = {}
     for key, c in a.terms.items():
         for left, right in tc.splittings(family, key.element, 1):
-            if family == "S":
-                left, right = tc.standardize(left), tc.standardize(right)
-            keys = (BasisKey(family, "F", left), BasisKey(family, "F", right))
+            keys = (BasisKey(family, "F", element(left)),
+                    BasisKey(family, "F", element(right)))
             out[keys] = out.get(keys, 0) + c
     return TensorComb(out)
 
@@ -378,53 +393,16 @@ def to_F(a: LinComb) -> LinComb:
 
 
 # ---------------------------------------------------------------------------
-# two-factor backslash decompositions and the closed coproduct forms
-
-
-def tree_backslash_decompositions(t: tuple) -> tuple:
-    """All pairs ``(u, v)`` of trees with ``v`` grafted on the rightmost
-    leaf of ``u`` giving back ``t`` (both trivial pairs included)."""
-    if not t:
-        return (((), ()),)
-    left, right = t
-    return ((tc.LEAF, t),) + tuple(
-        ((left, r2), v) for r2, v in tree_backslash_decompositions(right))
-
-
-def perm_backslash_decompositions(w: tuple) -> tuple:
-    """All pairs ``(u, v)`` of permutations with ``w`` = ``u`` over ``v``:
-    the first ``k`` letters of ``w`` are its ``k`` largest values, ``u`` is
-    their standardization and ``v`` the untouched remainder."""
-    n = len(w)
-    out = []
-    for k in range(n + 1):
-        if set(w[:k]) == set(range(n - k + 1, n + 1)):
-            out.append((tc.standardize(w[:k]), w[k:]))
-    return tuple(out)
-
-
-def bileveled_backslash_decompositions(b: BiLeveledTree) -> tuple:
-    """All pairs ``(c, s)`` of a nonempty bi-leveled tree and a tree with
-    ``s`` grafted on the rightmost leaf of ``c`` (marks kept) giving ``b``."""
-    if not b.tree:
-        return ()
-    top = max(b.ideal)
-    out = []
-    for u, v in tree_backslash_decompositions(b.tree):
-        if u and top <= tc.nodes(u):
-            out.append((BiLeveledTree(u, b.ideal), v))
-    return tuple(out)
+# the closed second-basis forms
 
 
 def comul_M_closed(family: str, element) -> TensorComb:
     """Coproduct of one second-basis vector as a sum over two-factor
     backslash decompositions."""
-    if family == "M":
-        raise ValueError("no coproduct on family M")
-    decompose = {"S": perm_backslash_decompositions,
-                 "Y": tree_backslash_decompositions}[family]
+    if family not in COPRODUCTS:
+        raise ValueError("no coproduct on family %s" % family)
     out: dict = {}
-    for u, v in decompose(element):
+    for u, v in tc.FAMILIES[family].decompose(element):
         keys = (BasisKey(family, "M", u), BasisKey(family, "M", v))
         out[keys] = out.get(keys, 0) + 1
     return TensorComb(out)
@@ -432,16 +410,13 @@ def comul_M_closed(family: str, element) -> TensorComb:
 
 def rho_M_closed(b: BiLeveledTree) -> TensorComb:
     """Coaction of one second-basis bi-leveled vector: a sum over backslash
-    decompositions, plus one extra term exactly when the marks form the
-    leftmost branch (the top of its projection fiber)."""
+    decompositions, plus one extra term with an empty first factor exactly
+    when ``b`` is the top of its projection fiber."""
     out: dict = {}
-    if not b.tree:
-        keys = (BasisKey("M", "M", b), BasisKey("Y", "M", tc.LEAF))
-        return TensorComb({keys: 1})
-    for c, s in bileveled_backslash_decompositions(b):
+    for c, s in tc.bileveled_backslash_decompositions(b):
         keys = (BasisKey("M", "M", c), BasisKey("Y", "M", s))
         out[keys] = out.get(keys, 0) + 1
-    if b.ideal == tc.leftmost_branch(b.tree):
+    if pj.is_fiber_top(b):
         keys = (
             BasisKey("M", "M", tc.FAMILIES["M"].empty),
             BasisKey("Y", "M", b.tree),
@@ -454,14 +429,23 @@ def rho_M_closed(b: BiLeveledTree) -> TensorComb:
 # tensor utilities
 
 
+def _expand(out: dict, c: int, images) -> None:
+    """Add ``c`` times the tensor product of ``images`` (one linear or
+    tensor combination per leg) to the terms ``out``, multilinearly."""
+    partial = {(): c}
+    for img in images:
+        items = img.leg_items()
+        partial = {ks + legs: cv * v
+                   for ks, cv in partial.items() for legs, v in items}
+    for ks, v in partial.items():
+        out[ks] = out.get(ks, 0) + v
+
+
 def tensor_of(*factors: LinComb) -> TensorComb:
     """Outer product of linear combinations."""
-    terms = {(): 1}
-    for a in factors:
-        terms = {
-            keys + (k,): c * ca
-            for keys, c in terms.items() for k, ca in a.terms.items()}
-    return TensorComb(terms)
+    out: dict = {}
+    _expand(out, 1, factors)
+    return TensorComb(out)
 
 
 def tensor_apply(t: TensorComb, *leg_maps) -> TensorComb:
@@ -470,19 +454,8 @@ def tensor_apply(t: TensorComb, *leg_maps) -> TensorComb:
     for keys, c in t.terms.items():
         if len(keys) != len(leg_maps):
             raise ValueError("arity mismatch")
-        images = [
-            fn(LinComb({key: 1})) for fn, key in zip(leg_maps, keys)]
-        partial = {(): c}
-        for img in images:
-            if isinstance(img, LinComb):
-                items = [((k,), v) for k, v in img.terms.items()]
-            else:
-                items = list(img.terms.items())
-            partial = {
-                ks + extra: cv * v
-                for ks, cv in partial.items() for extra, v in items}
-        for ks, v in partial.items():
-            out[ks] = out.get(ks, 0) + v
+        _expand(out, c, [
+            fn(LinComb({key: 1})) for fn, key in zip(leg_maps, keys)])
     return TensorComb(out)
 
 
@@ -493,13 +466,7 @@ def tensor_mul(t1: TensorComb, t2: TensorComb, *leg_muls) -> TensorComb:
         for keys2, c2 in t2.terms.items():
             if not (len(keys1) == len(keys2) == len(leg_muls)):
                 raise ValueError("arity mismatch")
-            partial = {(): c1 * c2}
-            for mul, k1, k2 in zip(leg_muls, keys1, keys2):
-                prod = mul(LinComb({k1: 1}), LinComb({k2: 1}))
-                partial = {
-                    ks + (k,): cv * v
-                    for ks, cv in partial.items()
-                    for k, v in prod.terms.items()}
-            for ks, v in partial.items():
-                out[ks] = out.get(ks, 0) + v
+            _expand(out, c1 * c2, [
+                mul(LinComb({k1: 1}), LinComb({k2: 1}))
+                for mul, k1, k2 in zip(leg_muls, keys1, keys2)])
     return TensorComb(out)

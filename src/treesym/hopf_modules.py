@@ -33,7 +33,7 @@ from .trees_core import BiLeveledTree
 
 __all__ = [
     "plus_action", "plus_coaction", "plus_coaction_M_closed",
-    "is_indecomposable_bileveled", "is_fiber_top", "is_b_prime",
+    "is_indecomposable_bileveled", "is_b_prime",
     "b_basis", "b_prime_basis", "b_decompose",
     "bbslash", "bbslash_decompose",
     "msym_action_M", "msym_coaction_M",
@@ -100,17 +100,12 @@ def is_indecomposable_bileveled(b: BiLeveledTree) -> bool:
     return n > 0 and n in b.ideal
 
 
-def is_fiber_top(b: BiLeveledTree) -> bool:
-    """Is ``b`` the maximal bi-leveled tree over its underlying tree?"""
-    return bool(b.tree) and b.ideal == tc.leftmost_branch(b.tree)
-
-
 def is_b_prime(b: BiLeveledTree) -> bool:
     """Membership in the coinvariant index set of the full structure:
     indecomposable but not a fiber top, or the degree-0 element."""
     if not b.tree:
         return True
-    return is_indecomposable_bileveled(b) and not is_fiber_top(b)
+    return is_indecomposable_bileveled(b) and not pj.is_fiber_top(b)
 
 
 @lru_cache(maxsize=None)
@@ -127,15 +122,13 @@ def b_prime_basis(n: int) -> tuple:
 
 def b_decompose(c: BiLeveledTree):
     """Write a nonempty bi-leveled tree as ``b`` over ``s`` with ``b``
-    indecomposable: prune immediately above the last marked node."""
+    indecomposable: its first decomposition, cut immediately above the last
+    marked node."""
     if not c.tree:
         raise ValueError("only positive degrees decompose")
-    best = None
-    for b, s in ha.bileveled_backslash_decompositions(c):
-        if best is None or tc.nodes(s) > tc.nodes(best[1]):
-            best = (b, s)
-    assert best is not None and is_indecomposable_bileveled(best[0])
-    return best
+    b, s = tc.bileveled_backslash_decompositions(c)[0]
+    assert is_indecomposable_bileveled(b)
+    return b, s
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +147,7 @@ def bbslash(bp: BiLeveledTree, t: tuple) -> BiLeveledTree:
 
 def bbslash_decompose(c: BiLeveledTree):
     """Inverse of :func:`bbslash`; every bi-leveled tree splits uniquely."""
-    if not c.tree:
-        return (EMPTY_B, tc.LEAF)
-    if is_fiber_top(c):
+    if pj.is_fiber_top(c):
         return (EMPTY_B, c.tree)
     b, s = b_decompose(c)
     if not is_b_prime(b):
@@ -171,7 +162,7 @@ def bbslash_decompose(c: BiLeveledTree):
 def _tree_M_product_indices(t: tuple, s: tuple) -> dict:
     """Index multiset (with multiplicities) of the second-basis product of
     two trees."""
-    prod = ha.to_M(ha.mul_F(ha.to_F(Mb("Y", t)), ha.to_F(Mb("Y", s))))
+    prod = ha.mul_M(Mb("Y", t), Mb("Y", s))
     return {key.element: c for key, c in prod.terms.items()}
 
 
@@ -188,7 +179,7 @@ def msym_action_M(bp: BiLeveledTree, t: tuple, s: tuple) -> LinComb:
 def msym_coaction_M(bp: BiLeveledTree, t: tuple) -> TensorComb:
     """Coaction on a second-basis vector keyed by ``(bp, t)``."""
     out: dict = {}
-    for r, s in ha.tree_backslash_decompositions(t):
+    for r, s in tc.tree_backslash_decompositions(t):
         keys = (BasisKey("M", "M", bbslash(bp, r)), BasisKey("Y", "M", s))
         out[keys] = out.get(keys, 0) + 1
     return TensorComb(out)
@@ -273,9 +264,8 @@ def kappa_inverse(w: tuple):
         raise ValueError("argument must lie in the big index set")
     if in_script_s_prime(w):
         return (EMPTY_B, w)
-    comps = tc.perm_indecomposables(w)
-    first = comps[0]
-    rest = w[len(first):]
+    # split off the first indecomposable component
+    first, rest = tc.perm_backslash_decompositions(w)[1]
     return (pj.beta(first), rest)
 
 

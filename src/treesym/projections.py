@@ -13,6 +13,7 @@ Projection maps between the three families and their canonical sections.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from . import trees_core as tc
@@ -22,7 +23,7 @@ __all__ = [
     "tau", "t_set", "beta", "phi", "min_perm", "max_perm",
     "BiLeveledFactorization", "bileveled_factorization", "iota",
     "beta_fibers", "beta_fiber", "tau_fiber", "avoids", "avoids_pinned",
-    "PINNED_PATTERNS", "beta_max",
+    "PINNED_PATTERNS", "beta_max", "is_fiber_top",
 ]
 
 
@@ -85,6 +86,12 @@ def _extreme_perm(t: tuple, *, minimum: bool) -> tuple:
 def beta_max(t: tuple) -> BiLeveledTree:
     """The maximum bi-leveled tree over ``t``: marks its leftmost branch."""
     return BiLeveledTree(t, tc.leftmost_branch(t))
+
+
+def is_fiber_top(b: BiLeveledTree) -> bool:
+    """Is ``b`` the maximal bi-leveled tree over its underlying tree?  The
+    empty tree is the only one over the empty tree."""
+    return b == beta_max(b.tree)
 
 
 class BiLeveledFactorization(NamedTuple):
@@ -178,23 +185,19 @@ pinned to position 1 of the permutation (0 denotes the smallest letter)."""
 
 def avoids(w: tuple, pattern: tuple) -> bool:
     """Does ``w`` avoid the classical pattern (e.g. ``(1,3,2)``)?"""
-    from itertools import combinations
-
-    k = len(pattern)
-    for sub in combinations(w, k):
-        if tc.standardize(sub) == tc.standardize(pattern):
+    target = tc.standardize(pattern)
+    for sub in combinations(w, len(pattern)):
+        if tc.standardize(sub) == target:
             return False
     return True
 
 
 def avoids_pinned(w: tuple, pattern: tuple) -> bool:
     """Pinned variant: the pattern's first letter must be ``w``'s first."""
-    from itertools import combinations
-
     if not w:
         return True
-    k = len(pattern)
-    for rest in combinations(w[1:], k - 1):
-        if tc.standardize((w[0],) + rest) == tc.standardize(pattern):
+    target = tc.standardize(pattern)
+    for rest in combinations(w[1:], len(pattern) - 1):
+        if tc.standardize((w[0],) + rest) == target:
             return False
     return True

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import comb, factorial
 
 __all__ = [
     "TruncatedSeries", "series", "catalan", "a_number", "b_sequence",
     "quotient_sign_report", "NONNEGATIVE_QUOTIENTS", "SERIES_NAMES",
 ]
-
-SERIES_NAMES = ("S", "M", "M+", "Y")
 
 NONNEGATIVE_QUOTIENTS = (("S", "M"), ("S", "Y"), ("M+", "Y"), ("M", "Y"))
 """The ordered quotients proved to have nonnegative coefficients."""
@@ -80,15 +79,15 @@ class TruncatedSeries:
         if other.coeffs[0] == 0:
             raise ZeroDivisionError("division by a series with no constant term")
         order = self._match(other)
-        inv_c0 = Fraction(1, 1) / other.coeffs[0]
+        c0 = other.coeffs[0]
         out = []
         for n in range(order + 1):
-            acc = Fraction(self.coeffs[n])
+            acc = self.coeffs[n]
             for k in range(n):
                 acc -= out[k] * other.coeffs[n - k]
-            out.append(acc * inv_c0)
-        return TruncatedSeries(tuple(
-            int(c) if c.denominator == 1 else c for c in out))
+            # one exact division: an int when it is exact
+            out.append(acc // c0 if acc % c0 == 0 else Fraction(acc) / c0)
+        return TruncatedSeries(tuple(out))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Substitute ``inner`` (no constant term) into this series."""
@@ -125,27 +124,31 @@ def a_number(n: int) -> int:
         a_number(i) * a_number(n - i) for i in range(1, n))
 
 
+SERIES = {
+    # name: the coefficient of q**n
+    "S": factorial,
+    "M": a_number,
+    "M+": lambda n: a_number(n) if n else 0,
+    "Y": catalan,
+}
+
+SERIES_NAMES = tuple(SERIES)
+
+
 def series(which: str, order: int) -> TruncatedSeries:
     """One of the four enumerating series, truncated at ``order``."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if which == "S":
-        return TruncatedSeries.from_function(factorial, order)
-    if which == "Y":
-        return TruncatedSeries.from_function(catalan, order)
-    if which == "M":
-        return TruncatedSeries.from_function(a_number, order)
-    if which == "M+":
-        return TruncatedSeries.from_function(
-            lambda n: a_number(n) if n else 0, order)
-    raise ValueError("unknown series %r" % (which,))
+    if which not in SERIES:
+        raise ValueError("unknown series %r" % (which,))
+    return TruncatedSeries.from_function(SERIES[which], order)
 
 
 def b_sequence(order: int) -> tuple:
     """``B_1 .. B_order``: counts of indecomposable bi-leveled trees.
 
-    Computed by the closed summation formula over exact rationals, with an
-    integrality assertion on every value.
+    Computed by the closed summation formula: an integer sum divided once
+    by ``n - 1``, with an integrality assertion on every value.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -154,13 +157,12 @@ def b_sequence(order: int) -> tuple:
         if n == 1:
             out.append(catalan(0))
             continue
-        acc = Fraction(0)
-        for k in range(n):
-            acc += Fraction(k, n - 1) * comb(2 * n - k - 3, n - k - 1) \
-                * catalan(k)
-        if acc.denominator != 1:
+        total = sum(k * comb(2 * n - k - 3, n - k - 1) * catalan(k)
+                    for k in range(n))
+        value, remainder = divmod(total, n - 1)
+        if remainder:
             raise ArithmeticError("non-integer value in the B sequence")
-        out.append(int(acc))
+        out.append(value)
     return tuple(out)
 
 
@@ -173,22 +175,19 @@ def quotient_sign_report(order: int) -> dict:
     """
     cache = {name: series(name, order) for name in SERIES_NAMES}
     report = {}
-    for top in SERIES_NAMES:
-        for bottom in SERIES_NAMES:
-            if top == bottom:
-                continue
-            if cache[bottom].coeffs[0] == 0:
-                # M+ has no constant term; its reciprocal quotients are not
-                # power series, so they are skipped.
-                continue
-            q = cache[top] / cache[bottom]
-            first_negative = next(
-                (n for n, c in enumerate(q.coeffs) if c < 0), None)
-            report[(top, bottom)] = {
-                "coeffs": q.coeffs,
-                "nonnegative": first_negative is None,
-                "first_negative": first_negative,
-                "expected_nonnegative": (top, bottom) in NONNEGATIVE_QUOTIENTS,
-                "trivial": (top, bottom) in TRIVIAL_QUOTIENTS,
-            }
+    for top, bottom in permutations(SERIES_NAMES, 2):
+        if cache[bottom].coeffs[0] == 0:
+            # M+ has no constant term; its reciprocal quotients are not
+            # power series, so they are skipped.
+            continue
+        q = cache[top] / cache[bottom]
+        first_negative = next(
+            (n for n, c in enumerate(q.coeffs) if c < 0), None)
+        report[(top, bottom)] = {
+            "coeffs": q.coeffs,
+            "nonnegative": first_negative is None,
+            "first_negative": first_negative,
+            "expected_nonnegative": (top, bottom) in NONNEGATIVE_QUOTIENTS,
+            "trivial": (top, bottom) in TRIVIAL_QUOTIENTS,
+        }
     return report

@@ -14,13 +14,14 @@ Three families of objects, all immutable:
 Nodes and the gaps between leaves are numbered ``1..n`` from left to right
 (in-order); leaves are numbered ``0..n`` from left to right.
 
-The module also implements splitting an element along a multiset of leaves
-and grafting a forest onto the leaves of a base element.  :data:`FAMILIES`
-holds one :class:`Family` record per tag (``"S"``, ``"Y"``, ``"M"``) with its
-text encoding, degree, empty element, generator, splitting and grafting;
-code that handles all three families reads this table instead of guessing
-the family from the shape of a value (the empty permutation and the empty
-tree are both ``()``).
+The module also implements splitting an element along a multiset of leaves,
+grafting a forest onto the leaves of a base element, and the two-factor
+decompositions of the backslash product.  :data:`FAMILIES` holds one
+:class:`Family` record per tag (``"S"``, ``"Y"``, ``"M"``) with its text
+encoding, degree, empty element, generator, splitting, grafting and
+decompositions; code that handles all three families reads this table
+instead of guessing the family from the shape of a value (the empty
+permutation and the empty tree are both ``()``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ __all__ = [
     "bileveled_splittings", "restricted_splittings", "graft", "graft_trees",
     "graft_perms", "graft_bileveled", "forest_form", "ideal_form",
     "tree_backslash_bileveled", "enumerate_family",
+    "tree_backslash_decompositions", "perm_backslash_decompositions",
+    "bileveled_backslash_decompositions",
 ]
 
 # The empty tree.  A nonempty tree is a pair (left, right) of trees.
@@ -111,23 +114,28 @@ def tree_indecomposables(t: tuple) -> tuple:
     return tuple(out)
 
 
-def perm_indecomposables(w: tuple) -> tuple:
-    """Factors of ``w = u1 \\ u2 \\ ... \\ ur`` with each factor indecomposable.
-
-    ``w = u\\v`` exactly when the first ``k`` values of ``w`` are the ``k``
-    largest; each factor is standardized.
-    """
-    out = []
-    start = 0
+def _perm_cuts(w: tuple) -> list:
+    """The lengths ``k`` of the prefixes of ``w`` that hold its ``k``
+    largest values, ``0`` and ``len(w)`` included: the cuts of
+    ``w = u \\ v``.  A running minimum finds them in one pass."""
     n = len(w)
-    seen_min = n + 1
-    for i, a in enumerate(w):
-        seen_min = min(seen_min, a)
-        # positions start..i hold the largest len-many remaining values
-        if seen_min == n - i:
-            out.append(standardize(w[start:i + 1]))
-            start = i + 1
-    return tuple(out)
+    cuts = [0]
+    low = n + 1
+    for k, a in enumerate(w, 1):
+        low = min(low, a)
+        if low == n - k + 1:
+            cuts.append(k)
+    return cuts
+
+
+def perm_indecomposables(w: tuple) -> tuple:
+    """Factors of ``w = u1 \\ u2 \\ ... \\ ur`` with each factor indecomposable:
+    the pieces between consecutive cuts, each standardized."""
+    n = len(w)
+    cuts = _perm_cuts(w)
+    # the piece between the cuts j < k holds the values n-k+1 .. n-j
+    return tuple(tuple(a - n + k for a in w[j:k])
+                 for j, k in zip(cuts, cuts[1:]))
 
 
 def node_covers(t: tuple) -> tuple:
@@ -487,11 +495,49 @@ def graft(family: str, forest, base):
 
 
 # ---------------------------------------------------------------------------
+# two-factor backslash decompositions
+
+
+def tree_backslash_decompositions(t: tuple) -> tuple:
+    """All pairs ``(u, v)`` of trees with ``v`` grafted on the rightmost
+    leaf of ``u`` giving back ``t`` (both trivial pairs included), by
+    increasing size of ``u``."""
+    if not t:
+        return ((LEAF, LEAF),)
+    left, right = t
+    return ((LEAF, t),) + tuple(
+        ((left, r2), v) for r2, v in tree_backslash_decompositions(right))
+
+
+def perm_backslash_decompositions(w: tuple) -> tuple:
+    """All pairs ``(u, v)`` of permutations with ``w`` = ``u`` over ``v``, by
+    increasing length of ``u``: the first ``k`` letters of ``w`` are its
+    ``k`` largest values, ``u`` is their standardization and ``v`` the
+    untouched remainder."""
+    n = len(w)
+    return tuple((tuple(a - n + k for a in w[:k]), w[k:])
+                 for k in _perm_cuts(w))
+
+
+def bileveled_backslash_decompositions(b: BiLeveledTree) -> tuple:
+    """All pairs ``(c, s)`` of a nonempty bi-leveled tree and a tree with
+    ``s`` grafted on the rightmost leaf of ``c`` (marks kept) giving ``b``,
+    by increasing size of ``c``: ``c`` must hold the last marked node."""
+    if not b.tree:
+        return ()
+    top = max(b.ideal)
+    return tuple((BiLeveledTree(u, b.ideal), v)
+                 for u, v in tree_backslash_decompositions(b.tree)
+                 if top <= nodes(u))
+
+
+# ---------------------------------------------------------------------------
 # the family table
 
 
 class Family(NamedTuple):
-    """How one family is written, measured, generated, split and grafted."""
+    """How one family is written, measured, generated, split, grafted and
+    cut in two by the backslash product."""
 
     parse: Callable[[str], Any]
     format: Callable[[Any], str]
@@ -500,16 +546,18 @@ class Family(NamedTuple):
     generate: Callable[[int], tuple]  # every element of one degree
     split: Callable[[Any, int], Iterator[tuple]]
     graft: Callable[[Sequence, Any], Any]
+    decompose: Callable[[Any], tuple]  # two-factor backslash decompositions
 
 
 FAMILIES = {
     "S": Family(parse_perm, format_perm, len, (), all_perms,
-                perm_splittings, graft_perms),
+                perm_splittings, graft_perms, perm_backslash_decompositions),
     "Y": Family(parse_tree, format_tree, nodes, LEAF, all_trees,
-                tree_splittings, graft_trees),
+                tree_splittings, graft_trees, tree_backslash_decompositions),
     "M": Family(parse_bileveled, format_bileveled, lambda b: nodes(b.tree),
                 BiLeveledTree(LEAF, frozenset()), all_bileveled,
-                bileveled_splittings, graft_bileveled),
+                bileveled_splittings, graft_bileveled,
+                bileveled_backslash_decompositions),
 }
 
 

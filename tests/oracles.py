@@ -5,6 +5,8 @@ The chain-counting oracles for Mobius values work on any
 bitmasks, independently of the sparse Mobius rows they check.
 :func:`sympy_coinvariant_kernel` is the coinvariant solve by sympy's
 ``nullspace``, against which the plain-Python elimination is checked.
+The last three functions are the backslash-decomposition rules that the
+table :data:`treesym.trees_core.FAMILIES` replaced, written as they were.
 """
 
 from typing import Iterator, Sequence
@@ -123,3 +125,46 @@ def sympy_coinvariant_kernel(n: int, restricted: bool) -> list:
             BasisKey("M", "F", basis[i]): v
             for i, v in enumerate(ints) if v}))
     return out
+
+
+def perm_backslash_decompositions(w: tuple) -> tuple:
+    """All pairs ``(u, v)`` of permutations with ``w`` = ``u`` over ``v``:
+    the first ``k`` letters of ``w`` are its ``k`` largest values, ``u`` is
+    their standardization and ``v`` the untouched remainder."""
+    n = len(w)
+    out = []
+    for k in range(n + 1):
+        if set(w[:k]) == set(range(n - k + 1, n + 1)):
+            out.append((tc.standardize(w[:k]), w[k:]))
+    return tuple(out)
+
+
+def perm_indecomposables(w: tuple) -> tuple:
+    """Factors of ``w = u1 \\ u2 \\ ... \\ ur`` with each factor indecomposable.
+
+    ``w = u\\v`` exactly when the first ``k`` values of ``w`` are the ``k``
+    largest; each factor is standardized.
+    """
+    out = []
+    start = 0
+    n = len(w)
+    seen_min = n + 1
+    for i, a in enumerate(w):
+        seen_min = min(seen_min, a)
+        # positions start..i hold the largest len-many remaining values
+        if seen_min == n - i:
+            out.append(tc.standardize(w[start:i + 1]))
+            start = i + 1
+    return tuple(out)
+
+
+def b_decompose(c):
+    """Write a nonempty bi-leveled tree as ``b`` over ``s`` with ``b``
+    indecomposable: the decomposition with the largest ``s``."""
+    if not c.tree:
+        raise ValueError("only positive degrees decompose")
+    best = None
+    for b, s in tc.bileveled_backslash_decompositions(c):
+        if best is None or tc.nodes(s) > tc.nodes(best[1]):
+            best = (b, s)
+    return best

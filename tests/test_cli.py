@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -297,3 +301,29 @@ def test_size_cap_override_has_a_ceiling(capsys, monkeypatch, name):
 def test_bad_subcommand(capsys):
     code, _, _ = invoke(capsys, "nope")
     assert code == 2
+
+
+def test_verify_has_no_max_degree_alias(capsys):
+    code, _, _ = invoke(capsys, "verify", "--suite", "kappa", "--max-degree", "2")
+    assert code == 2
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that stops after one line (``treesym ... | head -1``) gets
+    no traceback, and the exit status is neither success nor a
+    counterexample."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("TREESYM_MAX_N", None)
+    # 40,320 lines, more than a pipe buffer holds, so the writer blocks
+    # until the pipe is closed
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from treesym.cli import main; main()",
+         "enumerate", "--family", "S", "--n", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"12345678\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""

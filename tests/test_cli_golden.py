@@ -93,6 +93,30 @@ COMMANDS = (
        ["op", "mul", "--family", "S", "12"],                  # one element
        ["op", "comul", "--family", "S", "12", "21"],
        ["nope"]]
+    # coproducts and coactions on every family in both bases, and products
+    # in the second basis, with the usage errors of each rule
+    + [["op", op, "--family", f, "--basis", basis, x]
+       for op in ("comul", "rho") for basis in "FM"
+       for f, x in (("S", "2413"), ("S", "3412"), ("S", ""),
+                    ("Y", "((..)(..))"), ("Y", "(.(..))"), ("Y", "."),
+                    ("M", "((..)(.(..)));{1,2}"), ("M", "((..).);{1,2}"),
+                    ("M", "(.(..));{1}"), ("M", ".;{}"))]
+    + [["op", op, "--family", f, "--basis", basis] + xs
+       for op in ("comul", "rho") for basis in "FM"
+       for f, xs in (("S", ["12", "21"]), ("Y", ["(..)", "(..)"]),
+                     ("M", ["(..);{1}", "(..);{1}"]))]
+    + [["op", "mul", "--family", f, "--basis", "M", x, y]
+       for f, x, y in (("Y", "(..)", "((..).)"), ("Y", "((..).)", "(..)"),
+                       ("Y", "(.(..))", "(..)"), ("Y", "(.(..))", "."),
+                       ("Y", "((..)(..))", "((..).)"),
+                       ("M", "(..);{1}", "(.(..));{1}"),
+                       ("M", "((..).);{1,2}", "(..);{1}"),
+                       ("M", "((..)(..));{1,2}", "(..);{1}"),
+                       ("M", "(.(.(..)));{1}", ".;{}"),
+                       ("M", "(.(..));{1}", "((..).);{1,2}"))]
+    + [["series", "--which", w, "--order", "40"] for w in ("S", "M", "M+", "Y")]
+    + [["series", "--quotients", "--order", "60", "--json"],
+       ["series", "--quotients", "--order", "60"]]
 )
 
 

@@ -316,11 +316,11 @@ def test_decomposition_double_count_identity():
         for b in tc.enumerate_family("M", n):
             left = Counter()
             for w in pj.beta_fiber(b):
-                for u, v in ha.perm_backslash_decompositions(w):
+                for u, v in tc.perm_backslash_decompositions(w):
                     if u:
                         left[(u, v)] += 1
             right = Counter()
-            for c, s in ha.bileveled_backslash_decompositions(b):
+            for c, s in tc.bileveled_backslash_decompositions(b):
                 for u in pj.beta_fiber(c):
                     for v in pj.tau_fiber(s):
                         right[(u, v)] += 1

@@ -16,6 +16,8 @@ from treesym import series as se
 from treesym import trees_core as tc
 from treesym.hopf_algebra import F, Mb, BasisKey, LinComb, TensorComb
 
+import oracles
+
 
 def unit_y():
     return ha.unit("Y")
@@ -122,7 +124,7 @@ def test_indecomposable_counts():
     # the two sets differ by fiber tops, one per tree of one fewer node
     cats = [1, 1, 2, 5, 14, 42]
     for n in range(1, 7):
-        tops = [b for b in hm.b_basis(n) if hm.is_fiber_top(b)]
+        tops = [b for b in hm.b_basis(n) if pj.is_fiber_top(b)]
         assert len(tops) == cats[n - 1]
         assert len(hm.b_basis(n)) - len(tops) == len(hm.b_prime_basis(n))
 
@@ -140,6 +142,19 @@ def test_positive_degrees_factor_through_indecomposables():
         assert len(seen) == len(family) and set(seen) == set(family)
         for c, pair in seen.items():
             assert hm.b_decompose(c) == pair
+
+
+def test_first_decomposition_is_the_largest_right_factor():
+    for n in range(1, 8):
+        for c in tc.enumerate_family("M", n):
+            assert hm.b_decompose(c) == oracles.b_decompose(c)
+
+
+def test_indecomposable_means_one_decomposition():
+    for n in range(8):
+        for c in tc.enumerate_family("M", n):
+            assert hm.is_indecomposable_bileveled(c) == \
+                (len(tc.FAMILIES["M"].decompose(c)) == 1)
 
 
 def test_extended_backslash_is_a_graded_bijection():
@@ -161,7 +176,7 @@ def test_extended_backslash_empty_left_factor_gives_fiber_top():
     for n in range(1, 6):
         for t in tc.all_trees(n):
             top = hm.bbslash(hm.EMPTY_B, t)
-            assert hm.is_fiber_top(top)
+            assert pj.is_fiber_top(top)
             assert top.tree == t
 
 

@@ -168,3 +168,11 @@ def test_beta_max_is_fiber_top():
             fibers = [b for b in tc.all_bileveled(n) if b.tree == t]
             assert all(po.m_leq(b, top) for b in fibers)
             assert pj.iota(top) == pj.max_perm(t)
+
+
+def test_fiber_top_is_the_maximum_over_its_tree():
+    for n in range(6):
+        for b in tc.all_bileveled(n):
+            above = [c for c in tc.all_bileveled(n)
+                     if c.tree == b.tree and po.m_leq(b, c)]
+            assert pj.is_fiber_top(b) == (above == [b])

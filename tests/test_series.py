@@ -41,6 +41,14 @@ def test_rational_coefficients_kept_exact():
     assert (q * two).coeffs == one.coeffs
 
 
+def test_exact_quotients_keep_integer_coefficients():
+    q = se.series("S", N) / se.series("Y", N)
+    assert all(type(c) is int for c in q.coeffs)
+    halves = TruncatedSeries((1, 3, 0)) / TruncatedSeries((2, 0, 0))
+    assert halves.coeffs == (Fraction(1, 2), Fraction(3, 2), 0)
+    assert [type(c) for c in halves.coeffs] == [Fraction, Fraction, int]
+
+
 # ---------------------------------------------------------------------------
 # the four series and their coefficients
 

@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 from treesym import trees_core as tc
 from treesym.trees_core import BiLeveledTree
 
+import oracles
+
 
 def trees(max_nodes=6):
     return st.integers(0, max_nodes).flatmap(
@@ -223,6 +225,40 @@ def test_perm_indecomposables_refold():
         for w in tc.all_perms(n):
             parts = tc.perm_indecomposables(w)
             assert reduce(perm_backslash, parts, ()) == w
+
+
+def test_perm_cut_scan_matches_the_set_comparisons():
+    for n in range(8):
+        for w in tc.all_perms(n):
+            assert tc.perm_backslash_decompositions(w) == \
+                oracles.perm_backslash_decompositions(w)
+            assert tc.perm_indecomposables(w) == oracles.perm_indecomposables(w)
+
+
+REFOLD = {"S": perm_backslash, "Y": tc.backslash,
+          "M": tc.tree_backslash_bileveled}
+
+
+@pytest.mark.parametrize("family", "SYM")
+def test_decompositions_refold_from_first_to_last_cut(family):
+    """Every decomposition refolds to the element, none repeats, and the
+    last one has an empty right factor.  On S and Y there is one per cut
+    between indecomposable factors, both ends included; a nonempty
+    bi-leveled tree has none whose left factor is empty."""
+    fam = tc.FAMILIES[family]
+    for n in range(7):
+        for x in tc.enumerate_family(family, n):
+            pairs = fam.decompose(x)
+            assert all(REFOLD[family](u, v) == x for u, v in pairs)
+            assert len(set(pairs)) == len(pairs)
+            if family == "M":
+                assert pairs[-1:] == (((x, tc.LEAF),) if n else ())
+            else:
+                parts = {"S": tc.perm_indecomposables,
+                         "Y": tc.tree_indecomposables}[family](x)
+                assert len(pairs) == len(parts) + 1
+                assert pairs[0] == (fam.empty, x)
+                assert pairs[-1] == (x, fam.empty)
 
 
 def test_tree_indecomposables_refold():
