@@ -11,15 +11,19 @@ along the family's order.  This module implements:
 * the coaction of ``Y`` on ``M`` and the comodule map of ``S`` on ``M``;
 * linear extensions of the projection maps;
 * basis changes ``to_M`` / ``to_F`` and the closed forms for the second
-  basis: coproducts as sums over the two-factor backslash decompositions
-  of :data:`trees_core.FAMILIES` and the coaction with its single
-  exceptional term.
+  basis: products on ``S`` and ``Y`` (:data:`M_PRODUCTS`) read from
+  shuffles, the second through the first along ``tau``; coproducts as sums
+  over the two-factor backslash decompositions of
+  :data:`trees_core.FAMILIES`; and the coaction with its single exceptional
+  term.
 
 All coefficients are exact integers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import combinations
 from typing import Callable, Mapping, NamedTuple
 
 from . import posets as po
@@ -29,8 +33,9 @@ from .trees_core import BiLeveledTree
 
 __all__ = [
     "BasisKey", "LinComb", "TensorComb",
-    "F", "Mb", "unit", "COPRODUCTS",
-    "mul_F", "mul_M", "comul_F", "coaction_rho", "split_coaction",
+    "F", "Mb", "unit", "COPRODUCTS", "M_PRODUCTS",
+    "mul_F", "mul_M", "perm_product_M", "tree_product_M",
+    "comul_F", "coaction_rho", "split_coaction",
     "ssym_comodule_on_msym",
     "lin_tau", "lin_beta", "lin_phi",
     "to_M", "to_F",
@@ -241,17 +246,25 @@ def _require(a: LinComb, flavor: str, families=("S", "M", "Y")) -> None:
         raise ValueError("family %s not supported here" % family)
 
 
+def _factor_family(a: LinComb, b: LinComb, flavor: str):
+    """The family of two factors of one flavor, or ``None`` when either is
+    zero."""
+    _require(a, flavor)
+    _require(b, flavor)
+    siga, sigb = a.signature(), b.signature()
+    if siga is None or sigb is None:
+        return None
+    if siga[0] != sigb[0]:
+        raise ValueError("cannot multiply across families")
+    return siga[0]
+
+
 def mul_F(a: LinComb, b: LinComb) -> LinComb:
     """Product in the fundamental basis: split the left factor into as many
     pieces as the right factor has leaves and graft."""
-    _require(a, "F")
-    _require(b, "F")
-    siga, sigb = a.signature(), b.signature()
-    if siga is None or sigb is None:
+    family = _factor_family(a, b, "F")
+    if family is None:
         return LinComb({})
-    if siga[0] != sigb[0]:
-        raise ValueError("cannot multiply across families")
-    family = siga[0]
     out: dict = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
@@ -261,11 +274,6 @@ def mul_F(a: LinComb, b: LinComb) -> LinComb:
                                tc.graft(family, forest, kb.element))
                 out[key] = out.get(key, 0) + ca * cb
     return LinComb(out)
-
-
-def mul_M(a: LinComb, b: LinComb) -> LinComb:
-    """Product in the second basis, through the fundamental basis."""
-    return to_M(mul_F(to_F(a), to_F(b)))
 
 
 COPRODUCTS = {
@@ -363,17 +371,15 @@ def to_M(a: LinComb) -> LinComb:
     if sig is None:
         return LinComb({})
     family = sig[0]
-    out: dict = {}
+    sums: dict = {}  # poset -> {index: coefficient}
     for key, c in a.terms.items():
         poset = po.family_poset(family, key.degree())
-        i = poset.index[key.element]
-        mask = poset.up[i]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            new = BasisKey(family, "M", poset.elements[j])
-            out[new] = out.get(new, 0) + c
-            mask &= mask - 1
-    return LinComb(out)
+        acc = sums.setdefault(poset, {})
+        for j in po._bits(poset.up[poset.index[key.element]]):
+            acc[j] = acc.get(j, 0) + c
+    return LinComb({BasisKey(family, "M", poset.elements[j]): c
+                    for poset, acc in sums.items()
+                    for j, c in acc.items() if c})
 
 
 def to_F(a: LinComb) -> LinComb:
@@ -394,6 +400,87 @@ def to_F(a: LinComb) -> LinComb:
 
 # ---------------------------------------------------------------------------
 # the closed second-basis forms
+
+
+def perm_product_M(u: tuple, v: tuple) -> dict:
+    """The second-basis product ``M_u M_v`` of two permutations, as
+    ``{w: coefficient}`` (Aguiar-Sottile, Adv. Math. 191, 2005, Thm 4.1).
+
+    The coefficient of ``w`` counts the position sets ``P`` of size
+    ``len(u)`` such that ``w`` reads ``u`` on ``P`` and ``v`` on the other
+    positions ``Q`` (up to relative order), and ``w(i) > w(j)`` whenever
+    ``i`` in ``Q`` comes before ``j`` in ``P``: ``w`` lies above the
+    shuffle word of ``P`` in the weak order.  Given ``P``, such a ``w`` is a
+    merge of the values of ``u`` and ``v``: ``c[b]`` values of ``u`` lie
+    below the value ``b`` of ``v``, and ``c`` is nondecreasing and at least,
+    at each ``b``, every letter of ``u`` that comes after ``b``.
+    """
+    p, q = len(u), len(v)
+    out: dict = {}
+    for P in combinations(range(p + q), p):
+        # the shuffle word: (letter of u, None) at P, (None, letter of v) at Q
+        left, right = iter(u), iter(v)
+        shuffle = [(next(left), None) if i in P else (None, next(right))
+                   for i in range(p + q)]
+        low = [0] * (q + 1)
+        top = 0
+        for a, b in reversed(shuffle):
+            if b is None:
+                top = max(top, a)
+            else:
+                low[b] = top
+        merges = [()]
+        for b in range(1, q + 1):
+            merges = [c + (k,) for c in merges
+                      for k in range(max(low[b], c[-1] if c else 0), p + 1)]
+        for c in merges:
+            # the value a of u has bisect_left(c, a) values of v below it
+            w = tuple(a + bisect_left(c, a) if b is None else b + c[b - 1]
+                      for a, b in shuffle)
+            out[w] = out.get(w, 0) + 1
+    return out
+
+
+def tree_product_M(s: tuple, t: tuple) -> dict:
+    """The second-basis product ``M_s M_t`` of two trees, as ``{tree:
+    coefficient}``: the image under ``tau`` of ``M_u M_v`` for the fiber
+    maxima ``u``, ``v`` of ``s`` and ``t``.  ``tau`` sends ``M_w`` to
+    ``M_tau(w)`` when ``w`` is the maximum of its fiber, the one word that
+    avoids 132, and to 0 otherwise (Aguiar-Sottile, J. Algebra 295, 2006).
+    """
+    out: dict = {}
+    for w, c in perm_product_M(pj.max_perm(s), pj.max_perm(t)).items():
+        if pj.avoids_132(w):
+            r = pj.tau(w)
+            out[r] = out.get(r, 0) + c
+    return out
+
+
+M_PRODUCTS = {
+    # the families with a closed second-basis product: the product of two
+    # elements as {element: coefficient}; the bi-leveled family has none,
+    # and multiplies through the fundamental basis
+    "S": perm_product_M,
+    "Y": tree_product_M,
+}
+
+
+def mul_M(a: LinComb, b: LinComb) -> LinComb:
+    """Product in the second basis: term by term from :data:`M_PRODUCTS`,
+    or else through the fundamental basis."""
+    family = _factor_family(a, b, "M")
+    if family is None:
+        return LinComb({})
+    product = M_PRODUCTS.get(family)
+    if product is None:
+        return to_M(mul_F(to_F(a), to_F(b)))
+    out: dict = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            for x, c in product(ka.element, kb.element).items():
+                key = BasisKey(family, "M", x)
+                out[key] = out.get(key, 0) + ca * cb * c
+    return LinComb(out)
 
 
 def comul_M_closed(family: str, element) -> TensorComb:

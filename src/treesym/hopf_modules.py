@@ -159,18 +159,11 @@ def bbslash_decompose(c: BiLeveledTree):
 # the transported structure on the full space (second basis)
 
 
-def _tree_M_product_indices(t: tuple, s: tuple) -> dict:
-    """Index multiset (with multiplicities) of the second-basis product of
-    two trees."""
-    prod = ha.mul_M(Mb("Y", t), Mb("Y", s))
-    return {key.element: c for key, c in prod.terms.items()}
-
-
 def msym_action_M(bp: BiLeveledTree, t: tuple, s: tuple) -> LinComb:
     """Action on a second-basis vector keyed by ``(bp, t)``: reindex the
     tree-family second-basis product along the extended backslash."""
     out: dict = {}
-    for r, c in _tree_M_product_indices(t, s).items():
+    for r, c in ha.tree_product_M(t, s).items():
         key = BasisKey("M", "M", bbslash(bp, r))
         out[key] = out.get(key, 0) + c
     return LinComb(out)
@@ -203,15 +196,15 @@ def msym_action_F(a: LinComb, h: LinComb) -> LinComb:
 # the final bijection
 
 
-def _last_component_has_132(w: tuple) -> bool:
-    comps = tc.perm_indecomposables(w)
-    return bool(comps) and not pj.avoids(comps[-1], (1, 3, 2))
+def _last_has_132(comps: tuple) -> bool:
+    """Does the last component contain a 132-pattern, or are there none?"""
+    return not comps or not pj.avoids(comps[-1], (1, 3, 2))
 
 
 def in_script_s(w: tuple) -> bool:
     """Permutations whose last indecomposable component contains a
     132-pattern, together with the empty permutation."""
-    return not w or _last_component_has_132(w)
+    return _last_has_132(tc.perm_indecomposables(w))
 
 
 def _component_in_section_image(c: tuple) -> bool:
@@ -221,8 +214,7 @@ def _component_in_section_image(c: tuple) -> bool:
     return is_b_prime(b) and pj.iota(b) == c
 
 
-def _initial_run_length(w: tuple) -> int:
-    comps = tc.perm_indecomposables(w)
+def _initial_run_length(comps: tuple) -> int:
     length = 0
     for c in comps:
         if _component_in_section_image(c):
@@ -235,7 +227,8 @@ def _initial_run_length(w: tuple) -> int:
 def in_script_s_prime(w: tuple) -> bool:
     """Members of the big index set whose maximal initial run of components
     lying in the section image has even length."""
-    return in_script_s(w) and _initial_run_length(w) % 2 == 0
+    comps = tc.perm_indecomposables(w)
+    return _last_has_132(comps) and _initial_run_length(comps) % 2 == 0
 
 
 @lru_cache(maxsize=None)

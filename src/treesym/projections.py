@@ -22,7 +22,8 @@ from .trees_core import BiLeveledTree
 __all__ = [
     "tau", "t_set", "beta", "phi", "min_perm", "max_perm",
     "BiLeveledFactorization", "bileveled_factorization", "iota",
-    "beta_fibers", "beta_fiber", "tau_fiber", "avoids", "avoids_pinned",
+    "beta_fibers", "beta_fiber", "tau_fiber", "avoids", "avoids_132",
+    "avoids_pinned",
     "PINNED_PATTERNS", "beta_max", "is_fiber_top",
 ]
 
@@ -183,12 +184,35 @@ Each is a relative-order pattern on four letters whose first letter is
 pinned to position 1 of the permutation (0 denotes the smallest letter)."""
 
 
+def _value_order(pattern: tuple) -> list:
+    """The positions of ``pattern``, smallest letter first: a word of
+    distinct letters has the pattern's relative order exactly when it is
+    increasing when read in this order."""
+    return sorted(range(len(pattern)), key=pattern.__getitem__)
+
+
 def avoids(w: tuple, pattern: tuple) -> bool:
     """Does ``w`` avoid the classical pattern (e.g. ``(1,3,2)``)?"""
-    target = tc.standardize(pattern)
+    order = _value_order(pattern)
     for sub in combinations(w, len(pattern)):
-        if tc.standardize(sub) == target:
+        if [sub[i] for i in order] == sorted(sub):
             return False
+    return True
+
+
+def avoids_132(w: tuple) -> bool:
+    """``avoids(w, (1, 3, 2))`` in one pass from the right: ``two`` is the
+    largest letter seen so far with a larger letter to its left, and a
+    letter below it completes a 132.  The stack holds the letters seen
+    that have no larger letter to their left yet, decreasing upward."""
+    two = 0
+    stack = []
+    for a in reversed(w):
+        if a < two:
+            return False
+        while stack and stack[-1] < a:
+            two = stack.pop()
+        stack.append(a)
     return True
 
 
@@ -196,8 +220,9 @@ def avoids_pinned(w: tuple, pattern: tuple) -> bool:
     """Pinned variant: the pattern's first letter must be ``w``'s first."""
     if not w:
         return True
-    target = tc.standardize(pattern)
+    order = _value_order(pattern)
     for rest in combinations(w[1:], len(pattern) - 1):
-        if tc.standardize((w[0],) + rest) == target:
+        sub = (w[0],) + rest
+        if [sub[i] for i in order] == sorted(sub):
             return False
     return True

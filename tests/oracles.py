@@ -5,13 +5,20 @@ The chain-counting oracles for Mobius values work on any
 bitmasks, independently of the sparse Mobius rows they check.
 :func:`sympy_coinvariant_kernel` is the coinvariant solve by sympy's
 ``nullspace``, against which the plain-Python elimination is checked.
-The last three functions are the backslash-decomposition rules that the
-table :data:`treesym.trees_core.FAMILIES` replaced, written as they were.
+Then come, written as they were, the rules that faster code replaced:
+the backslash decompositions that the table
+:data:`treesym.trees_core.FAMILIES` replaced; the second-basis product
+through the fundamental basis and the basis change that walks every up-set
+bit by bit, replaced by the closed products of
+:data:`treesym.hopf_algebra.M_PRODUCTS` and a ``to_M`` that sums by index;
+and pattern avoidance by standardizing every subsequence.
 """
 
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from treesym import hopf_algebra as ha
+from treesym import posets as po
 from treesym import trees_core as tc
 from treesym.hopf_algebra import BasisKey, LinComb, F
 from treesym.hopf_modules import plus_coaction
@@ -168,3 +175,48 @@ def b_decompose(c):
         if best is None or tc.nodes(s) > tc.nodes(best[1]):
             best = (b, s)
     return best
+
+
+def to_M(a):
+    """Rewrite a fundamental-basis combination in the second basis, using
+    F_x = sum of M_y over y at least x, one key per up-set bit."""
+    sig = a.signature()
+    if sig is None:
+        return LinComb({})
+    family = sig[0]
+    out: dict = {}
+    for key, c in a.terms.items():
+        poset = po.family_poset(family, key.degree())
+        i = poset.index[key.element]
+        mask = poset.up[i]
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            new = BasisKey(family, "M", poset.elements[j])
+            out[new] = out.get(new, 0) + c
+            mask &= mask - 1
+    return LinComb(out)
+
+
+def mul_M(a, b):
+    """Product in the second basis, through the fundamental basis."""
+    return to_M(ha.mul_F(ha.to_F(a), ha.to_F(b)))
+
+
+def avoids(w: tuple, pattern: tuple) -> bool:
+    """Does ``w`` avoid the classical pattern?"""
+    target = tc.standardize(pattern)
+    for sub in combinations(w, len(pattern)):
+        if tc.standardize(sub) == target:
+            return False
+    return True
+
+
+def avoids_pinned(w: tuple, pattern: tuple) -> bool:
+    """Pinned variant: the pattern's first letter must be ``w``'s first."""
+    if not w:
+        return True
+    target = tc.standardize(pattern)
+    for rest in combinations(w[1:], len(pattern) - 1):
+        if tc.standardize((w[0],) + rest) == target:
+            return False
+    return True

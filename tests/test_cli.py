@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treesym import cli
+from treesym import series as se
 from treesym import trees_core as tc
 
 
@@ -100,12 +101,33 @@ def element_text(family):
                   valid, JUNK_TEXT, st.integers(0, 20)))
 
 
+def corrupted(text):
+    """``text`` itself, random text, or ``text`` with random text spliced
+    in."""
+    return st.one_of(
+        st.just(text), JUNK_TEXT,
+        st.builds(lambda junk, cut: text[:cut] + junk + text[cut:],
+                  JUNK_TEXT, st.integers(0, len(text))))
+
+
+def flags(*names):
+    """Some of the flags ``names``, each at most once."""
+    if not names:
+        return st.just([])
+    return st.lists(st.sampled_from(names), unique=True)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_random_element_text_gives_a_result_or_a_usage_error(capsys, data):
+def test_random_element_text_gives_a_result_or_a_usage_error(
+        capsys, monkeypatch, data):
+    """Random argument texts for every command exit 0 or 2; the degree cap
+    of 4 keeps every accepted command small."""
+    monkeypatch.setenv("TREESYM_MAX_N", "4")
     draw = data.draw
-    command = draw(st.sampled_from(("map", "mobius", "op")))
+    command = draw(st.sampled_from(
+        ("map", "mobius", "op", "enumerate", "hasse", "series", "verify")))
     family = draw(st.sampled_from("SMY"))
     if command == "map":
         name = draw(st.sampled_from(sorted(cli.MAP_TABLE)))
@@ -113,11 +135,30 @@ def test_random_element_text_gives_a_result_or_a_usage_error(capsys, data):
     elif command == "mobius":
         argv = ["mobius", "--family", family,
                 draw(element_text(family)), draw(element_text(family))]
-    else:
+    elif command == "op":
         argv = ["op", draw(st.sampled_from(("mul", "comul", "rho"))),
                 "--family", family, "--basis", draw(st.sampled_from("FM"))]
         argv += [draw(element_text(family))
                  for _ in range(draw(st.integers(1, 2)))]
+    else:
+        degree = str(draw(st.integers(-1, 5)))
+        if command in ("enumerate", "hasse"):
+            argv = [command, "--family", family, "--n", degree]
+        elif command == "series":
+            argv = ["series", "--order", str(draw(st.integers(-1, 40)))]
+            if draw(st.booleans()):
+                argv += ["--which", draw(st.sampled_from(se.SERIES_NAMES))]
+        else:
+            argv = ["verify", "--suite", draw(st.sampled_from(sorted(
+                cli.SUITES))), "--n", degree]
+        argv += draw(flags(*{"enumerate": ("--count", "--json"),
+                             "hasse": (),
+                             "series": ("--quotients", "--json"),
+                             "verify": ("--json",)}[command]))
+        # corrupt the text of at most one argument
+        if draw(st.booleans()):
+            i = draw(st.integers(1, len(argv) - 1))
+            argv[i] = draw(corrupted(argv[i]))
     code, _, err = invoke(capsys, *argv)
     assert code in (0, 2), (argv, err)
 

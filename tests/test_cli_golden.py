@@ -117,6 +117,9 @@ COMMANDS = (
     + [["series", "--which", w, "--order", "40"] for w in ("S", "M", "M+", "Y")]
     + [["series", "--quotients", "--order", "60", "--json"],
        ["series", "--quotients", "--order", "60"]]
+    # a second-basis product whose degree-8 order the closed form avoids
+    + [["op", "mul", "--family", "S", "--basis", "M", "1234", "4321"] + extra
+       for extra in ([], ["--json"])]
 )
 
 

@@ -13,6 +13,8 @@ from treesym import projections as pj
 from treesym import trees_core as tc
 from treesym.hopf_algebra import F, Mb, BasisKey, LinComb, TensorComb
 
+import oracles
+
 
 def f_basis(family, n):
     return [F(family, x) for x in tc.enumerate_family(family, n)]
@@ -235,6 +237,97 @@ def test_fundamental_is_upper_sum_of_second():
             assert expanded == LinComb({
                 BasisKey(family, "M", y): 1
                 for y in poset.elements if poset.leq(x, y)})
+
+
+def test_to_M_matches_the_bitwise_walk():
+    for family in "SMY":
+        for n in range(7):
+            for x in tc.enumerate_family(family, n):
+                assert ha.to_M(F(family, x)) == oracles.to_M(F(family, x))
+
+
+def test_to_M_builds_one_key_per_nonzero_term(monkeypatch):
+    """A combination over two degrees whose terms cancel on M[S:21] and
+    on M[S:321]: one key is built per term of the result, none for those."""
+    a = (F("S", (1, 2)) - F("S", (2, 1)) + 2 * F("S", (1, 3, 2))
+         - 2 * F("S", (3, 1, 2)))
+    built = []
+
+    class CountedKey(BasisKey):
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(ha, "BasisKey", CountedKey)
+    result = ha.to_M(a)
+    monkeypatch.undo()
+    assert result == oracles.to_M(a)
+    assert BasisKey("S", "M", (2, 1)) not in result.terms
+    assert BasisKey("S", "M", (3, 2, 1)) not in result.terms
+    assert len(built) == len(result.terms) == 4
+
+
+# ---------------------------------------------------------------------------
+# closed second-basis products
+
+
+def test_closed_perm_product_matches_the_product_through_F():
+    pairs = 0
+    for n in range(2, 7):
+        for p in range(1, n):
+            for u in tc.all_perms(p):
+                for v in tc.all_perms(n - p):
+                    a, b = Mb("S", u), Mb("S", v)
+                    assert ha.mul_M(a, b) == oracles.mul_M(a, b), (u, v)
+                    pairs += 1
+    assert pairs == 465
+
+
+def test_closed_tree_product_matches_the_product_through_F():
+    pairs = 0
+    for n in range(7):
+        for p in range(n + 1):
+            for s in tc.all_trees(p):
+                for t in tc.all_trees(n - p):
+                    a, b = Mb("Y", s), Mb("Y", t)
+                    assert ha.mul_M(a, b) == oracles.mul_M(a, b), (s, t)
+                    pairs += 1
+    assert pairs == 625
+
+
+def test_closed_products_of_combinations_are_bilinear():
+    a = 2 * Mb("S", (2, 1)) - Mb("S", (1,))
+    b = Mb("S", (1, 2)) + 3 * Mb("S", ())
+    assert ha.mul_M(a, b) == oracles.mul_M(a, b)
+    s = Mb("Y", tc.parse_tree("(..)")) - Mb("Y", tc.parse_tree("((..).)"))
+    t = 2 * Mb("Y", tc.parse_tree("(.(..))"))
+    assert ha.mul_M(s, t) == oracles.mul_M(s, t)
+
+
+def test_closed_products_build_no_order_of_the_product_degree(monkeypatch):
+    """The products on S and Y ask for no order above the larger factor's
+    degree; the bi-leveled product, through F, asks for the product's."""
+    requested = []
+    build = po.family_poset
+
+    def spy(family, n):
+        requested.append(n)
+        return build(family, n)
+
+    monkeypatch.setattr(po, "family_poset", spy)
+    for family, x, y in (
+            ("S", (1, 2, 3, 4), (4, 3, 2, 1)), ("S", (2, 1, 3), (1,)),
+            ("S", (), (3, 1, 2)),
+            ("Y", tc.parse_tree("((..)(..))"), tc.parse_tree("(.(..))")),
+            ("Y", tc.LEAF, tc.parse_tree("(..)"))):
+        requested.clear()
+        ha.mul_M(Mb(family, x), Mb(family, y))
+        degree = tc.FAMILIES[family].degree
+        assert max(requested, default=0) <= max(degree(x), degree(y))
+    b = tc.parse_bileveled("(..);{1}")
+    requested.clear()
+    ha.mul_M(Mb("M", b), Mb("M", b))
+    assert max(requested) == 2
 
 
 def conjugate_tensor(t, left_family, right_family):

@@ -229,8 +229,9 @@ def test_transported_action_on_coinvariants_is_trivial_in_second_basis():
         for t in tc.all_trees(2):
             image = hm.msym_action_M(bp, tc.LEAF, t)
             expected = LinComb({
-                BasisKey("M", "M", hm.bbslash(bp, r)): c
-                for r, c in hm._tree_M_product_indices(tc.LEAF, t).items()})
+                BasisKey("M", "M", hm.bbslash(bp, key.element)): c
+                for key, c in oracles.mul_M(
+                    Mb("Y", tc.LEAF), Mb("Y", t)).terms.items()})
             assert image == expected
 
 

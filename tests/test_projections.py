@@ -8,6 +8,8 @@ from treesym import posets as po
 from treesym import projections as pj
 from treesym import trees_core as tc
 
+import oracles
+
 
 def perms(max_len=6):
     return st.integers(0, max_len).flatmap(
@@ -52,6 +54,18 @@ def test_tau_fiber_extremes_and_avoidance():
             # the extremes are the unique avoiders in the fiber
             assert [w for w in fiber if pj.avoids(w, (2, 3, 1))] == [mn]
             assert [w for w in fiber if pj.avoids(w, (1, 3, 2))] == [mx]
+
+
+def test_pattern_scans_match_standardizing_every_subsequence():
+    patterns = list(tc.all_perms(3)) + [(2, 4, 1, 3), (3, 1, 4, 2)]
+    for n in range(7):
+        for w in tc.all_perms(n):
+            for p in patterns:
+                assert pj.avoids(w, p) == oracles.avoids(w, p), (w, p)
+            for p in pj.PINNED_PATTERNS:
+                assert pj.avoids_pinned(w, p) \
+                    == oracles.avoids_pinned(w, p), (w, p)
+            assert pj.avoids_132(w) == oracles.avoids(w, (1, 3, 2)), w
 
 
 def test_tau_fibers_partition_permutations():
