@@ -198,7 +198,7 @@ def msym_action_F(a: LinComb, h: LinComb) -> LinComb:
 
 def _last_has_132(comps: tuple) -> bool:
     """Does the last component contain a 132-pattern, or are there none?"""
-    return not comps or not pj.avoids(comps[-1], (1, 3, 2))
+    return not comps or not pj.avoids_132(comps[-1])
 
 
 def in_script_s(w: tuple) -> bool:

@@ -6,7 +6,8 @@ The three partial orders, their Mobius functions, and interval-retract checks.
 * trees: covers move a child node from the left to the right branch of its
   parent (a rotation); the order is the transitive closure;
 * marked trees: ``(s; S) <= (t; T)`` iff ``s <= t`` for trees and ``S >= T``;
-  the order is the closure of three kinds of local moves.
+  the order is the closure of the candidate covers that make at most one
+  rotation and drop at most one mark, each a relation by this definition.
 
 :class:`FinitePoset` stores the order relation of a finite poset as bitmask
 rows, built from the covers, and computes covers and exact Mobius values
@@ -20,13 +21,14 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import projections as pj
 from . import trees_core as tc
 
 __all__ = [
     "FinitePoset", "ORDERS", "family_poset", "inversion_set", "weak_leq",
-    "weak_covers", "weak_mobius_row", "tamari_leq", "tamari_covers", "m_leq",
-    "m_covers", "m_covers_by_types", "mobius", "interval_retract_verify",
-    "fiberwise_mobius_verify", "hasse_dot",
+    "weak_covers", "weak_mobius_row", "tamari_covers", "m_cover_candidates",
+    "mobius", "interval_retract_verify", "fiberwise_mobius_verify",
+    "hasse_dot",
 ]
 
 
@@ -263,100 +265,24 @@ def family_poset(family: str, n: int) -> FinitePoset:
     return FinitePoset(elements, cover_pairs=pairs, mobius_row=mobius_row)
 
 
-def tamari_leq(s: tuple, t: tuple) -> bool:
-    if tc.nodes(s) != tc.nodes(t):
-        raise ValueError("trees must have the same size")
-    return family_poset("Y", tc.nodes(s)).leq(s, t)
-
-
-def m_leq(b: tc.BiLeveledTree, c: tc.BiLeveledTree) -> bool:
-    if tc.nodes(b.tree) != tc.nodes(c.tree):
-        raise ValueError("sizes must agree")
-    return tamari_leq(b.tree, c.tree) and b.ideal >= c.ideal
-
-
-def m_covers(b: tc.BiLeveledTree) -> tuple:
-    """Covers of ``b``: minimal elements strictly greater than ``b``."""
-    poset = family_poset("M", tc.nodes(b.tree))
-    return tuple(c for x, c in poset.covers() if x == b)
-
-
-def _rotate_leftmost_node(t: tuple) -> tuple:
-    """Rotate the leftmost node across its parent (positions are kept)."""
-    left, right = t
-    if not left:
-        raise ValueError("the leftmost node has no parent to rotate across")
-    if not left[0]:
-        # ``left`` is the leftmost node: ((),B) over C becomes ((),(B,C))
-        return (tc.LEAF, (left[1], right))
-    return (_rotate_leftmost_node(left), right)
-
-
-def m_covers_by_types(b: tc.BiLeveledTree) -> dict:
-    """Candidate covers of ``b`` from the three local moves, with types.
-
-    :func:`family_poset` builds the bi-leveled order as the closure of
-    these candidates: (i) rotate inside exactly one component of the forest
-    form, mark count unchanged; (ii) rotate the leftmost node across its
-    parent -- allowed when the parent has no other marked child -- and
-    unmark the parent; (iii) keep the tree, unmark one marked node other
-    than the two smallest.  Returns ``{candidate: sorted tuple of types}``
-    without filtering by minimality.
-    """
-    out: dict = {}
-    if not b.tree:
-        return out
-
-    def add(cand, kind):
-        if tc.is_admissible_ideal(cand.tree, cand.ideal):
-            out.setdefault(cand, set()).add(kind)
-
-    # type (i): a rotation inside exactly one component of the forest form
-    # (the marked upper tree or one lower piece); the mark count is fixed
-    t0, forest = tc.forest_form(b)
-    for t02 in tamari_covers(t0):
-        add(tc.ideal_form(t02, forest), "i")
-    for i, piece in enumerate(forest):
-        for piece2 in tamari_covers(piece):
-            add(tc.ideal_form(t0, forest[:i] + (piece2,) + forest[i + 1:]),
-                "i")
-
-    marked = sorted(b.ideal)
-    if len(marked) >= 2:
-        # (ii): the parent of node 1 is the second-smallest marked node
-        parent = dict(tc.node_covers(b.tree))
-        p = parent.get(1)
-        children_of_p = [c for c, q in tc.node_covers(b.tree) if q == p]
-        if p is not None and not any(
-                c in b.ideal for c in children_of_p if c != 1):
-            add(tc.BiLeveledTree(_rotate_leftmost_node(b.tree),
-                                 b.ideal - {p}), "ii")
-        # (iii): drop a marked node other than the two smallest
-        for v in marked[2:]:
-            add(tc.BiLeveledTree(b.tree, b.ideal - {v}), "iii")
-    return {cand: tuple(sorted(kinds)) for cand, kinds in out.items()}
-
-
-def _checked_m_covers(b: tc.BiLeveledTree) -> Iterator[tc.BiLeveledTree]:
-    """The candidate covers of ``b``, each checked against the definition
-    (trees in Tamari order, marks by reverse inclusion): a bad candidate
-    would add a false relation.  A candidate keeps the tree or rotates it
-    once, so its tree must be ``b``'s or one of its Tamari covers."""
-    rotations = tamari_covers(b.tree)
-    for c in m_covers_by_types(b):
-        if not ((c.tree == b.tree or c.tree in rotations)
-                and b.ideal >= c.ideal):
-            raise RuntimeError(
-                "cover candidate %s -> %s is not a relation" % (
-                    tc.format_bileveled(b), tc.format_bileveled(c)))
-        yield c
+def m_cover_candidates(b: tc.BiLeveledTree) -> Iterator[tc.BiLeveledTree]:
+    """Every admissible ``(t, T) != b`` with ``t`` equal to ``b.tree`` or
+    one of its Tamari covers and ``T`` equal to ``b.ideal`` or ``b.ideal``
+    less one mark.  Each lies above ``b`` by the definition of the order,
+    and every cover of ``b`` is among them."""
+    ideals = [b.ideal] + [b.ideal - {v} for v in b.ideal]
+    for t in (b.tree,) + tamari_covers(b.tree):
+        for ideal in ideals:
+            if (t, ideal) != b and tc.is_admissible_ideal(t, ideal):
+                yield tc.BiLeveledTree(t, ideal)
 
 
 ORDERS = {
-    # tag: (the covers of one element, its closed-form Mobius row or None)
+    # tag: (the covers of one element, or candidates that include them all;
+    # its closed-form Mobius row or None)
     "S": (weak_covers, weak_mobius_row),
     "Y": (tamari_covers, None),
-    "M": (_checked_m_covers, None),
+    "M": (m_cover_candidates, None),
 }
 
 
@@ -379,8 +305,6 @@ def interval_retract_verify(n: int) -> dict:
     (a) each fiber is an interval of the weak order, (b) the canonical
     section is order-preserving on covers, (c) it is a genuine section.
     """
-    from . import projections as pj
-
     sposet = family_poset("S", n)
     violations = []
     for b in tc.enumerate_family("M", n):
@@ -407,8 +331,6 @@ def fiberwise_mobius_verify(n: int) -> dict:
     entry ``(beta(a), beta(v))``.  The rows of the bi-leveled order itself
     are then compared with these sums; pairs missing from both are zero.
     """
-    from . import projections as pj
-
     sposet = family_poset("S", n)
     mposet = family_poset("M", n)
     fiber_of = [None] * len(sposet)

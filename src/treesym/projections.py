@@ -14,16 +14,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 from . import trees_core as tc
 from .trees_core import BiLeveledTree
 
 __all__ = [
-    "tau", "t_set", "beta", "phi", "min_perm", "max_perm",
-    "BiLeveledFactorization", "bileveled_factorization", "iota",
-    "beta_fibers", "beta_fiber", "tau_fiber", "avoids", "avoids_132",
-    "avoids_pinned",
+    "tau", "t_set", "beta", "phi", "min_perm", "max_perm", "iota",
+    "beta_fibers", "beta_fiber", "avoids_132", "avoids_pinned",
     "PINNED_PATTERNS", "beta_max", "is_fiber_top",
 ]
 
@@ -95,41 +92,6 @@ def is_fiber_top(b: BiLeveledTree) -> bool:
     return b == beta_max(b.tree)
 
 
-class BiLeveledFactorization(NamedTuple):
-    """``w = u1 v^1 u2 v^2 ... ur v^r`` with the ``u`` letters at the marked
-    positions and the ``v^i`` the words between consecutive ``u`` letters."""
-
-    u: tuple
-    v: tuple
-
-    def interleave(self) -> tuple:
-        out = [self.u[0]]
-        for ui, vi in zip(self.u[1:] + (None,), self.v):
-            out.extend(vi)
-            if ui is not None:
-                out.append(ui)
-        return tuple(out)
-
-
-def bileveled_factorization(w: tuple) -> BiLeveledFactorization:
-    if not w:
-        raise ValueError("the empty permutation has no factorization")
-    positions = sorted(t_set(w))
-    u = tuple(w[p - 1] for p in positions)
-    bounds = positions + [len(w) + 1]
-    v = tuple(
-        tuple(w[q - 1] for q in range(bounds[i] + 1, bounds[i + 1]))
-        for i in range(len(positions))
-    )
-    return BiLeveledFactorization(u, v)
-
-
-def _relabel(pattern: tuple, values: tuple) -> tuple:
-    """Order-preserving relabeling of ``pattern`` into ``values``."""
-    ordered = sorted(values)
-    return tuple(ordered[a - 1] for a in pattern)
-
-
 def iota(b: BiLeveledTree) -> tuple:
     """The distinguished fiber element of ``beta`` over ``b``.
 
@@ -143,20 +105,14 @@ def iota(b: BiLeveledTree) -> tuple:
     t0, forest = tc.forest_form(b)
     r = len(b.ideal)
     u = (n + 1 - r,) + tuple(a + n + 1 - r for a in min_perm(t0))
-    v = []
-    next_top = n - r
-    for piece in forest:
-        size = tc.nodes(piece)
-        block = tuple(range(next_top - size + 1, next_top + 1))
-        next_top -= size
-        v.append(_relabel(max_perm(piece), block))
-    return BiLeveledFactorization(u, tuple(v)).interleave()
-
-
-def tau_fiber(t: tuple) -> tuple:
-    """All permutations with shape ``t``: words read off linear extensions."""
-    n = tc.nodes(t)
-    return tuple(sorted(w for w in tc.all_perms(n) if tau(w) == t))
+    out = []
+    below = n - r
+    for ui, piece in zip(u, forest):
+        # each block takes the largest unmarked letters not yet placed
+        below -= tc.nodes(piece)
+        out.append(ui)
+        out.extend(below + a for a in max_perm(piece))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -184,26 +140,10 @@ Each is a relative-order pattern on four letters whose first letter is
 pinned to position 1 of the permutation (0 denotes the smallest letter)."""
 
 
-def _value_order(pattern: tuple) -> list:
-    """The positions of ``pattern``, smallest letter first: a word of
-    distinct letters has the pattern's relative order exactly when it is
-    increasing when read in this order."""
-    return sorted(range(len(pattern)), key=pattern.__getitem__)
-
-
-def avoids(w: tuple, pattern: tuple) -> bool:
-    """Does ``w`` avoid the classical pattern (e.g. ``(1,3,2)``)?"""
-    order = _value_order(pattern)
-    for sub in combinations(w, len(pattern)):
-        if [sub[i] for i in order] == sorted(sub):
-            return False
-    return True
-
-
 def avoids_132(w: tuple) -> bool:
-    """``avoids(w, (1, 3, 2))`` in one pass from the right: ``two`` is the
-    largest letter seen so far with a larger letter to its left, and a
-    letter below it completes a 132.  The stack holds the letters seen
+    """Does ``w`` avoid the pattern 132?  One pass from the right: ``two``
+    is the largest letter seen so far with a larger letter to its left, and
+    a letter below it completes a 132.  The stack holds the letters seen
     that have no larger letter to their left yet, decreasing upward."""
     two = 0
     stack = []
@@ -217,10 +157,13 @@ def avoids_132(w: tuple) -> bool:
 
 
 def avoids_pinned(w: tuple, pattern: tuple) -> bool:
-    """Pinned variant: the pattern's first letter must be ``w``'s first."""
+    """Does ``w`` avoid ``pattern`` among the subsequences that start with
+    ``w``'s first letter?"""
     if not w:
         return True
-    order = _value_order(pattern)
+    # distinct letters have the pattern's relative order exactly when they
+    # increase when read at the pattern's positions, smallest letter first
+    order = sorted(range(len(pattern)), key=pattern.__getitem__)
     for rest in combinations(w[1:], len(pattern) - 1):
         sub = (w[0],) + rest
         if [sub[i] for i in order] == sorted(sub):

@@ -31,25 +31,21 @@ from itertools import combinations, combinations_with_replacement, permutations
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
-    "LEAF", "PlanarTree", "Permutation", "BiLeveledTree", "DecoratedForest",
-    "ParseError", "Family", "FAMILIES", "nodes", "leaves", "backslash",
-    "tree_indecomposables", "perm_indecomposables", "node_covers",
-    "node_descendants", "leftmost_branch", "parse_tree", "format_tree",
-    "parse_perm", "format_perm", "parse_bileveled", "format_bileveled",
-    "standardize", "all_trees", "all_perms", "all_bileveled",
-    "is_admissible_ideal", "splittings", "perm_splittings", "tree_splittings",
-    "bileveled_splittings", "restricted_splittings", "graft", "graft_trees",
-    "graft_perms", "graft_bileveled", "forest_form", "ideal_form",
-    "tree_backslash_bileveled", "enumerate_family",
-    "tree_backslash_decompositions", "perm_backslash_decompositions",
-    "bileveled_backslash_decompositions",
+    "LEAF", "BiLeveledTree", "DecoratedForest", "ParseError", "Family",
+    "FAMILIES", "nodes", "leaves", "backslash", "tree_indecomposables",
+    "perm_indecomposables", "node_descendants", "leftmost_branch",
+    "parse_tree", "format_tree", "parse_perm", "format_perm",
+    "parse_bileveled", "format_bileveled", "standardize", "all_trees",
+    "all_perms", "all_bileveled", "is_admissible_ideal", "splittings",
+    "perm_splittings", "tree_splittings", "bileveled_splittings",
+    "restricted_splittings", "graft", "graft_trees", "graft_perms",
+    "graft_bileveled", "forest_form", "tree_backslash_bileveled",
+    "enumerate_family", "tree_backslash_decompositions",
+    "perm_backslash_decompositions", "bileveled_backslash_decompositions",
 ]
 
 # The empty tree.  A nonempty tree is a pair (left, right) of trees.
 LEAF: tuple = ()
-
-PlanarTree = tuple  # () or (PlanarTree, PlanarTree)
-Permutation = tuple  # tuple of ints, one-line notation
 
 
 class ParseError(ValueError):
@@ -136,24 +132,6 @@ def perm_indecomposables(w: tuple) -> tuple:
     # the piece between the cuts j < k holds the values n-k+1 .. n-j
     return tuple(tuple(a - n + k for a in w[j:k])
                  for j, k in zip(cuts, cuts[1:]))
-
-
-def node_covers(t: tuple) -> tuple:
-    """Cover pairs ``(child, parent)`` of the node order, 1-based in-order."""
-    out = []
-
-    def walk(sub: tuple, offset: int) -> int:
-        left, right = sub
-        root = offset + nodes(left) + 1
-        if left:
-            out.append((walk(left, offset), root))
-        if right:
-            out.append((walk(right, root), root))
-        return root
-
-    if t:
-        walk(t, 0)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -305,12 +283,10 @@ def is_admissible_ideal(t: tuple, ideal: frozenset) -> bool:
     if 1 not in ideal or not ideal <= frozenset(range(1, n + 1)):
         return False
     down = node_descendants(t)
-    # up-closed: every ancestor of a member is a member
-    for child, parent in node_covers(t):
-        if child in ideal and parent not in ideal:
-            return False
-    # nothing strictly under node 1
-    return not (ideal & down[1])
+    # nothing strictly under node 1, and up-closed: nothing marked under an
+    # unmarked node
+    return ideal.isdisjoint(down[1]) and all(
+        ideal.isdisjoint(down[v]) for v in range(1, n + 1) if v not in ideal)
 
 
 @lru_cache(maxsize=None)
@@ -325,11 +301,10 @@ def all_bileveled(n: int) -> tuple:
             v for v in range(1, n + 1)
             if v not in branch and v not in down[1]
         ]
-        covers = node_covers(t)
         for r in range(len(optional) + 1):
             for extra in combinations(optional, r):
                 ideal = branch | frozenset(extra)
-                if all(p in ideal for c, p in covers if c in ideal):
+                if is_admissible_ideal(t, ideal):
                     out.append(BiLeveledTree(t, ideal))
     return tuple(out)
 
@@ -593,12 +568,6 @@ def _drop_leftmost_node(t: tuple) -> tuple:
     return (_drop_leftmost_node(left), right)
 
 
-def _add_leftmost_node(t: tuple) -> tuple:
-    if not t:
-        return (LEAF, LEAF)
-    return (_add_leftmost_node(t[0]), t[1])
-
-
 def forest_form(b: BiLeveledTree):
     """Rewrite ``b`` as ``(t0, (t1, ..., tr))``.
 
@@ -612,17 +581,6 @@ def forest_form(b: BiLeveledTree):
     if hanging[0]:
         raise ValueError("inadmissible upper set: piece under the leftmost node")
     return _drop_leftmost_node(upper), tuple(hanging[1:])
-
-
-def ideal_form(t0: tuple, forest: Sequence[tuple]) -> BiLeveledTree:
-    """Inverse of :func:`forest_form`."""
-    if len(forest) != nodes(t0) + 1:
-        raise ValueError("forest size must be one more than the upper tree size")
-    upper = _add_leftmost_node(t0)
-    tree = graft_trees((LEAF,) + tuple(forest), upper)
-    sizes = [0] + [nodes(f) for f in forest]
-    base_pos, _ = _grafted_positions(sizes)
-    return BiLeveledTree(tree, frozenset(base_pos))
 
 
 def tree_backslash_bileveled(b: BiLeveledTree, s: tuple) -> BiLeveledTree:

@@ -11,7 +11,12 @@ the backslash decompositions that the table
 through the fundamental basis and the basis change that walks every up-set
 bit by bit, replaced by the closed products of
 :data:`treesym.hopf_algebra.M_PRODUCTS` and a ``to_M`` that sums by index;
-and pattern avoidance by standardizing every subsequence.
+and pattern avoidance by standardizing every subsequence.  Last come the
+definitions that the package no longer needs: the cover relation of the
+nodes of a tree, the admissibility test built on it, the three kinds of
+covers of the paper's classification of the bi-leveled order (which
+:func:`treesym.posets.m_cover_candidates` replaced), the inverse of the
+forest form, and the fibers of ``tau``.
 """
 
 from itertools import combinations
@@ -19,6 +24,7 @@ from typing import Iterator, Sequence
 
 from treesym import hopf_algebra as ha
 from treesym import posets as po
+from treesym import projections as pj
 from treesym import trees_core as tc
 from treesym.hopf_algebra import BasisKey, LinComb, F
 from treesym.hopf_modules import plus_coaction
@@ -220,3 +226,115 @@ def avoids_pinned(w: tuple, pattern: tuple) -> bool:
         if tc.standardize((w[0],) + rest) == target:
             return False
     return True
+
+
+def node_covers(t: tuple) -> tuple:
+    """Cover pairs ``(child, parent)`` of the node order, 1-based in-order."""
+    out = []
+
+    def walk(sub: tuple, offset: int) -> int:
+        left, right = sub
+        root = offset + tc.nodes(left) + 1
+        if left:
+            out.append((walk(left, offset), root))
+        if right:
+            out.append((walk(right, root), root))
+        return root
+
+    if t:
+        walk(t, 0)
+    return tuple(out)
+
+
+def is_admissible_ideal(t: tuple, ideal: frozenset) -> bool:
+    """Check the bi-leveled constraints for ``(t, ideal)``."""
+    n = tc.nodes(t)
+    if n == 0:
+        return ideal == frozenset()
+    if 1 not in ideal or not ideal <= frozenset(range(1, n + 1)):
+        return False
+    down = tc.node_descendants(t)
+    # up-closed: every ancestor of a member is a member
+    for child, parent in node_covers(t):
+        if child in ideal and parent not in ideal:
+            return False
+    # nothing strictly under node 1
+    return not (ideal & down[1])
+
+
+def _add_leftmost_node(t: tuple) -> tuple:
+    if not t:
+        return (tc.LEAF, tc.LEAF)
+    return (_add_leftmost_node(t[0]), t[1])
+
+
+def ideal_form(t0: tuple, forest: Sequence[tuple]) -> tc.BiLeveledTree:
+    """Inverse of :func:`treesym.trees_core.forest_form`."""
+    if len(forest) != tc.nodes(t0) + 1:
+        raise ValueError("forest size must be one more than the upper tree size")
+    upper = _add_leftmost_node(t0)
+    tree = tc.graft_trees((tc.LEAF,) + tuple(forest), upper)
+    sizes = [0] + [tc.nodes(f) for f in forest]
+    base_pos, _ = tc._grafted_positions(sizes)
+    return tc.BiLeveledTree(tree, frozenset(base_pos))
+
+
+def _rotate_leftmost_node(t: tuple) -> tuple:
+    """Rotate the leftmost node across its parent (positions are kept)."""
+    left, right = t
+    if not left:
+        raise ValueError("the leftmost node has no parent to rotate across")
+    if not left[0]:
+        # ``left`` is the leftmost node: ((),B) over C becomes ((),(B,C))
+        return (tc.LEAF, (left[1], right))
+    return (_rotate_leftmost_node(left), right)
+
+
+def m_covers_by_types(b: tc.BiLeveledTree) -> dict:
+    """Candidate covers of ``b`` from the three local moves, with types.
+
+    (i) rotate inside exactly one component of the forest form, mark count
+    unchanged; (ii) rotate the leftmost node across its parent -- allowed
+    when the parent has no other marked child -- and unmark the parent;
+    (iii) keep the tree, unmark one marked node other than the two
+    smallest.  Returns ``{candidate: sorted tuple of types}`` without
+    filtering by minimality.
+    """
+    out: dict = {}
+    if not b.tree:
+        return out
+
+    def add(cand, kind):
+        if is_admissible_ideal(cand.tree, cand.ideal):
+            out.setdefault(cand, set()).add(kind)
+
+    # type (i): a rotation inside exactly one component of the forest form
+    # (the marked upper tree or one lower piece); the mark count is fixed
+    t0, forest = tc.forest_form(b)
+    for t02 in po.tamari_covers(t0):
+        add(ideal_form(t02, forest), "i")
+    for i, piece in enumerate(forest):
+        for piece2 in po.tamari_covers(piece):
+            add(ideal_form(t0, forest[:i] + (piece2,) + forest[i + 1:]),
+                "i")
+
+    marked = sorted(b.ideal)
+    if len(marked) >= 2:
+        # (ii): the parent of node 1 is the second-smallest marked node
+        parent = dict(node_covers(b.tree))
+        p = parent.get(1)
+        children_of_p = [c for c, q in node_covers(b.tree) if q == p]
+        if p is not None and not any(
+                c in b.ideal for c in children_of_p if c != 1):
+            add(tc.BiLeveledTree(_rotate_leftmost_node(b.tree),
+                                 b.ideal - {p}), "ii")
+        # (iii): drop a marked node other than the two smallest
+        for v in marked[2:]:
+            add(tc.BiLeveledTree(b.tree, b.ideal - {v}), "iii")
+    return {cand: tuple(sorted(kinds)) for cand, kinds in out.items()}
+
+
+def tau_fiber(t: tuple) -> tuple:
+    """All permutations with shape ``t``: words read off linear extensions."""
+    n = tc.nodes(t)
+    return tuple(sorted(w for w in tc.all_perms(n) if pj.tau(w) == t))

@@ -1,4 +1,5 @@
-"""The names the benchmark tracer wraps still exist and keep their shapes.
+"""The names the benchmark tracer wraps still exist and keep their shapes,
+and every name a module of the package exports exists.
 
 ``perfbench/tracer.py`` replaces module attributes of the package with
 wrappers; a renamed or reshaped function would make a traced benchmark run
@@ -9,10 +10,12 @@ module, so nothing is written under ``perfbench/``.
 import importlib
 import inspect
 import pathlib
+import pkgutil
 import runpy
 
 import pytest
 
+import treesym
 from treesym import cli
 from treesym import hopf_modules as hm
 from treesym import trees_core as tc
@@ -46,3 +49,11 @@ def test_map_table_holds_triples():
     for name, entry in cli.MAP_TABLE.items():
         src, dst, fn = entry
         assert src in tc.FAMILIES and dst in tc.FAMILIES and callable(fn), name
+
+
+@pytest.mark.parametrize("module", sorted(
+    info.name for info in pkgutil.iter_modules(treesym.__path__)))
+def test_every_exported_name_resolves(module):
+    owner = importlib.import_module("treesym." + module)
+    missing = [name for name in owner.__all__ if not hasattr(owner, name)]
+    assert not missing, missing

@@ -120,6 +120,17 @@ COMMANDS = (
     # a second-basis product whose degree-8 order the closed form avoids
     + [["op", "mul", "--family", "S", "--basis", "M", "1234", "4321"] + extra
        for extra in ([], ["--json"])]
+    # the bi-leveled order beyond degree 4, and the section on a degree-7
+    # fiber, with the inadmissible mark sets that parsing refuses
+    + [["hasse", "--family", "M", "--n", "5"],
+       ["enumerate", "--family", "M", "--n", "6", "--count"],
+       ["mobius", "--family", "M", "(((((..).).).).);{1,2,3,4,5}",
+        "(((.(..))(..)).);{1,3,4,5}"],
+       ["mobius", "--family", "M", "(((((..).).).).);{1,2,3,4,5}",
+        "(((.(..))(..)).);{1,3,5}"],
+       ["map", "iota", "(((..).)(((..)(..)).));{1,2,3,5,7}"]]
+    + [["map", "iota", x] for x in ("((..).);{1}", "((..)(..));{1,3}",
+                                     "(.(..));{1,2}", "(..);{}")]
 )
 
 

@@ -415,6 +415,6 @@ def test_decomposition_double_count_identity():
             right = Counter()
             for c, s in tc.bileveled_backslash_decompositions(b):
                 for u in pj.beta_fiber(c):
-                    for v in pj.tau_fiber(s):
+                    for v in oracles.tau_fiber(s):
                         right[(u, v)] += 1
             assert left == right

@@ -7,7 +7,8 @@ from treesym import posets as po
 from treesym import projections as pj
 from treesym import trees_core as tc
 
-from oracles import chain_sum, chain_sum_meeting_all_blocks, hall_mobius
+from oracles import (chain_sum, chain_sum_meeting_all_blocks, hall_mobius,
+                     m_covers_by_types)
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +89,14 @@ def test_tamari_extremes():
 # the bi-leveled order and its covers
 
 
-def test_m_order_definition():
-    for n in range(5):
-        for b in tc.all_bileveled(n):
-            for c in tc.all_bileveled(n):
-                expect = po.tamari_leq(b.tree, c.tree) and b.ideal >= c.ideal
-                assert po.m_leq(b, c) == expect
-
-
 def test_m_covers_match_typed_generator():
     for n in range(6):
+        covers = {}
+        for x, c in po.family_poset("M", n).covers():
+            covers.setdefault(x, set()).add(c)
         for b in tc.enumerate_family("M", n):
-            typed = po.m_covers_by_types(b)
-            assert set(typed) == set(po.m_covers(b)), b
+            typed = m_covers_by_types(b)
+            assert set(typed) == covers.get(b, set()), b
             for c, kinds in typed.items():
                 assert len(kinds) == 1, (b, c, kinds)
 
@@ -109,8 +105,9 @@ def test_fiber_extremes_not_order_preserving():
     """Degree-4 witnesses: comparable bi-leveled trees whose
     fiber maxima (respectively minima) are incomparable, so the projection
     from permutations is not a lattice congruence."""
+    m_leq = po.family_poset("M", 4).leq
     b1, b2 = pj.beta((2, 1, 4, 3)), pj.beta((1, 2, 4, 3))
-    assert po.m_leq(b2, b1) and b1 != b2
+    assert m_leq(b2, b1) and b1 != b2
     max1 = max(pj.beta_fiber(b1), key=lambda w: len(po.inversion_set(w)))
     max2 = (1, 3, 4, 2)
     assert max2 in pj.beta_fiber(b2)
@@ -119,7 +116,7 @@ def test_fiber_extremes_not_order_preserving():
     assert not po.weak_leq(max1, max2) and not po.weak_leq(max2, max1)
 
     b3, b4 = pj.beta((3, 2, 4, 1)), pj.beta((2, 3, 4, 1))
-    assert po.m_leq(b4, b3) and b3 != b4
+    assert m_leq(b4, b3) and b3 != b4
     min3 = (3, 1, 4, 2)
     assert min3 in pj.beta_fiber(b3)
     assert all(po.weak_leq(min3, w) for w in pj.beta_fiber(b3))
@@ -139,10 +136,11 @@ def test_type_iii_cover_chain_example():
     assert pj.iota(b) == w_b and pj.iota(c) == w_c
     # it is a cover of the third kind: same tree, one mark dropped
     assert b.tree == c.tree and len(b.ideal - c.ideal) == 1
-    typed = po.m_covers_by_types(b)
+    typed = m_covers_by_types(b)
     assert typed.get(c) == ("iii",)
+    m_leq = po.family_poset("M", 7).leq
     others = [z for z in tc.all_bileveled(7)
-              if po.m_leq(b, z) and po.m_leq(z, c)]
+              if m_leq(b, z) and m_leq(z, c)]
     assert set(others) == {b, c}
     # a connecting chain
     assert po.weak_leq(w_b, w_prime)

@@ -1,7 +1,6 @@
 """Projections between the families, their fibers, and the canonical
 order-preserving section into the permutations."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from treesym import posets as po
@@ -38,7 +37,7 @@ def test_phi_after_beta_is_tau(w):
 
 def test_tau_fiber_three_nodes():
     t = tc.parse_tree("((..)(..))")
-    assert pj.tau_fiber(t) == ((1, 3, 2), (2, 3, 1))
+    assert oracles.tau_fiber(t) == ((1, 3, 2), (2, 3, 1))
     assert pj.min_perm(t) == (1, 3, 2)
     assert pj.max_perm(t) == (2, 3, 1)
 
@@ -46,22 +45,19 @@ def test_tau_fiber_three_nodes():
 def test_tau_fiber_extremes_and_avoidance():
     for n in range(1, 6):
         for t in tc.all_trees(n):
-            fiber = pj.tau_fiber(t)
+            fiber = oracles.tau_fiber(t)
             mn, mx = pj.min_perm(t), pj.max_perm(t)
             assert mn in fiber and mx in fiber
             assert all(po.weak_leq(mn, w) and po.weak_leq(w, mx)
                        for w in fiber)
             # the extremes are the unique avoiders in the fiber
-            assert [w for w in fiber if pj.avoids(w, (2, 3, 1))] == [mn]
-            assert [w for w in fiber if pj.avoids(w, (1, 3, 2))] == [mx]
+            assert [w for w in fiber if oracles.avoids(w, (2, 3, 1))] == [mn]
+            assert [w for w in fiber if oracles.avoids(w, (1, 3, 2))] == [mx]
 
 
 def test_pattern_scans_match_standardizing_every_subsequence():
-    patterns = list(tc.all_perms(3)) + [(2, 4, 1, 3), (3, 1, 4, 2)]
     for n in range(7):
         for w in tc.all_perms(n):
-            for p in patterns:
-                assert pj.avoids(w, p) == oracles.avoids(w, p), (w, p)
             for p in pj.PINNED_PATTERNS:
                 assert pj.avoids_pinned(w, p) \
                     == oracles.avoids_pinned(w, p), (w, p)
@@ -70,7 +66,7 @@ def test_pattern_scans_match_standardizing_every_subsequence():
 
 def test_tau_fibers_partition_permutations():
     for n in range(6):
-        total = sum(len(pj.tau_fiber(t)) for t in tc.all_trees(n))
+        total = sum(len(oracles.tau_fiber(t)) for t in tc.all_trees(n))
         assert total == len(tc.all_perms(n))
 
 
@@ -138,9 +134,8 @@ def test_iota_eleven_letter_display():
 
 def test_iota_is_order_preserving():
     for n in range(6):
-        for b in tc.all_bileveled(n):
-            for c in po.m_covers(b):
-                assert po.weak_leq(pj.iota(b), pj.iota(c))
+        for b, c in po.family_poset("M", n).covers():
+            assert po.weak_leq(pj.iota(b), pj.iota(c))
 
 
 def test_iota_characterized_by_pinned_patterns():
@@ -157,36 +152,20 @@ def test_interval_retract_report():
     assert report["ok"]
 
 
-# ---------------------------------------------------------------------------
-# the factorization along the marked positions
-
-
-@given(perms(6))
-def test_bileveled_factorization_round_trip(w):
-    if not w:
-        with pytest.raises(ValueError):
-            pj.bileveled_factorization(w)
-        return
-    fact = pj.bileveled_factorization(w)
-    assert fact.interleave() == w
-    assert fact.u[0] == w[0]
-    assert len(fact.u) == len(pj.t_set(w))
-    assert min(fact.u) == w[0]
-
-
 def test_beta_max_is_fiber_top():
     for n in range(1, 6):
         for t in tc.all_trees(n):
             top = pj.beta_max(t)
             assert top.tree == t
             fibers = [b for b in tc.all_bileveled(n) if b.tree == t]
-            assert all(po.m_leq(b, top) for b in fibers)
+            assert all(po.family_poset("M", n).leq(b, top) for b in fibers)
             assert pj.iota(top) == pj.max_perm(t)
 
 
 def test_fiber_top_is_the_maximum_over_its_tree():
     for n in range(6):
+        m_leq = po.family_poset("M", n).leq
         for b in tc.all_bileveled(n):
             above = [c for c in tc.all_bileveled(n)
-                     if c.tree == b.tree and po.m_leq(b, c)]
+                     if c.tree == b.tree and m_leq(b, c)]
             assert pj.is_fiber_top(b) == (above == [b])

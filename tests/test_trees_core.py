@@ -2,6 +2,7 @@
 representations of bi-leveled trees."""
 
 from functools import reduce
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -107,10 +108,20 @@ def test_generated_mark_sets_admissible(b):
     # up-closed and containing the leftmost node
     if b.tree:
         assert 1 in b.ideal
-        parent = dict(tc.node_covers(b.tree))
+        parent = dict(oracles.node_covers(b.tree))
         for v in b.ideal:
             if v in parent:
                 assert parent[v] in b.ideal
+
+
+def test_admissibility_matches_node_cover_test():
+    for n in range(8):
+        for t in tc.all_trees(n):
+            for r in range(n + 1):
+                for marks in combinations(range(1, n + 1), r):
+                    ideal = frozenset(marks)
+                    assert tc.is_admissible_ideal(t, ideal) \
+                        == oracles.is_admissible_ideal(t, ideal), (t, ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +197,7 @@ def test_forest_form_round_trip():
         for b in tc.all_bileveled(n):
             t0, forest = tc.forest_form(b)
             assert len(forest) == tc.nodes(t0) + 1 == len(b.ideal)
-            assert tc.ideal_form(t0, forest) == b
+            assert oracles.ideal_form(t0, forest) == b
 
 
 def test_forest_form_single_node():
@@ -201,14 +212,14 @@ def test_ideal_form_nine_node_example():
     t0 = tc.parse_tree("((..)(..))")
     forest = (tc.LEAF, tc.parse_tree("((..).)"), tc.LEAF,
               tc.parse_tree("((..)(..))"))
-    b = tc.ideal_form(t0, forest)
+    b = oracles.ideal_form(t0, forest)
     assert tc.nodes(b.tree) == 9
     assert b.ideal == frozenset({1, 2, 5, 6})
 
 
 def test_ideal_form_arity_validation():
     with pytest.raises(ValueError):
-        tc.ideal_form(tc.LEAF, ())
+        oracles.ideal_form(tc.LEAF, ())
 
 
 # ---------------------------------------------------------------------------
