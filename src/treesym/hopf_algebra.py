@@ -17,14 +17,19 @@ along the family's order.  This module implements:
   :data:`trees_core.FAMILIES`; and the coaction with its single exceptional
   term.
 
-All coefficients are exact integers.
+A vector is a :class:`LinComb`: a family tag, a basis flavor (``"F"`` or
+``"M"``) and a map from elements of that family to coefficients.  A
+:class:`TensorComb` carries one family tag per leg, one flavor, and a map
+from tuples of elements to coefficients.  The tags are checked once per
+combination; the zero keeps its tags.  All coefficients are exact
+integers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from . import posets as po
 from . import projections as pj
@@ -32,7 +37,7 @@ from . import trees_core as tc
 from .trees_core import BiLeveledTree
 
 __all__ = [
-    "BasisKey", "LinComb", "TensorComb",
+    "LinComb", "TensorComb",
     "F", "Mb", "unit", "COPRODUCTS", "M_PRODUCTS",
     "mul_F", "mul_M", "perm_product_M", "tree_product_M",
     "comul_F", "coaction_rho", "split_coaction",
@@ -45,49 +50,30 @@ __all__ = [
 ]
 
 
-class BasisKey(NamedTuple):
-    """One basis vector: a family tag, a basis flavor, and an element."""
-
-    family: str   # "S", "M", or "Y"
-    flavor: str   # "F" or "M"
-    element: object
-
-    def degree(self) -> int:
-        return tc.FAMILIES[self.family].degree(self.element)
-
-    def format(self) -> str:
-        if self.degree() == 0:
-            return "1"
-        return "%s[%s:%s]" % (
-            self.flavor, self.family,
-            tc.FAMILIES[self.family].format(self.element))
-
-
-def _validate_key(key: BasisKey) -> None:
-    if key.family not in tc.FAMILIES:
-        raise ValueError("unknown family %r" % (key.family,))
-    if key.flavor not in ("F", "M"):
-        raise ValueError("unknown flavor %r" % (key.flavor,))
-    if key.family == "M" and not isinstance(key.element, BiLeveledTree):
-        raise ValueError("family M requires a bi-leveled tree")
-
-
 class _Comb:
-    """Shared mechanics of linear and tensor combinations."""
+    """Shared mechanics of linear and tensor combinations: one family tag
+    per tensor leg in ``legs``, one basis ``flavor`` (``"F"`` or ``"M"``)
+    for all legs, and the terms with their nonzero integer coefficients."""
 
-    def __init__(self, terms: Mapping):
-        cleaned = {k: c for k, c in terms.items() if c}
-        self._check(cleaned)
-        self.terms = cleaned
-
-    def _check(self, terms) -> None:
-        raise NotImplementedError
+    def __init__(self, legs: tuple, flavor: str, terms: Mapping):
+        if flavor not in ("F", "M"):
+            raise ValueError("unknown flavor %r" % (flavor,))
+        self.legs, self.flavor = legs, flavor
+        self.terms = {k: c for k, c in terms.items() if c}
+        for i, family in enumerate(legs):
+            if family not in tc.FAMILIES:
+                raise ValueError("unknown family %r" % (family,))
+            if family == "M" and not all(
+                    isinstance(self._legs(k)[i], BiLeveledTree)
+                    for k in self.terms):
+                raise ValueError("family M requires a bi-leveled tree")
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.terms == other.terms
+        return type(self) is type(other) and self.legs == other.legs \
+            and self.flavor == other.flavor and self.terms == other.terms
 
     def __hash__(self):
-        return hash((type(self).__name__, frozenset(self.terms.items())))
+        return hash((self.legs, self.flavor, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -95,13 +81,15 @@ class _Comb:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        if (other.legs, other.flavor) != (self.legs, self.flavor):
+            raise ValueError("mixed families or flavors in one combination")
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return type(self)(out)
+        return self._like(out)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -109,7 +97,7 @@ class _Comb:
         return self + (-other)
 
     def scale(self, c: int):
-        return type(self)({k: c * v for k, v in self.terms.items()})
+        return self._like({k: c * v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, int):
@@ -120,78 +108,59 @@ class _Comb:
         return format_lincomb(self)
 
     def leg_items(self) -> list:
-        """The terms as ``(tuple of basis keys, coefficient)`` pairs, one
-        key per tensor leg."""
+        """The terms as ``(tuple of elements, coefficient)`` pairs, one
+        element per tensor leg."""
         legs = self._legs
         return [(legs(k), c) for k, c in self.terms.items()]
 
 
 class LinComb(_Comb):
-    """Integer combination of basis vectors sharing one family and flavor."""
+    """Integer combination of the basis vectors of one family in one
+    flavor: ``terms`` maps elements of ``family`` to coefficients."""
 
-    @staticmethod
-    def _legs(key: BasisKey) -> tuple:
-        return (key,)
+    def __init__(self, family: str, flavor: str, terms: Mapping):
+        self.family = family
+        super().__init__((family,), flavor, terms)
 
-    def _check(self, terms) -> None:
-        tags = set()
-        for key in terms:
-            _validate_key(key)
-            tags.add((key.family, key.flavor))
-        if len(tags) > 1:
-            raise ValueError("mixed families or flavors in one combination")
+    _legs = staticmethod(lambda element: (element,))
 
-    def signature(self):
-        """The shared ``(family, flavor)`` pair, or ``None`` when zero."""
-        for key in self.terms:
-            return (key.family, key.flavor)
-        return None
+    def _like(self, terms) -> "LinComb":
+        return LinComb(self.family, self.flavor, terms)
 
-    def map_keys(self, fn: Callable[[BasisKey], BasisKey]) -> "LinComb":
+    def map_elements(self, family: str, fn: Callable) -> "LinComb":
+        """The image under ``fn``, which sends elements of this family to
+        elements of ``family``, extended linearly."""
         out: dict = {}
-        for key, c in self.terms.items():
-            new = fn(key)
-            out[new] = out.get(new, 0) + c
-        return LinComb(out)
+        for x, c in self.terms.items():
+            y = fn(x)
+            out[y] = out.get(y, 0) + c
+        return LinComb(family, self.flavor, out)
 
 
 class TensorComb(_Comb):
-    """Integer combination of tensors of basis vectors.
-
-    Every term is a tuple of :class:`BasisKey`; all terms share an arity,
-    all legs share one flavor, and within each tensor position all terms
-    share one family (the families of different legs may differ).
-    """
+    """Integer combination of tensors of basis vectors in one flavor:
+    ``terms`` maps tuples of elements, one per leg, to coefficients, and
+    ``legs`` holds the family of each tensor position."""
 
     _legs = staticmethod(tuple)
 
-    def _check(self, terms) -> None:
-        shapes = set()
-        for keys in terms:
-            for key in keys:
-                _validate_key(key)
-            shapes.add(tuple((k.family, k.flavor) for k in keys))
-        if len(shapes) > 1:
-            raise ValueError("mixed tensor shapes in one combination")
-        if shapes:
-            (shape,) = shapes
-            if len({flavor for _, flavor in shape}) > 1:
-                raise ValueError("tensor legs must share one flavor")
+    def _like(self, terms) -> "TensorComb":
+        return TensorComb(self.legs, self.flavor, terms)
 
 
 def F(family: str, element) -> LinComb:
     """The fundamental basis vector of ``element``."""
-    return LinComb({BasisKey(family, "F", element): 1})
+    return LinComb(family, "F", {element: 1})
 
 
 def Mb(family: str, element) -> LinComb:
     """The Mobius-inverted basis vector of ``element``."""
-    return LinComb({BasisKey(family, "M", element): 1})
+    return LinComb(family, "M", {element: 1})
 
 
 def unit(family: str, flavor: str = "F") -> LinComb:
     """The degree-0 basis vector (both flavors agree there)."""
-    return LinComb({BasisKey(family, flavor, tc.FAMILIES[family].empty): 1})
+    return LinComb(family, flavor, {tc.FAMILIES[family].empty: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +169,17 @@ def unit(family: str, flavor: str = "F") -> LinComb:
 
 def _formatted_terms(a: LinComb) -> list:
     """``(text, coefficient)`` per term of a linear or tensor combination,
-    legs joined by ``(x)``, ordered by the text encodings of the elements."""
+    legs joined by ``(x)``, ordered by the text encodings of the elements;
+    a degree-0 element reads ``1``."""
+    def text(family: str, x) -> str:
+        if tc.FAMILIES[family].degree(x) == 0:
+            return "1"
+        return "%s[%s:%s]" % (a.flavor, family, tc.FAMILIES[family].format(x))
+
     items = sorted(a.leg_items(), key=lambda entry: tuple(
-        tc.FAMILIES[k.family].format(k.element) for k in entry[0]))
-    return [(" (x) ".join(k.format() for k in keys), c) for keys, c in items]
+        tc.FAMILIES[f].format(x) for f, x in zip(a.legs, entry[0])))
+    return [(" (x) ".join(text(f, x) for f, x in zip(a.legs, keys)), c)
+            for keys, c in items]
 
 
 def _join(parts) -> str:
@@ -236,44 +212,33 @@ format_tensor = format_lincomb
 
 
 def _require(a: LinComb, flavor: str, families=("S", "M", "Y")) -> None:
-    sig = a.signature()
-    if sig is None:
-        return
-    family, flav = sig
-    if flav != flavor:
-        raise ValueError("expected flavor %s, got %s" % (flavor, flav))
-    if family not in families:
-        raise ValueError("family %s not supported here" % family)
+    if a.flavor != flavor:
+        raise ValueError("expected flavor %s, got %s" % (flavor, a.flavor))
+    if a.family not in families:
+        raise ValueError("family %s not supported here" % a.family)
 
 
-def _factor_family(a: LinComb, b: LinComb, flavor: str):
-    """The family of two factors of one flavor, or ``None`` when either is
-    zero."""
+def _factor_family(a: LinComb, b: LinComb, flavor: str) -> str:
+    """The family of two factors of one flavor."""
     _require(a, flavor)
     _require(b, flavor)
-    siga, sigb = a.signature(), b.signature()
-    if siga is None or sigb is None:
-        return None
-    if siga[0] != sigb[0]:
+    if a.family != b.family:
         raise ValueError("cannot multiply across families")
-    return siga[0]
+    return a.family
 
 
 def mul_F(a: LinComb, b: LinComb) -> LinComb:
     """Product in the fundamental basis: split the left factor into as many
     pieces as the right factor has leaves and graft."""
     family = _factor_family(a, b, "F")
-    if family is None:
-        return LinComb({})
+    degree = tc.FAMILIES[family].degree
     out: dict = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            m = kb.degree()
-            for forest in tc.splittings(family, ka.element, m):
-                key = BasisKey(family, "F",
-                               tc.graft(family, forest, kb.element))
-                out[key] = out.get(key, 0) + ca * cb
-    return LinComb(out)
+    for x, ca in a.terms.items():
+        for y, cb in b.terms.items():
+            for forest in tc.splittings(family, x, degree(y)):
+                z = tc.graft(family, forest, y)
+                out[z] = out.get(z, 0) + ca * cb
+    return LinComb(family, "F", out)
 
 
 COPRODUCTS = {
@@ -289,18 +254,14 @@ def comul_F(a: LinComb) -> TensorComb:
     """Coproduct on the families of :data:`COPRODUCTS`: all two-part
     splittings, each part made a genuine element."""
     _require(a, "F", families=COPRODUCTS)
-    sig = a.signature()
-    if sig is None:
-        return TensorComb({})
-    family = sig[0]
+    family = a.family
     element = COPRODUCTS[family]
     out: dict = {}
-    for key, c in a.terms.items():
-        for left, right in tc.splittings(family, key.element, 1):
-            keys = (BasisKey(family, "F", element(left)),
-                    BasisKey(family, "F", element(right)))
+    for x, c in a.terms.items():
+        for left, right in tc.splittings(family, x, 1):
+            keys = (element(left), element(right))
             out[keys] = out.get(keys, 0) + c
-    return TensorComb(out)
+    return TensorComb((family, family), "F", out)
 
 
 def coaction_rho(a: LinComb) -> TensorComb:
@@ -314,14 +275,11 @@ def split_coaction(a: LinComb, split: Callable) -> TensorComb:
     of one bi-leveled tree."""
     _require(a, "F", families=("M",))
     out: dict = {}
-    for key, c in a.terms.items():
-        for (t0, m0), (t1, _m1) in split(key.element):
-            keys = (
-                BasisKey("M", "F", BiLeveledTree(t0, m0)),
-                BasisKey("Y", "F", t1),
-            )
+    for x, c in a.terms.items():
+        for (t0, m0), (t1, _m1) in split(x):
+            keys = (BiLeveledTree(t0, m0), t1)
             out[keys] = out.get(keys, 0) + c
-    return TensorComb(out)
+    return TensorComb(("M", "Y"), "F", out)
 
 
 def ssym_comodule_on_msym(a: LinComb) -> TensorComb:
@@ -329,15 +287,12 @@ def ssym_comodule_on_msym(a: LinComb) -> TensorComb:
     distinguished fiber representative and push the first part back down."""
     _require(a, "F", families=("M",))
     out: dict = {}
-    for key, c in a.terms.items():
-        w = pj.iota(key.element)
+    for x, c in a.terms.items():
+        w = pj.iota(x)
         for left, right in tc.perm_splittings(w, 1):
-            keys = (
-                BasisKey("M", "F", pj.beta(tc.standardize(left))),
-                BasisKey("S", "F", tc.standardize(right)),
-            )
+            keys = (pj.beta(tc.standardize(left)), tc.standardize(right))
             out[keys] = out.get(keys, 0) + c
-    return TensorComb(out)
+    return TensorComb(("M", "S"), "F", out)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +301,17 @@ def ssym_comodule_on_msym(a: LinComb) -> TensorComb:
 
 def lin_tau(a: LinComb) -> LinComb:
     _require(a, "F", families=("S",))
-    return a.map_keys(lambda k: BasisKey("Y", "F", pj.tau(k.element)))
+    return a.map_elements("Y", pj.tau)
 
 
 def lin_beta(a: LinComb) -> LinComb:
     _require(a, "F", families=("S",))
-    return a.map_keys(lambda k: BasisKey("M", "F", pj.beta(k.element)))
+    return a.map_elements("M", pj.beta)
 
 
 def lin_phi(a: LinComb) -> LinComb:
     _require(a, "F", families=("M",))
-    return a.map_keys(lambda k: BasisKey("Y", "F", pj.phi(k.element)))
+    return a.map_elements("Y", pj.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -367,35 +322,31 @@ def to_M(a: LinComb) -> LinComb:
     """Rewrite a fundamental-basis combination in the second basis, using
     F_x = sum of M_y over y at least x."""
     _require(a, "F")
-    sig = a.signature()
-    if sig is None:
-        return LinComb({})
-    family = sig[0]
+    family = a.family
+    degree = tc.FAMILIES[family].degree
     sums: dict = {}  # poset -> {index: coefficient}
-    for key, c in a.terms.items():
-        poset = po.family_poset(family, key.degree())
+    for x, c in a.terms.items():
+        poset = po.family_poset(family, degree(x))
         acc = sums.setdefault(poset, {})
-        for j in po._bits(poset.up[poset.index[key.element]]):
+        for j in po._bits(poset.up[poset.index[x]]):
             acc[j] = acc.get(j, 0) + c
-    return LinComb({BasisKey(family, "M", poset.elements[j]): c
-                    for poset, acc in sums.items()
-                    for j, c in acc.items() if c})
+    return LinComb(family, "M", {poset.elements[j]: c
+                                 for poset, acc in sums.items()
+                                 for j, c in acc.items()})
 
 
 def to_F(a: LinComb) -> LinComb:
     """Inverse basis change: M_x = sum of mu(x, y) F_y over y at least x."""
     _require(a, "M")
-    sig = a.signature()
-    if sig is None:
-        return LinComb({})
-    family = sig[0]
+    family = a.family
+    degree = tc.FAMILIES[family].degree
     out: dict = {}
-    for key, c in a.terms.items():
-        poset = po.family_poset(family, key.degree())
-        for j, mu in poset.mobius_row(poset.index[key.element]).items():
-            new = BasisKey(family, "F", poset.elements[j])
-            out[new] = out.get(new, 0) + c * mu
-    return LinComb(out)
+    for x, c in a.terms.items():
+        poset = po.family_poset(family, degree(x))
+        for j, mu in poset.mobius_row(poset.index[x]).items():
+            y = poset.elements[j]
+            out[y] = out.get(y, 0) + c * mu
+    return LinComb(family, "F", out)
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +420,15 @@ def mul_M(a: LinComb, b: LinComb) -> LinComb:
     """Product in the second basis: term by term from :data:`M_PRODUCTS`,
     or else through the fundamental basis."""
     family = _factor_family(a, b, "M")
-    if family is None:
-        return LinComb({})
     product = M_PRODUCTS.get(family)
     if product is None:
         return to_M(mul_F(to_F(a), to_F(b)))
     out: dict = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            for x, c in product(ka.element, kb.element).items():
-                key = BasisKey(family, "M", x)
-                out[key] = out.get(key, 0) + ca * cb * c
-    return LinComb(out)
+    for x, ca in a.terms.items():
+        for y, cb in b.terms.items():
+            for z, c in product(x, y).items():
+                out[z] = out.get(z, 0) + ca * cb * c
+    return LinComb(family, "M", out)
 
 
 def comul_M_closed(family: str, element) -> TensorComb:
@@ -489,10 +437,9 @@ def comul_M_closed(family: str, element) -> TensorComb:
     if family not in COPRODUCTS:
         raise ValueError("no coproduct on family %s" % family)
     out: dict = {}
-    for u, v in tc.FAMILIES[family].decompose(element):
-        keys = (BasisKey(family, "M", u), BasisKey(family, "M", v))
+    for keys in tc.FAMILIES[family].decompose(element):
         out[keys] = out.get(keys, 0) + 1
-    return TensorComb(out)
+    return TensorComb((family, family), "M", out)
 
 
 def rho_M_closed(b: BiLeveledTree) -> TensorComb:
@@ -500,16 +447,12 @@ def rho_M_closed(b: BiLeveledTree) -> TensorComb:
     decompositions, plus one extra term with an empty first factor exactly
     when ``b`` is the top of its projection fiber."""
     out: dict = {}
-    for c, s in tc.bileveled_backslash_decompositions(b):
-        keys = (BasisKey("M", "M", c), BasisKey("Y", "M", s))
+    for keys in tc.bileveled_backslash_decompositions(b):
         out[keys] = out.get(keys, 0) + 1
     if pj.is_fiber_top(b):
-        keys = (
-            BasisKey("M", "M", tc.FAMILIES["M"].empty),
-            BasisKey("Y", "M", b.tree),
-        )
+        keys = (tc.FAMILIES["M"].empty, b.tree)
         out[keys] = out.get(keys, 0) + 1
-    return TensorComb(out)
+    return TensorComb(("M", "Y"), "M", out)
 
 
 # ---------------------------------------------------------------------------
@@ -529,31 +472,41 @@ def _expand(out: dict, c: int, images) -> None:
 
 
 def tensor_of(*factors: LinComb) -> TensorComb:
-    """Outer product of linear combinations."""
+    """Outer product of linear or tensor combinations of one flavor."""
+    flavors = {a.flavor for a in factors}
+    if len(flavors) > 1:
+        raise ValueError("tensor legs must share one flavor")
     out: dict = {}
     _expand(out, 1, factors)
-    return TensorComb(out)
+    legs = tuple(family for a in factors for family in a.legs)
+    return TensorComb(legs, flavors.pop(), out)
 
 
 def tensor_apply(t: TensorComb, *leg_maps) -> TensorComb:
-    """Apply one linear map per tensor leg and expand multilinearly."""
+    """Apply one linear map per tensor leg and expand multilinearly; the
+    legs of the result are those of the maps' images of zero."""
+    if len(t.legs) != len(leg_maps):
+        raise ValueError("arity mismatch")
     out: dict = {}
     for keys, c in t.terms.items():
-        if len(keys) != len(leg_maps):
-            raise ValueError("arity mismatch")
         _expand(out, c, [
-            fn(LinComb({key: 1})) for fn, key in zip(leg_maps, keys)])
-    return TensorComb(out)
+            fn(LinComb(family, t.flavor, {x: 1}))
+            for fn, family, x in zip(leg_maps, t.legs, keys)])
+    return tensor_of(*[fn(LinComb(family, t.flavor, {}))
+                       for fn, family in zip(leg_maps, t.legs)])._like(out)
 
 
 def tensor_mul(t1: TensorComb, t2: TensorComb, *leg_muls) -> TensorComb:
-    """Multiply two tensor combinations leg by leg with the given products."""
+    """Multiply two tensor combinations leg by leg with the given products;
+    each leg of the result has the family of its left factor."""
+    if not (len(t1.legs) == len(t2.legs) == len(leg_muls)):
+        raise ValueError("arity mismatch")
     out: dict = {}
     for keys1, c1 in t1.terms.items():
         for keys2, c2 in t2.terms.items():
-            if not (len(keys1) == len(keys2) == len(leg_muls)):
-                raise ValueError("arity mismatch")
             _expand(out, c1 * c2, [
-                mul(LinComb({k1: 1}), LinComb({k2: 1}))
-                for mul, k1, k2 in zip(leg_muls, keys1, keys2)])
-    return TensorComb(out)
+                mul(LinComb(f1, t1.flavor, {x1: 1}),
+                    LinComb(f2, t2.flavor, {x2: 1}))
+                for mul, f1, f2, x1, x2
+                in zip(leg_muls, t1.legs, t2.legs, keys1, keys2)])
+    return TensorComb(t1.legs, t1.flavor, out)

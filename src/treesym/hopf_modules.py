@@ -28,7 +28,7 @@ from functools import lru_cache
 from . import hopf_algebra as ha
 from . import projections as pj
 from . import trees_core as tc
-from .hopf_algebra import BasisKey, LinComb, TensorComb, F, Mb
+from .hopf_algebra import LinComb, TensorComb, F, Mb
 from .trees_core import BiLeveledTree
 
 __all__ = [
@@ -58,18 +58,18 @@ def plus_action(a: LinComb, h: LinComb) -> LinComb:
     ha._require(a, "F", families=("M",))
     ha._require(h, "F", families=("Y",))
     out: dict = {}
-    for ka, ca in a.terms.items():
-        if not ka.element.tree:
+    for b, ca in a.terms.items():
+        if not b.tree:
             raise ValueError("the action is defined on positive degrees only")
-        for kh, ch in h.terms.items():
-            m = tc.nodes(kh.element)
+        for t, ch in h.terms.items():
+            m = tc.nodes(t)
             # the first part of each forest is nonempty, so the grafted
             # marks never read the base's own (here empty) marks
-            base = BiLeveledTree(kh.element, frozenset())
-            for forest in tc.restricted_splittings(ka.element, m):
-                key = BasisKey("M", "F", tc.graft_bileveled(forest, base))
-                out[key] = out.get(key, 0) + ca * ch
-    return LinComb(out)
+            base = BiLeveledTree(t, frozenset())
+            for forest in tc.restricted_splittings(b, m):
+                c = tc.graft_bileveled(forest, base)
+                out[c] = out.get(c, 0) + ca * ch
+    return LinComb("M", "F", out)
 
 
 def plus_coaction(a: LinComb) -> TensorComb:
@@ -85,8 +85,9 @@ def plus_coaction_M_closed(b: BiLeveledTree) -> TensorComb:
     without its exceptional term (the one with an empty first factor)."""
     if not b.tree:
         raise ValueError("the coaction is defined on positive degrees only")
-    return TensorComb({keys: c for keys, c in ha.rho_M_closed(b).terms.items()
-                       if keys[0].element.tree})
+    return TensorComb(("M", "Y"), "M", {
+        keys: c for keys, c in ha.rho_M_closed(b).terms.items()
+        if keys[0].tree})
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +165,18 @@ def msym_action_M(bp: BiLeveledTree, t: tuple, s: tuple) -> LinComb:
     tree-family second-basis product along the extended backslash."""
     out: dict = {}
     for r, c in ha.tree_product_M(t, s).items():
-        key = BasisKey("M", "M", bbslash(bp, r))
-        out[key] = out.get(key, 0) + c
-    return LinComb(out)
+        b = bbslash(bp, r)
+        out[b] = out.get(b, 0) + c
+    return LinComb("M", "M", out)
 
 
 def msym_coaction_M(bp: BiLeveledTree, t: tuple) -> TensorComb:
     """Coaction on a second-basis vector keyed by ``(bp, t)``."""
     out: dict = {}
     for r, s in tc.tree_backslash_decompositions(t):
-        keys = (BasisKey("M", "M", bbslash(bp, r)), BasisKey("Y", "M", s))
+        keys = (bbslash(bp, r), s)
         out[keys] = out.get(keys, 0) + 1
-    return TensorComb(out)
+    return TensorComb(("M", "Y"), "M", out)
 
 
 def msym_action_F(a: LinComb, h: LinComb) -> LinComb:
@@ -183,13 +184,13 @@ def msym_action_F(a: LinComb, h: LinComb) -> LinComb:
     in the second basis, act termwise, and convert back."""
     ha._require(a, "F", families=("M",))
     ha._require(h, "F", families=("Y",))
-    out = LinComb({})
-    for ka, ca in ha.to_M(a).terms.items():
-        bp, t = bbslash_decompose(ka.element)
-        for kh, ch in ha.to_M(h).terms.items():
-            img = ha.to_F(msym_action_M(bp, t, kh.element))
-            out = out + (ca * ch) * img
-    return out
+    out: dict = {}
+    for x, ca in ha.to_M(a).terms.items():
+        bp, t = bbslash_decompose(x)
+        for s, ch in ha.to_M(h).terms.items():
+            for y, c in ha.to_F(msym_action_M(bp, t, s)).terms.items():
+                out[y] = out.get(y, 0) + ca * ch * c
+    return LinComb("M", "F", out)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +284,8 @@ def coinvariant_kernel(n: int, restricted: bool) -> list:
     for j, b in enumerate(basis):
         image = plus_coaction(F("M", b)) if restricted \
             else ha.coaction_rho(F("M", b))
-        for (kb, ky), c in image.terms.items():
-            row = rows.setdefault((kb.element, ky.element), {})
+        for keys, c in image.terms.items():
+            row = rows.setdefault(keys, {})
             row[j] = row.get(j, 0) + c
         # subtract x (x) 1
         row = rows.setdefault((b, tc.LEAF), {})
@@ -303,8 +304,8 @@ def coinvariant_kernel(n: int, restricted: bool) -> list:
         for p in pivots_by_free.get(f, ()):
             vec[p] = Fraction(-pivots[p][f], pivots[p][p])
         denom = math.lcm(*(v.denominator for v in vec.values()))
-        out.append(LinComb({BasisKey("M", "F", basis[i]): int(vec[i] * denom)
-                            for i in sorted(vec)}))
+        out.append(LinComb("M", "F", {basis[i]: int(vec[i] * denom)
+                                      for i in sorted(vec)}))
     return out
 
 

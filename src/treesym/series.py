@@ -51,22 +51,18 @@ class TruncatedSeries:
     def one(order: int) -> "TruncatedSeries":
         return TruncatedSeries((1,) + (0,) * order)
 
-    def _match(self, other: "TruncatedSeries") -> int:
-        order = min(self.order, other.order)
-        return order
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = self._match(other)
+        order = min(self.order, other.order)
         return TruncatedSeries(tuple(
             self.coeffs[n] + other.coeffs[n] for n in range(order + 1)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = self._match(other)
+        order = min(self.order, other.order)
         return TruncatedSeries(tuple(
             self.coeffs[n] - other.coeffs[n] for n in range(order + 1)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = self._match(other)
+        order = min(self.order, other.order)
         out = [0] * (order + 1)
         for i, a in enumerate(self.coeffs[:order + 1]):
             if not a:
@@ -78,7 +74,7 @@ class TruncatedSeries:
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if other.coeffs[0] == 0:
             raise ZeroDivisionError("division by a series with no constant term")
-        order = self._match(other)
+        order = min(self.order, other.order)
         c0 = other.coeffs[0]
         out = []
         for n in range(order + 1):
@@ -93,7 +89,7 @@ class TruncatedSeries:
         """Substitute ``inner`` (no constant term) into this series."""
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs a zero constant term")
-        order = self._match(inner)
+        order = min(self.order, inner.order)
         result = TruncatedSeries((0,) * (order + 1))
         power = TruncatedSeries.one(order)
         trimmed = TruncatedSeries(inner.coeffs[:order + 1])

@@ -26,7 +26,7 @@ from treesym import hopf_algebra as ha
 from treesym import posets as po
 from treesym import projections as pj
 from treesym import trees_core as tc
-from treesym.hopf_algebra import BasisKey, LinComb, F
+from treesym.hopf_algebra import LinComb, F
 from treesym.hopf_modules import plus_coaction
 
 
@@ -115,13 +115,12 @@ def sympy_coinvariant_kernel(n: int, restricted: bool) -> list:
     if restricted and n == 0:
         return []
     index = {b: i for i, b in enumerate(basis)}
-    unit_y = BasisKey("Y", "F", tc.LEAF)
     rows: dict = {}
     for j, b in enumerate(basis):
         image = plus_coaction(F("M", b)) if restricted \
             else ha.coaction_rho(F("M", b))
-        for (kb, ky), c in image.terms.items():
-            rows.setdefault((kb.element, ky.element), [0] * len(basis))[j] += c
+        for keys, c in image.terms.items():
+            rows.setdefault(keys, [0] * len(basis))[j] += c
         # subtract x (x) 1
         rows.setdefault((b, ()), [0] * len(basis))[j] -= 1
     mat = Matrix([row for row in rows.values() if any(row)])
@@ -134,9 +133,8 @@ def sympy_coinvariant_kernel(n: int, restricted: bool) -> list:
     for vec in kernel:
         denom = lcm([e.q for e in vec])
         ints = [int(e * denom) for e in vec]
-        out.append(LinComb({
-            BasisKey("M", "F", basis[i]): v
-            for i, v in enumerate(ints) if v}))
+        out.append(LinComb("M", "F", {
+            basis[i]: v for i, v in enumerate(ints) if v}))
     return out
 
 
@@ -186,21 +184,18 @@ def b_decompose(c):
 def to_M(a):
     """Rewrite a fundamental-basis combination in the second basis, using
     F_x = sum of M_y over y at least x, one key per up-set bit."""
-    sig = a.signature()
-    if sig is None:
-        return LinComb({})
-    family = sig[0]
+    family = a.family
     out: dict = {}
-    for key, c in a.terms.items():
-        poset = po.family_poset(family, key.degree())
-        i = poset.index[key.element]
+    for x, c in a.terms.items():
+        poset = po.family_poset(family, tc.FAMILIES[family].degree(x))
+        i = poset.index[x]
         mask = poset.up[i]
         while mask:
             j = (mask & -mask).bit_length() - 1
-            new = BasisKey(family, "M", poset.elements[j])
-            out[new] = out.get(new, 0) + c
+            y = poset.elements[j]
+            out[y] = out.get(y, 0) + c
             mask &= mask - 1
-    return LinComb(out)
+    return LinComb(family, "M", out)
 
 
 def mul_M(a, b):

@@ -1,5 +1,6 @@
 """The names the benchmark tracer wraps still exist and keep their shapes,
-and every name a module of the package exports exists.
+the results it counts keep theirs, and every name a module of the package
+exports exists.
 
 ``perfbench/tracer.py`` replaces module attributes of the package with
 wrappers; a renamed or reshaped function would make a traced benchmark run
@@ -17,6 +18,7 @@ import pytest
 
 import treesym
 from treesym import cli
+from treesym import hopf_algebra as ha
 from treesym import hopf_modules as hm
 from treesym import trees_core as tc
 
@@ -43,6 +45,33 @@ def test_splitting_shapes():
 def test_kernel_takes_the_degree_first():
     assert next(iter(inspect.signature(hm.coinvariant_kernel).parameters)) \
         == "n"
+
+
+def _rho():
+    return ha.coaction_rho(ha.F("M", tc.parse_bileveled("((..).);{1,2}")))
+
+
+# one call of each wrapped ``hopf_algebra`` function
+TRACED_CALLS = {
+    "mul_F": lambda: ha.mul_F(ha.F("S", (2, 1)), ha.F("S", (1,))),
+    "to_M": lambda: ha.to_M(ha.F("S", (2, 1))),
+    "to_F": lambda: ha.to_F(ha.Mb("S", (2, 1))),
+    "tensor_mul": lambda: ha.tensor_mul(_rho(), _rho(), ha.mul_F, ha.mul_F),
+    "coaction_rho": _rho,
+}
+
+
+def test_traced_results_keep_their_shapes():
+    """The tracer adds up ``len(result.terms)`` over the wrapped
+    ``hopf_algebra`` functions and ``len(kernel)`` over the kernel solves."""
+    wrapped = {attr for module, attr in TRACER["SPANS"].values()
+               if module == "hopf_algebra"}
+    assert wrapped == set(TRACED_CALLS)
+    for name, call in TRACED_CALLS.items():
+        result = call()
+        assert type(result.terms) is dict and result.terms, name
+    kernel = hm.coinvariant_kernel(3, restricted=True)
+    assert type(kernel) is list and kernel
 
 
 def test_map_table_holds_triples():
