@@ -144,6 +144,11 @@ class TensorComb(_Comb):
 
     _legs = staticmethod(tuple)
 
+    def __init__(self, legs: tuple, flavor: str, terms: Mapping):
+        if any(len(keys) != len(legs) for keys in terms):
+            raise ValueError("a tensor term needs one element per leg")
+        super().__init__(legs, flavor, terms)
+
     def _like(self, terms) -> "TensorComb":
         return TensorComb(self.legs, self.flavor, terms)
 

@@ -101,12 +101,14 @@ def test_product_rejects_mixed_families():
 def test_tags_keep_families_and_bases_apart():
     """The family and the basis belong to a combination, zero included:
     the empty permutation and the empty tree stay apart, and mixed,
-    unknown or ill-typed tags are refused."""
+    unknown or ill-typed tags and tensor terms of the wrong arity are
+    refused."""
     assert F("S", ()) != F("Y", ())
     assert LinComb("S", "F", {}) != LinComb("Y", "F", {})
     assert LinComb("S", "F", {}) != LinComb("S", "M", {})
     assert TensorComb(("M", "Y"), "F", {}) != TensorComb(("M", "S"), "F", {})
     tree = tc.parse_tree("(..)")
+    b = tc.parse_bileveled("(..);{1}")
     for build in [
         lambda: F("S", ()) + F("Y", ()),
         lambda: F("S", (1,)) + Mb("S", (1,)),
@@ -114,6 +116,8 @@ def test_tags_keep_families_and_bases_apart():
         lambda: LinComb("S", "G", {(1,): 1}),
         lambda: LinComb("M", "F", {tree: 1}),
         lambda: TensorComb(("M", "Y"), "F", {(tree, tc.LEAF): 1}),
+        lambda: TensorComb(("M", "Y"), "F", {(b, tc.LEAF): 1, (b,): 1}),
+        lambda: TensorComb(("M", "Y"), "F", {(b, tc.LEAF, tc.LEAF): 1}),
         lambda: ha.mul_F(F("S", (1,)), F("Y", tree)),
         lambda: ha.mul_F(F("S", (1,)), LinComb("Y", "F", {})),
         lambda: ha.to_F(LinComb("S", "F", {})),

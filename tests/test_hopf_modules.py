@@ -342,6 +342,21 @@ def test_series_quotient_counts_script_s_prime():
 # each verification report can fail
 
 
+FLIPPED = tc.parse_bileveled("((..)(..));{1,2}")
+
+
+def flip_one_coefficient(coaction):
+    """``coaction`` with one coefficient of its image of ``F_FLIPPED``
+    negated, extended linearly."""
+    key, c = next(iter(coaction(F("M", FLIPPED)).terms.items()))
+
+    def flipped(a):
+        image = coaction(a)
+        return image + TensorComb(
+            image.legs, "F", {key: -2 * c * a.terms.get(FLIPPED, 0)})
+    return flipped
+
+
 def assert_report_and_suite_fail(capsys, report, suite):
     assert not report["ok"] and report["violations"]
     code = cli.run(["verify", "--suite", suite, "--n", "3"])
@@ -372,6 +387,21 @@ def test_bbslash_report_catches_an_extra_coaction_term(monkeypatch, capsys):
         capsys, hm.bbslash_verify(3), "hopf-module-bbslash")
 
 
+def test_bbslash_report_catches_a_doubled_action(monkeypatch, capsys):
+    action = hm.msym_action_M
+    monkeypatch.setattr(hm, "msym_action_M", lambda *key: 2 * action(*key))
+    assert_report_and_suite_fail(
+        capsys, hm.bbslash_verify(3), "hopf-module-bbslash")
+
+
+def test_bbslash_report_catches_a_flipped_coaction_coefficient(
+        monkeypatch, capsys):
+    monkeypatch.setattr(
+        ha, "coaction_rho", flip_one_coefficient(ha.coaction_rho))
+    assert_report_and_suite_fail(
+        capsys, hm.bbslash_verify(3), "hopf-module-bbslash")
+
+
 def test_coinvariants_report_catches_a_short_index_set(monkeypatch, capsys):
     basis = hm.b_basis
     monkeypatch.setattr(hm, "b_basis", lambda n: basis(n)[:-1])
@@ -386,25 +416,12 @@ def test_kappa_report_catches_a_wrong_inverse(monkeypatch, capsys):
     assert_report_and_suite_fail(capsys, hm.kappa_verify(3), "kappa")
 
 
-FLIPPED = tc.parse_bileveled("((..)(..));{1,2}")
-
-
 @pytest.mark.parametrize("module,name,label", [
     (hm, "plus_coaction", "restricted"), (ha, "coaction_rho", "full")])
 def test_coinvariants_report_catches_a_flipped_coefficient(
         monkeypatch, capsys, module, name, label):
-    coaction = getattr(module, name)
-
-    def flip_one(a):
-        image = coaction(a)
-        if a != F("M", FLIPPED):
-            return image
-        terms = dict(image.terms)
-        key = next(iter(terms))
-        terms[key] = -terms[key]
-        return TensorComb(image.legs, image.flavor, terms)
-
-    monkeypatch.setattr(module, name, flip_one)
+    monkeypatch.setattr(
+        module, name, flip_one_coefficient(getattr(module, name)))
     failing = [report for report in map(hm.coinvariants_verify, range(1, 5))
                if not report["ok"]]
     assert failing and failing[0]["violations"] == [(label, 3)]
