@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import hopf_algebra as ha
 from . import hopf_modules as hm
@@ -246,7 +247,10 @@ def _cmd_hasse(args, parser) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first :func:`run` and
+    reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="treesym",
         description="Exact combinatorics of permutations, bi-leveled trees, "

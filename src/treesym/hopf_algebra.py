@@ -487,16 +487,22 @@ def tensor_of(*factors: LinComb) -> TensorComb:
     return TensorComb(legs, flavors.pop(), out)
 
 
+def _one_term_legs(t: TensorComb) -> list:
+    """The terms of ``t`` as ``(one-term combination per leg,
+    coefficient)`` pairs."""
+    return [([LinComb(family, t.flavor, {x: 1})
+              for family, x in zip(t.legs, keys)], c)
+            for keys, c in t.terms.items()]
+
+
 def tensor_apply(t: TensorComb, *leg_maps) -> TensorComb:
     """Apply one linear map per tensor leg and expand multilinearly; the
     legs of the result are those of the maps' images of zero."""
     if len(t.legs) != len(leg_maps):
         raise ValueError("arity mismatch")
     out: dict = {}
-    for keys, c in t.terms.items():
-        _expand(out, c, [
-            fn(LinComb(family, t.flavor, {x: 1}))
-            for fn, family, x in zip(leg_maps, t.legs, keys)])
+    for legs, c in _one_term_legs(t):
+        _expand(out, c, [fn(a) for fn, a in zip(leg_maps, legs)])
     return tensor_of(*[fn(LinComb(family, t.flavor, {}))
                        for fn, family in zip(leg_maps, t.legs)])._like(out)
 
@@ -507,11 +513,9 @@ def tensor_mul(t1: TensorComb, t2: TensorComb, *leg_muls) -> TensorComb:
     if not (len(t1.legs) == len(t2.legs) == len(leg_muls)):
         raise ValueError("arity mismatch")
     out: dict = {}
-    for keys1, c1 in t1.terms.items():
-        for keys2, c2 in t2.terms.items():
-            _expand(out, c1 * c2, [
-                mul(LinComb(f1, t1.flavor, {x1: 1}),
-                    LinComb(f2, t2.flavor, {x2: 1}))
-                for mul, f1, f2, x1, x2
-                in zip(leg_muls, t1.legs, t2.legs, keys1, keys2)])
+    right = _one_term_legs(t2)
+    for legs1, c1 in _one_term_legs(t1):
+        for legs2, c2 in right:
+            _expand(out, c1 * c2, [mul(a1, a2) for mul, a1, a2
+                                   in zip(leg_muls, legs1, legs2)])
     return TensorComb(t1.legs, t1.flavor, out)

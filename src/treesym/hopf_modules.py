@@ -362,19 +362,50 @@ def _primitive(row: dict, sign: int) -> dict:
 # verification reports, one total degree each
 
 
+def _memo(image):
+    """``image`` on basis elements, each value computed on its first call
+    and kept for the life of the returned function; a miss calls
+    ``image``, which looks its module attributes up when it runs."""
+    memo: dict = {}
+
+    def cached(*key):
+        if key not in memo:
+            memo[key] = image(*key)
+        return memo[key]
+    return cached
+
+
+def _tensor_sum(terms) -> TensorComb:
+    """The sum, over the pairs ``(c, images)`` in ``terms``, of ``c`` times
+    the tensor product of ``images``: fundamental-basis combinations whose
+    legs together are M (x) Y."""
+    out: dict = {}
+    for c, images in terms:
+        ha._expand(out, c, images)
+    return TensorComb(("M", "Y"), "F", out)
+
+
 def plus_module_verify(n: int) -> dict:
     """Check the restricted Hopf-module law on every pair of a bi-leveled
-    tree of positive degree and a tree, of total degree ``n``."""
+    tree of positive degree and a tree, of total degree ``n``: the
+    coaction of the action is the action and product, leg by leg, of the
+    coaction and the coproduct.  Each image of one basis element (action,
+    coaction, product, coproduct) is computed once per call, and both
+    sides are summed from these images."""
+    action = _memo(lambda b, t: plus_action(F("M", b), F("Y", t)))
+    coaction = _memo(lambda c: plus_coaction(F("M", c)))
+    product = _memo(lambda x, y: ha.mul_F(F("Y", x), F("Y", y)))
+    coproduct = _memo(lambda t: ha.comul_F(F("Y", t)))
     violations = []
     for n1 in range(1, n + 1):
         for b in tc.all_bileveled(n1):
-            fb = F("M", b)
-            coact = plus_coaction(fb)
             for t in tc.all_trees(n - n1):
-                ft = F("Y", t)
-                lhs = plus_coaction(plus_action(fb, ft))
-                rhs = ha.tensor_mul(
-                    coact, ha.comul_F(ft), plus_action, ha.mul_F)
+                lhs = _tensor_sum((k, [coaction(c)])
+                                  for c, k in action(b, t).terms.items())
+                rhs = _tensor_sum(
+                    (u * v, [action(b0, t0), product(b1, t1)])
+                    for (b0, b1), u in coaction(b).terms.items()
+                    for (t0, t1), v in coproduct(t).terms.items())
                 if lhs != rhs:
                     violations.append(
                         (tc.format_bileveled(b), tc.format_tree(t)))
@@ -387,15 +418,22 @@ def bbslash_verify(n: int) -> dict:
     the unit; the transported coaction is the closed form
     ``rho_M_closed(b)``; and that closed form, rewritten in the fundamental
     basis, is ``coaction_rho`` of ``b``'s fundamental expansion. A
-    violation is the encoding of ``b``."""
+    violation is the encoding of ``b``.  Each ``to_F`` of one second-basis
+    vector and each ``coaction_rho`` of one fundamental vector is computed
+    once per call, and both sides of the last comparison are summed from
+    these images."""
+    to_F = _memo(lambda family, x: ha.to_F(Mb(family, x)))
+    rho = _memo(lambda c: ha.coaction_rho(F("M", c)))
     violations = []
     for b in tc.all_bileveled(n):
         bp, t = bbslash_decompose(b)
         closed = ha.rho_M_closed(b)
         if msym_action_M(bp, t, tc.LEAF) != Mb("M", b) \
                 or msym_coaction_M(bp, t) != closed \
-                or ha.tensor_apply(closed, ha.to_F, ha.to_F) \
-                != ha.coaction_rho(ha.to_F(Mb("M", b))):
+                or _tensor_sum((c, [to_F("M", x), to_F("Y", y)])
+                               for (x, y), c in closed.terms.items()) \
+                != _tensor_sum((mu, [rho(c)])
+                               for c, mu in to_F("M", b).terms.items()):
             violations.append(tc.format_bileveled(b))
     return {"n": n, "ok": not violations, "violations": violations}
 

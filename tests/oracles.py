@@ -16,17 +16,22 @@ definitions that the package no longer needs: the cover relation of the
 nodes of a tree, the admissibility test built on it, the three kinds of
 covers of the paper's classification of the bi-leveled order (which
 :func:`treesym.posets.m_cover_candidates` replaced), the inverse of the
-forest form, and the fibers of ``tau``.
+forest form, and the fibers of ``tau``.  Last of all, the two Hopf-module
+reports as they were before they kept each single-element image for the
+length of the call: they recompute every image for every pair, and call
+each function through its module attribute, so a wrapper put on one
+reaches them as it reaches the reports they check.
 """
 
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from treesym import hopf_algebra as ha
+from treesym import hopf_modules as hm
 from treesym import posets as po
 from treesym import projections as pj
 from treesym import trees_core as tc
-from treesym.hopf_algebra import LinComb, F
+from treesym.hopf_algebra import LinComb, F, Mb
 from treesym.hopf_modules import plus_coaction
 
 
@@ -333,3 +338,38 @@ def tau_fiber(t: tuple) -> tuple:
     """All permutations with shape ``t``: words read off linear extensions."""
     n = tc.nodes(t)
     return tuple(sorted(w for w in tc.all_perms(n) if pj.tau(w) == t))
+
+
+def plus_module_verify(n: int) -> dict:
+    """The restricted Hopf-module law on every pair of total degree ``n``,
+    each side built afresh for each pair."""
+    violations = []
+    for n1 in range(1, n + 1):
+        for b in tc.all_bileveled(n1):
+            fb = F("M", b)
+            coact = hm.plus_coaction(fb)
+            for t in tc.all_trees(n - n1):
+                ft = F("Y", t)
+                lhs = hm.plus_coaction(hm.plus_action(fb, ft))
+                rhs = ha.tensor_mul(
+                    coact, ha.comul_F(ft), hm.plus_action, ha.mul_F)
+                if lhs != rhs:
+                    violations.append(
+                        (tc.format_bileveled(b), tc.format_tree(t)))
+    return {"n": n, "ok": not violations, "violations": violations}
+
+
+def bbslash_verify(n: int) -> dict:
+    """The transported structure on each bi-leveled tree of degree ``n``:
+    unit, closed coaction, and the link to ``coaction_rho``, each basis
+    change and coaction computed afresh for each tree."""
+    violations = []
+    for b in tc.all_bileveled(n):
+        bp, t = hm.bbslash_decompose(b)
+        closed = ha.rho_M_closed(b)
+        if hm.msym_action_M(bp, t, tc.LEAF) != Mb("M", b) \
+                or hm.msym_coaction_M(bp, t) != closed \
+                or ha.tensor_apply(closed, ha.to_F, ha.to_F) \
+                != ha.coaction_rho(ha.to_F(Mb("M", b))):
+            violations.append(tc.format_bileveled(b))
+    return {"n": n, "ok": not violations, "violations": violations}

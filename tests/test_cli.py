@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -342,6 +343,21 @@ def test_size_cap_override_has_a_ceiling(capsys, monkeypatch, name):
 def test_bad_subcommand(capsys):
     code, _, _ = invoke(capsys, "nope")
     assert code == 2
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    invoke(capsys, "enumerate", "--family", "Y", "--n", "2", "--count")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert invoke(capsys, "enumerate", "--family", "Y", "--n", "3",
+                  "--count") == (0, "5\n", "")
+    assert built == []
 
 
 def test_verify_has_no_max_degree_alias(capsys):

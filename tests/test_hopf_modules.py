@@ -364,19 +364,53 @@ def assert_report_and_suite_fail(capsys, report, suite):
     assert code == 1 and out.startswith("FAIL: "), out
 
 
-def test_plus_module_report_catches_a_dropped_term(monkeypatch, capsys):
-    action = hm.plus_action
-
-    def drop_first_term(a, h):
-        image = action(a, h)
+def drop_first_term(product):
+    """``product`` with the first term dropped from every image that has
+    more than one."""
+    def dropped(a, h):
+        image = product(a, h)
         terms = dict(image.terms)
         if len(terms) > 1:
             terms.pop(next(iter(terms)))
         return LinComb(image.family, image.flavor, terms)
+    return dropped
 
-    monkeypatch.setattr(hm, "plus_action", drop_first_term)
+
+def test_plus_module_report_catches_a_dropped_term(monkeypatch, capsys):
+    monkeypatch.setattr(hm, "plus_action", drop_first_term(hm.plus_action))
     assert_report_and_suite_fail(
         capsys, hm.plus_module_verify(3), "hopf-module-plus")
+
+
+def test_plus_module_report_catches_a_dropped_product_term(
+        monkeypatch, capsys):
+    monkeypatch.setattr(ha, "mul_F", drop_first_term(ha.mul_F))
+    assert_report_and_suite_fail(
+        capsys, hm.plus_module_verify(3), "hopf-module-plus")
+
+
+def test_plus_module_report_catches_a_flipped_coaction_coefficient(
+        monkeypatch, capsys):
+    monkeypatch.setattr(
+        hm, "plus_coaction", flip_one_coefficient(hm.plus_coaction))
+    assert_report_and_suite_fail(
+        capsys, hm.plus_module_verify(3), "hopf-module-plus")
+
+
+def test_hopf_module_reports_match_their_oracles(monkeypatch):
+    """Each image computed once per call gives the whole report, its
+    violations in order, that recomputing every image for each case gives:
+    on the true structure and on one with a dropped action term."""
+    for n in range(6):
+        assert hm.plus_module_verify(n) == oracles.plus_module_verify(n)
+        assert hm.bbslash_verify(n) == oracles.bbslash_verify(n)
+    monkeypatch.setattr(hm, "plus_action", drop_first_term(hm.plus_action))
+    failing = 0
+    for n in range(5):
+        report = hm.plus_module_verify(n)
+        assert report == oracles.plus_module_verify(n)
+        failing += not report["ok"]
+    assert failing
 
 
 def test_bbslash_report_catches_an_extra_coaction_term(monkeypatch, capsys):
