@@ -131,6 +131,13 @@ COMMANDS = (
        ["map", "iota", "(((..).)(((..)(..)).));{1,2,3,5,7}"]]
     + [["map", "iota", x] for x in ("((..).);{1}", "((..)(..));{1,3}",
                                      "(.(..));{1,2}", "(..);{}")]
+    # orders built from their exact covers, with no closure read: the Hasse
+    # diagrams of all three families, a closed-form weak-order value and
+    # the fiber test one degree beyond the suites above
+    + [["hasse", "--family", f, "--n", str(n)]
+       for f, n in (("S", 5), ("Y", 5), ("M", 6))]
+    + [["mobius", "--family", "S", "1234567", "7654321"],
+       ["verify", "--suite", "interval-retract", "--n", "6"]]
 )
 
 
