@@ -6,114 +6,81 @@ The three partial orders, their Mobius functions, and interval-retract checks.
 * trees: covers move a child node from the left to the right branch of its
   parent (a rotation); the order is the transitive closure;
 * marked trees: ``(s; S) <= (t; T)`` iff ``s <= t`` for trees and ``S >= T``;
-  the order is the closure of the candidate covers that make at most one
-  rotation and drop at most one mark, each a relation by this definition.
+  a cover makes at most one rotation and drops at most one mark.
 
-:class:`FinitePoset` stores the order relation of a finite poset as bitmask
-rows, built from the covers, and computes covers and exact Mobius values
-from it.  :data:`ORDERS` gives each family tag its cover generator and, where
-one is known, its closed-form Mobius row.
+:class:`FinitePoset` stores the covers of a finite poset and builds its
+order relation, as bitmask rows, the first time something reads it.
+:data:`ORDERS` gives each family tag the generator of its exact covers and,
+where one is known, its closed-form Mobius row.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import projections as pj
 from . import trees_core as tc
 
 __all__ = [
     "FinitePoset", "ORDERS", "family_poset", "inversion_set", "weak_leq",
-    "weak_covers", "weak_mobius_row", "tamari_covers", "m_cover_candidates",
-    "mobius", "interval_retract_verify", "fiberwise_mobius_verify",
-    "hasse_dot",
+    "weak_covers", "weak_mobius_row", "is_weak_interval", "tamari_covers",
+    "m_covers", "mobius", "interval_retract_verify",
+    "fiberwise_mobius_verify", "hasse_dot",
 ]
 
 
 class FinitePoset:
-    """A finite poset with precomputed reachability bitmasks.
+    """A finite poset given by its cover pairs.
 
-    ``up[i]`` and ``down[i]`` are the bitmasks of the elements above and
-    below ``elements[i]`` (both reflexive).  Built from cover pairs, they are
-    the closures of the covers and of the reversed covers; built from
-    ``leq``, every pair is tested.  Mobius values are read from sparse rows
-    ``mu(x, .)``, each computed on first use, in closed form when
-    ``mobius_row`` (an element to ``{element: value}``) is given.
+    ``succ[i]`` and ``pred[i]`` are the indices of the elements covering and
+    covered by ``elements[i]``.  ``up[i]`` and ``down[i]``, the bitmasks of
+    the elements above and below ``elements[i]`` (both reflexive), are the
+    closures of the covers and of the reversed covers, built on first read.
+    Mobius values are read from sparse rows ``mu(x, .)``, each computed on
+    first use, in closed form when ``mobius_row`` (an element to
+    ``{element: value}``) is given; only the other rows read the closures.
     """
 
-    def __init__(self, elements: Sequence, *, leq: Callable = None,
-                 cover_pairs: Iterable[tuple] = None,
+    def __init__(self, elements: Sequence, cover_pairs: Iterable[tuple],
                  mobius_row: Callable = None):
         self.elements = tuple(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
-        n = len(self.elements)
-        if cover_pairs is not None:
-            succ = [[] for _ in range(n)]
-            pred = [[] for _ in range(n)]
-            for x, y in cover_pairs:
-                i, j = self.index[x], self.index[y]
-                succ[i].append(j)
-                pred[j].append(i)
-            self.up = _transitive_closure(succ)
-            self.down = _transitive_closure(pred)
-            # every cover is one of the given pairs
-            self._cover_candidates = [sorted(set(js)) for js in succ]
-        elif leq is not None:
-            self.up, self.down = [0] * n, [0] * n
-            for i, x in enumerate(self.elements):
-                for j, y in enumerate(self.elements):
-                    if leq(x, y):
-                        self.up[i] |= 1 << j
-                        self.down[j] |= 1 << i
-            self._cover_candidates = None
-        else:
-            raise ValueError("need either leq or cover_pairs")
+        self.succ = [[] for _ in self.elements]
+        self.pred = [[] for _ in self.elements]
+        for x, y in cover_pairs:
+            i, j = self.index[x], self.index[y]
+            self.succ[i].append(j)
+            self.pred[j].append(i)
         self._row_rule = mobius_row
         self._rows: dict = {}
-        self._heights = None
-        self._covers = None
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def up(self) -> list:
+        return _transitive_closure(self.succ)
+
+    @cached_property
+    def down(self) -> list:
+        return _transitive_closure(self.pred)
+
+    @cached_property
+    def _heights(self) -> list:
+        # z < y strictly implies fewer elements below z than below y
+        return [m.bit_count() for m in self.down]
 
     def leq(self, x, y) -> bool:
         return bool(self.up[self.index[x]] >> self.index[y] & 1)
 
     def covers(self) -> tuple:
-        """All cover pairs ``(x, y)`` with ``x`` covered by ``y``."""
-        if self._covers is None:
-            out = []
-            for i, x in enumerate(self.elements):
-                if self._cover_candidates is not None:
-                    above = self._cover_candidates[i]
-                else:
-                    above = _bits(self.up[i] & ~(1 << i))
-                for j in above:
-                    if self.up[i] & self.down[j] == (1 << i) | (1 << j):
-                        out.append((x, self.elements[j]))
-            self._covers = tuple(out)
-        return self._covers
-
-    def interval(self, x, y) -> list:
-        """Elements ``z`` with ``x <= z <= y``."""
-        m = self.up[self.index[x]] & self.down[self.index[y]]
-        return [self.elements[j] for j in _bits(m)]
-
-    def is_interval_subset(self, subset) -> bool:
-        """Is ``subset`` exactly an interval ``[lo, hi]`` of this poset?"""
-        idx = [self.index[x] for x in subset]
-        if not idx:
-            return False
-        mask = 0
-        for i in idx:
-            mask |= 1 << i
-        mins = [i for i in idx if self.down[i] & mask == 1 << i]
-        maxs = [i for i in idx if self.up[i] & mask == 1 << i]
-        if len(mins) != 1 or len(maxs) != 1:
-            return False
-        return self.up[mins[0]] & self.down[maxs[0]] == mask
+        """All cover pairs ``(x, y)`` with ``x`` covered by ``y``, in index
+        order of ``x`` and then of ``y``."""
+        return tuple((x, self.elements[j])
+                     for x, js in zip(self.elements, self.succ)
+                     for j in sorted(js))
 
     def mobius(self, x, y) -> int:
         return self.mobius_row(self.index[x]).get(self.index[y], 0)
@@ -133,9 +100,6 @@ class FinitePoset:
     def _row_from_order(self, i: int) -> dict:
         """``mu(x, y) = -sum of mu(x, z) over x <= z < y``, for ``y`` above
         ``x`` in a linear extension, summing over the nonzero ``z`` only."""
-        if self._heights is None:
-            # z < y strictly implies fewer elements below z than below y
-            self._heights = [m.bit_count() for m in self.down]
         above = _bits(self.up[i] & ~(1 << i))
         above.sort(key=self._heights.__getitem__)
         row = {i: 1}
@@ -238,6 +202,27 @@ def weak_mobius_row(u: tuple) -> dict:
     return row
 
 
+def is_weak_interval(perms: Iterable[tuple]) -> bool:
+    """Are these permutations of one size exactly an interval of the weak
+    order?
+
+    With ``lo`` and ``hi`` members with the fewest and the most inversions,
+    every member must lie between them, and every weak cover of a member
+    that stays below ``hi`` must be a member.  Every element of
+    ``[lo, hi]`` is reached from ``lo`` by such covers, so the members are
+    then exactly ``[lo, hi]``.
+    """
+    members = set(perms)
+    if not members:
+        return False
+    inversions = [inversion_set(w) for w in members]
+    bottom = min(inversions, key=len)
+    top = max(inversions, key=len)
+    return all(bottom <= s <= top for s in inversions) and all(
+        v in members for w in members for v in weak_covers(w)
+        if inversion_set(v) <= top)
+
+
 def tamari_covers(t: tuple) -> tuple:
     """All single rotations moving a left child to the right branch."""
     out = []
@@ -259,30 +244,36 @@ def family_poset(family: str, n: int) -> FinitePoset:
     """The order on one graded piece, built from its covers."""
     covers, mobius_row = ORDERS[family]
     elements = tc.enumerate_family(family, n)
-    # The pairs are generated lazily: each candidate is a fresh object,
-    # dropped once the poset has mapped it to an index.
+    # The pairs are generated lazily: each cover is a fresh object, dropped
+    # once the poset has mapped it to an index.
     pairs = ((x, y) for x in elements for y in covers(x))
-    return FinitePoset(elements, cover_pairs=pairs, mobius_row=mobius_row)
+    return FinitePoset(elements, pairs, mobius_row)
 
 
-def m_cover_candidates(b: tc.BiLeveledTree) -> Iterator[tc.BiLeveledTree]:
-    """Every admissible ``(t, T) != b`` with ``t`` equal to ``b.tree`` or
-    one of its Tamari covers and ``T`` equal to ``b.ideal`` or ``b.ideal``
-    less one mark.  Each lies above ``b`` by the definition of the order,
-    and every cover of ``b`` is among them."""
-    ideals = [b.ideal] + [b.ideal - {v} for v in b.ideal]
-    for t in (b.tree,) + tamari_covers(b.tree):
-        for ideal in ideals:
-            if (t, ideal) != b and tc.is_admissible_ideal(t, ideal):
-                yield tc.BiLeveledTree(t, ideal)
+def m_covers(b: tc.BiLeveledTree) -> list:
+    """The covers of ``b = (t, I)``, each making at most one rotation
+    ``t -> t'`` and dropping at most one mark ``v``.  ``(t, I - v)`` and
+    ``(t', I)`` are covers when admissible; ``(t', I - v)`` is one when
+    admissible and neither of those is, as the interval up to it lies in
+    ``{t, t'} x {I, I - v}``."""
+    t, ideal = b.tree, b.ideal
+    unmarked = [(i, tc.is_admissible_ideal(t, i))
+                for i in (ideal - {v} for v in ideal)]
+    out = [tc.BiLeveledTree(t, i) for i, ok in unmarked if ok]
+    for t2 in tamari_covers(t):
+        if tc.is_admissible_ideal(t2, ideal):
+            out.append(tc.BiLeveledTree(t2, ideal))
+            continue
+        out.extend(tc.BiLeveledTree(t2, i) for i, ok in unmarked
+                   if not ok and tc.is_admissible_ideal(t2, i))
+    return out
 
 
 ORDERS = {
-    # tag: (the covers of one element, or candidates that include them all;
-    # its closed-form Mobius row or None)
+    # tag: (the covers of one element; its closed-form Mobius row or None)
     "S": (weak_covers, weak_mobius_row),
     "Y": (tamari_covers, None),
-    "M": (m_cover_candidates, None),
+    "M": (m_covers, None),
 }
 
 
@@ -305,11 +296,9 @@ def interval_retract_verify(n: int) -> dict:
     (a) each fiber is an interval of the weak order, (b) the canonical
     section is order-preserving on covers, (c) it is a genuine section.
     """
-    sposet = family_poset("S", n)
     violations = []
     for b in tc.enumerate_family("M", n):
-        fiber = pj.beta_fiber(b)
-        if not sposet.is_interval_subset(fiber):
+        if not is_weak_interval(pj.beta_fiber(b)):
             violations.append(("fiber-not-interval", tc.format_bileveled(b)))
         w = pj.iota(b)
         if pj.beta(w) != b:

@@ -1,5 +1,11 @@
 """Slow reference implementations, used by the tests only.
 
+First the orders read pair by pair: :func:`leq_order` builds a
+:class:`treesym.posets.FinitePoset` by testing the defining relation on
+every pair and reads its covers from that closure; :func:`interval` and
+:func:`is_interval_subset` read intervals from the ``up`` and ``down``
+bitmasks, the last the reference for the weak-order fiber test
+:func:`treesym.posets.is_weak_interval`.
 The chain-counting oracles for Mobius values work on any
 :class:`treesym.posets.FinitePoset` through its ``up`` and ``down``
 bitmasks, independently of the sparse Mobius rows they check.
@@ -15,7 +21,7 @@ and pattern avoidance by standardizing every subsequence.  Last come the
 definitions that the package no longer needs: the cover relation of the
 nodes of a tree, the admissibility test built on it, the three kinds of
 covers of the paper's classification of the bi-leveled order (which
-:func:`treesym.posets.m_cover_candidates` replaced), the inverse of the
+:func:`treesym.posets.m_covers` replaced), the inverse of the
 forest form, and the fibers of ``tau``.  Last of all, the two Hopf-module
 reports as they were before they kept each single-element image for the
 length of the call: they recompute every image for every pair, and call
@@ -33,6 +39,45 @@ from treesym import projections as pj
 from treesym import trees_core as tc
 from treesym.hopf_algebra import LinComb, F, Mb
 from treesym.hopf_modules import plus_coaction
+
+
+def leq_order(elements: Sequence, leq) -> po.FinitePoset:
+    """The order on ``elements`` built by testing ``leq`` on every pair,
+    with its covers read from that closure."""
+    elements = tuple(elements)
+    up, down = [0] * len(elements), [0] * len(elements)
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            if leq(x, y):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    covers = [(x, elements[j]) for i, x in enumerate(elements)
+              for j in po._bits(up[i] & ~(1 << i))
+              if up[i] & down[j] == (1 << i) | (1 << j)]
+    poset = po.FinitePoset(elements, covers)
+    poset.up, poset.down = up, down
+    return poset
+
+
+def interval(poset, x, y) -> list:
+    """Elements ``z`` with ``x <= z <= y``."""
+    m = poset.up[poset.index[x]] & poset.down[poset.index[y]]
+    return [poset.elements[j] for j in po._bits(m)]
+
+
+def is_interval_subset(poset, subset) -> bool:
+    """Is ``subset`` exactly an interval ``[lo, hi]`` of ``poset``?"""
+    idx = [poset.index[x] for x in subset]
+    if not idx:
+        return False
+    mask = 0
+    for i in idx:
+        mask |= 1 << i
+    mins = [i for i in idx if poset.down[i] & mask == 1 << i]
+    maxs = [i for i in idx if poset.up[i] & mask == 1 << i]
+    if len(mins) != 1 or len(maxs) != 1:
+        return False
+    return poset.up[mins[0]] & poset.down[maxs[0]] == mask
 
 
 def all_chains(poset) -> Iterator[tuple]:

@@ -1,13 +1,17 @@
 """Orders on the three families, Mobius functions with independent chain
 oracles, cover classification, and the fiber-projection properties."""
 
+from itertools import combinations
+
 import pytest
 
+from treesym import cli
 from treesym import posets as po
 from treesym import projections as pj
 from treesym import trees_core as tc
 
 from oracles import (chain_sum, chain_sum_meeting_all_blocks, hall_mobius,
+                     interval, is_interval_subset, leq_order,
                      m_covers_by_types)
 
 
@@ -180,9 +184,8 @@ def test_chain_sum_is_one_on_intervals():
         for x in poset.elements:
             for y in poset.elements:
                 if poset.leq(x, y):
-                    interval = po.FinitePoset(
-                        poset.interval(x, y), leq=poset.leq)
-                    assert chain_sum(interval) == 1
+                    sub = leq_order(interval(poset, x, y), poset.leq)
+                    assert chain_sum(sub) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +206,7 @@ def test_fibers_factor_into_blocks():
         sposet = po.family_poset("S", n)
         for b in tc.enumerate_family("M", n):
             fiber = pj.beta_fiber(b)
-            sub = po.FinitePoset(fiber, leq=po.weak_leq)
+            sub = leq_order(fiber, po.weak_leq)
             # one-block partition: the whole fiber
             assert chain_sum_meeting_all_blocks(sub, [set(fiber)]) == 1
 
@@ -222,11 +225,11 @@ def leq_poset(family, n):
     """The order built by testing the defining relation on every pair."""
     elements = tc.enumerate_family(family, n)
     if family == "S":
-        return po.FinitePoset(elements, leq=po.weak_leq)
+        return leq_order(elements, po.weak_leq)
     tamari = po.family_poset("Y", n)
-    return po.FinitePoset(
+    return leq_order(
         elements,
-        leq=lambda b, c: tamari.leq(b.tree, c.tree) and b.ideal >= c.ideal)
+        lambda b, c: tamari.leq(b.tree, c.tree) and b.ideal >= c.ideal)
 
 
 @pytest.mark.parametrize("family,top", [("S", 6), ("M", 7)])
@@ -258,14 +261,62 @@ def test_beta_fibers_match_scan():
             assert pj.beta_fiber(b) == scan
 
 
-def test_interval_retract_reports_a_bad_fiber(monkeypatch):
+@pytest.mark.parametrize("bad_fiber", [
+    # the fiber {321} with 123 added
+    ((1, 2, 3), (3, 2, 1)),
+    # all of [123, 321] but the inner element 231
+    tuple(w for w in tc.all_perms(3) if w != (2, 3, 1)),
+    # all of [123, 321] but 123: two minimal members, 132 and 213
+    tuple(w for w in tc.all_perms(3) if w != (1, 2, 3)),
+], ids=["extra-member", "missing-inner-element", "two-minima"])
+def test_interval_retract_reports_a_bad_fiber(monkeypatch, capsys,
+                                              bad_fiber):
     top = pj.beta((3, 2, 1))
     fiber = pj.beta_fiber
-    monkeypatch.setattr(pj, "beta_fiber", lambda b: fiber(b) + (
-        ((1, 2, 3),) if b == top else ()))
+    monkeypatch.setattr(pj, "beta_fiber",
+                        lambda b: bad_fiber if b == top else fiber(b))
     report = po.interval_retract_verify(3)
     assert report["violations"] == [
         ("fiber-not-interval", tc.format_bileveled(top))]
+    code = cli.run(["verify", "--suite", "interval-retract", "--n", "3"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.startswith("FAIL: "), out
+
+
+def test_weak_interval_test_matches_closure_oracle():
+    """Every subset of S_3, every beta-fiber through degree 5, and every
+    such fiber with one permutation added or removed."""
+    sposet = po.family_poset("S", 3)
+    for r in range(len(sposet) + 1):
+        for sub in combinations(sposet.elements, r):
+            assert po.is_weak_interval(sub) == \
+                is_interval_subset(sposet, sub), sub
+    for n in range(6):
+        sposet = po.family_poset("S", n)
+        for fiber in pj.beta_fibers(n).values():
+            members = set(fiber)
+            variants = [members] + [members - {w} for w in members] + [
+                members | {w} for w in sposet.elements if w not in members]
+            for sub in variants:
+                assert po.is_weak_interval(sub) == \
+                    is_interval_subset(sposet, sub), sorted(sub)
+
+
+def test_order_suites_build_no_weak_order_closure():
+    """The fiber test, the Hasse diagrams, a weak-order Mobius value and
+    the Mobius comparison build no closure of the weak order, and the first
+    two none of the bi-leveled order."""
+    po.family_poset.cache_clear()
+    po.interval_retract_verify(5)
+    po.hasse_dot("M", 5)
+    for family in "SM":
+        assert "up" not in vars(po.family_poset(family, 5)), family
+        assert "down" not in vars(po.family_poset(family, 5)), family
+    po.hasse_dot("S", 5)
+    assert po.mobius("S", (1, 2, 3, 4, 5), (2, 1, 3, 5, 4)) == 1
+    po.fiberwise_mobius_verify(5)
+    assert "up" not in vars(po.family_poset("S", 5))
+    assert "down" not in vars(po.family_poset("S", 5))
 
 
 def test_fiberwise_mobius_reports_a_bad_row(monkeypatch):
