@@ -208,39 +208,52 @@ def in_script_s(w: tuple) -> bool:
     return _last_has_132(tc.perm_indecomposables(w))
 
 
-def _component_in_section_image(c: tuple) -> bool:
-    """Is the indecomposable component the section value of a coinvariant
-    index (nonempty, not a fiber top)?"""
-    b = pj.beta(c)
-    return is_b_prime(b) and pj.iota(b) == c
+@lru_cache(maxsize=None)
+def _section_image(k: int) -> frozenset:
+    """The section values of the nonempty coinvariant indices of degree
+    ``k``: as ``beta . iota`` is the identity, the components ``c`` with
+    ``beta(c)`` such an index and ``iota(beta(c)) == c``."""
+    return frozenset(pj.iota(b) for b in b_prime_basis(k) if b.tree)
 
 
-def _initial_run_length(comps: tuple) -> int:
+def _even_initial_run(comps: tuple) -> bool:
+    """Is the maximal initial run of components lying in the section image
+    of even length?"""
     length = 0
     for c in comps:
-        if _component_in_section_image(c):
-            length += 1
-        else:
+        if c not in _section_image(len(c)):
             break
-    return length
+        length += 1
+    return length % 2 == 0
 
 
 def in_script_s_prime(w: tuple) -> bool:
     """Members of the big index set whose maximal initial run of components
     lying in the section image has even length."""
     comps = tc.perm_indecomposables(w)
-    return _last_has_132(comps) and _initial_run_length(comps) % 2 == 0
+    return _last_has_132(comps) and _even_initial_run(comps)
 
 
 @lru_cache(maxsize=None)
+def _script_sets(n: int) -> tuple:
+    """``(script_s(n), script_s_prime(n))`` from one pass over the
+    permutations, splitting each into its components once."""
+    big, restricted = [], []
+    for w in tc.enumerate_family("S", n):
+        comps = tc.perm_indecomposables(w)
+        if _last_has_132(comps):
+            big.append(w)
+            if _even_initial_run(comps):
+                restricted.append(w)
+    return tuple(big), tuple(restricted)
+
+
 def script_s(n: int) -> tuple:
-    return tuple(w for w in tc.enumerate_family("S", n) if in_script_s(w))
+    return _script_sets(n)[0]
 
 
-@lru_cache(maxsize=None)
 def script_s_prime(n: int) -> tuple:
-    return tuple(
-        w for w in tc.enumerate_family("S", n) if in_script_s_prime(w))
+    return _script_sets(n)[1]
 
 
 def kappa(bp: BiLeveledTree, v: tuple) -> tuple:
@@ -254,13 +267,13 @@ def kappa(bp: BiLeveledTree, v: tuple) -> tuple:
 
 
 def kappa_inverse(w: tuple):
-    if not in_script_s(w):
+    comps = tc.perm_indecomposables(w)
+    if not _last_has_132(comps):
         raise ValueError("argument must lie in the big index set")
-    if in_script_s_prime(w):
+    if _even_initial_run(comps):
         return (EMPTY_B, w)
     # split off the first indecomposable component
-    first, rest = tc.perm_backslash_decompositions(w)[1]
-    return (pj.beta(first), rest)
+    return (pj.beta(comps[0]), w[len(comps[0]):])
 
 
 # ---------------------------------------------------------------------------

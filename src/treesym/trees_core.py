@@ -118,7 +118,8 @@ def _perm_cuts(w: tuple) -> list:
     cuts = [0]
     low = n + 1
     for k, a in enumerate(w, 1):
-        low = min(low, a)
+        if a < low:
+            low = a
         if low == n - k + 1:
             cuts.append(k)
     return cuts

@@ -26,7 +26,10 @@ forest form, and the fibers of ``tau``.  Last of all, the two Hopf-module
 reports as they were before they kept each single-element image for the
 length of the call: they recompute every image for every pair, and call
 each function through its module attribute, so a wrapper put on one
-reaches them as it reaches the reports they check.
+reaches them as it reaches the reports they check.  Then the index sets of
+the final bijection as they were before one pass classified each
+permutation: a component is tested against the section image by ``beta``
+then ``iota``, and each set filters every permutation on its own.
 """
 
 from itertools import combinations
@@ -418,3 +421,35 @@ def bbslash_verify(n: int) -> dict:
                 != ha.coaction_rho(ha.to_F(Mb("M", b))):
             violations.append(tc.format_bileveled(b))
     return {"n": n, "ok": not violations, "violations": violations}
+
+
+def component_in_section_image(c: tuple) -> bool:
+    """Is the indecomposable component the section value of a coinvariant
+    index (nonempty, not a fiber top)?  Projects by ``beta`` and lifts back
+    by ``iota``."""
+    b = pj.beta(c)
+    return hm.is_b_prime(b) and pj.iota(b) == c
+
+
+def in_script_s_prime(w: tuple) -> bool:
+    """Members of the big index set whose maximal initial run of components
+    passing :func:`component_in_section_image` has even length."""
+    length = 0
+    for c in tc.perm_indecomposables(w):
+        if not component_in_section_image(c):
+            break
+        length += 1
+    return hm.in_script_s(w) and length % 2 == 0
+
+
+def script_s(n: int) -> tuple:
+    """The big index set of degree ``n``: every permutation filtered by
+    ``in_script_s``."""
+    return tuple(w for w in tc.enumerate_family("S", n) if hm.in_script_s(w))
+
+
+def script_s_prime(n: int) -> tuple:
+    """The restricted index set of degree ``n``: every permutation filtered
+    by :func:`in_script_s_prime`."""
+    return tuple(
+        w for w in tc.enumerate_family("S", n) if in_script_s_prime(w))

@@ -329,8 +329,21 @@ def test_kappa_membership_validation():
         hm.kappa_inverse((1, 2))
 
 
+def test_index_sets_match_their_oracles():
+    """The section image read from its per-degree set, and both index sets
+    from one pass, against ``beta`` then ``iota`` and the filtered scans."""
+    for n in range(8):
+        for w in tc.all_perms(n):
+            if len(tc.perm_indecomposables(w)) == 1:
+                assert (w in hm._section_image(n)) == \
+                    oracles.component_in_section_image(w), w
+            assert hm.in_script_s_prime(w) == oracles.in_script_s_prime(w), w
+        assert hm.script_s(n) == oracles.script_s(n)
+        assert hm.script_s_prime(n) == oracles.script_s_prime(n)
+
+
 def test_series_quotient_counts_script_s_prime():
-    order = 6
+    order = 8
     s = se.series("S", order)
     m = se.series("M", order)
     quotient = s / m
@@ -447,6 +460,26 @@ def test_kappa_report_catches_a_wrong_inverse(monkeypatch, capsys):
     inverse = hm.kappa_inverse
     monkeypatch.setattr(hm, "kappa_inverse", lambda w: (
         (hm.EMPTY_B, w) if len(w) == 3 else inverse(w)))
+    assert_report_and_suite_fail(capsys, hm.kappa_verify(3), "kappa")
+
+
+@pytest.fixture
+def fresh_script_sets():
+    """Empty the per-degree index sets before and after the test, so that
+    none is kept from a mutated section image."""
+    hm._script_sets.cache_clear()
+    yield
+    hm._script_sets.cache_clear()
+
+
+def test_kappa_report_catches_a_dropped_section_value(
+        monkeypatch, capsys, fresh_script_sets):
+    image = hm._section_image
+    dropped = min(image(3))
+    monkeypatch.setattr(hm, "_section_image", lambda k: (
+        image(k) - {dropped} if k == 3 else image(k)))
+    failing = [n for n in range(7) if not hm.kappa_verify(n)["ok"]]
+    assert failing == [3, 6]
     assert_report_and_suite_fail(capsys, hm.kappa_verify(3), "kappa")
 
 

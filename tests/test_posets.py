@@ -225,7 +225,9 @@ def leq_poset(family, n):
     """The order built by testing the defining relation on every pair."""
     elements = tc.enumerate_family(family, n)
     if family == "S":
-        return leq_order(elements, po.weak_leq)
+        # weak_leq, with each inversion set computed once
+        inversions = {w: po.inversion_set(w) for w in elements}
+        return leq_order(elements, lambda u, v: inversions[u] <= inversions[v])
     tamari = po.family_poset("Y", n)
     return leq_order(
         elements,
