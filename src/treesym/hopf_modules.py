@@ -16,7 +16,10 @@ nonnegativity of one quotient of enumerating series.
 
 The ``*_verify`` functions check these structures in one total degree each
 and return a report ``{"n", "ok", "violations"}``; the ``verify`` suites of
-the command line run them degree by degree.
+the command line run them degree by degree.  The two Hopf-module reports
+keep the image of each basis element as its plain map of term and
+coefficient, add both sides of each law into such maps, and compare these
+without their zero coefficients.
 """
 
 from __future__ import annotations
@@ -209,11 +212,19 @@ def in_script_s(w: tuple) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _sections(k: int) -> tuple:
+    """``(values, image)`` in degree ``k``: ``values`` maps each
+    coinvariant index ``bp`` to its section value ``iota(bp)``, and
+    ``image`` is the frozenset of the values of the nonempty indices."""
+    values = {bp: pj.iota(bp) for bp in b_prime_basis(k)}
+    return values, frozenset(u for bp, u in values.items() if bp.tree)
+
+
 def _section_image(k: int) -> frozenset:
     """The section values of the nonempty coinvariant indices of degree
     ``k``: as ``beta . iota`` is the identity, the components ``c`` with
     ``beta(c)`` such an index and ``iota(beta(c)) == c``."""
-    return frozenset(pj.iota(b) for b in b_prime_basis(k) if b.tree)
+    return _sections(k)[1]
 
 
 def _even_initial_run(comps: tuple) -> bool:
@@ -236,8 +247,9 @@ def in_script_s_prime(w: tuple) -> bool:
 
 @lru_cache(maxsize=None)
 def _script_sets(n: int) -> tuple:
-    """``(script_s(n), script_s_prime(n))`` from one pass over the
-    permutations, splitting each into its components once."""
+    """``(script_s(n), script_s_prime(n), frozenset(script_s_prime(n)))``
+    from one pass over the permutations, splitting each into its
+    components once."""
     big, restricted = [], []
     for w in tc.enumerate_family("S", n):
         comps = tc.perm_indecomposables(w)
@@ -245,7 +257,7 @@ def _script_sets(n: int) -> tuple:
             big.append(w)
             if _even_initial_run(comps):
                 restricted.append(w)
-    return tuple(big), tuple(restricted)
+    return tuple(big), tuple(restricted), frozenset(restricted)
 
 
 def script_s(n: int) -> tuple:
@@ -257,12 +269,14 @@ def script_s_prime(n: int) -> tuple:
 
 
 def kappa(bp: BiLeveledTree, v: tuple) -> tuple:
-    """The graded bijection: prepend the section value of ``bp``."""
-    if not is_b_prime(bp):
+    """The graded bijection: prepend the section value of ``bp``.  Both
+    arguments are looked up in the tables of their degrees, which the
+    first call at a degree builds."""
+    u = _sections(tc.nodes(bp.tree))[0].get(bp)
+    if u is None:
         raise ValueError("left argument must be a coinvariant index")
-    if not in_script_s_prime(v):
+    if v not in _script_sets(len(v))[2]:
         raise ValueError("right argument must lie in the restricted set")
-    u = pj.iota(bp)
     return tuple(a + len(v) for a in u) + v
 
 
@@ -375,27 +389,24 @@ def _primitive(row: dict, sign: int) -> dict:
 # verification reports, one total degree each
 
 
-def _memo(image):
-    """``image`` on basis elements, each value computed on its first call
-    and kept for the life of the returned function; a miss calls
-    ``image``, which looks its module attributes up when it runs."""
-    memo: dict = {}
+class _Images(dict):
+    """The images of basis elements under ``image``, each as its map of
+    term and coefficient: ``images[key]`` calls ``image(key)`` on the first
+    read of ``key`` and keeps the terms of the result until the key is
+    deleted; ``image`` looks its module attributes up when it runs."""
 
-    def cached(*key):
-        if key not in memo:
-            memo[key] = image(*key)
-        return memo[key]
-    return cached
+    def __init__(self, image):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, key):
+        terms = self[key] = self.image(key).terms
+        return terms
 
 
-def _tensor_sum(terms) -> TensorComb:
-    """The sum, over the pairs ``(c, images)`` in ``terms``, of ``c`` times
-    the tensor product of ``images``: fundamental-basis combinations whose
-    legs together are M (x) Y."""
-    out: dict = {}
-    for c, images in terms:
-        ha._expand(out, c, images)
-    return TensorComb(("M", "Y"), "F", out)
+def _nonzero(sums: dict) -> dict:
+    """``sums`` without its zero coefficients."""
+    return {k: c for k, c in sums.items() if c}
 
 
 def plus_module_verify(n: int) -> dict:
@@ -403,23 +414,35 @@ def plus_module_verify(n: int) -> dict:
     tree of positive degree and a tree, of total degree ``n``: the
     coaction of the action is the action and product, leg by leg, of the
     coaction and the coproduct.  Each image of one basis element (action,
-    coaction, product, coproduct) is computed once per call, and both
-    sides are summed from these images."""
-    action = _memo(lambda b, t: plus_action(F("M", b), F("Y", t)))
-    coaction = _memo(lambda c: plus_coaction(F("M", c)))
-    product = _memo(lambda x, y: ha.mul_F(F("Y", x), F("Y", y)))
-    coproduct = _memo(lambda t: ha.comul_F(F("Y", t)))
+    coaction, product, coproduct) is computed once per call and kept as
+    its map of term and coefficient; each side is summed from these maps
+    into a dict of tensor key and coefficient, and the two dicts are
+    compared without their zero coefficients."""
+    action = _Images(lambda bt: plus_action(F("M", bt[0]), F("Y", bt[1])))
+    coaction = _Images(lambda c: plus_coaction(F("M", c)))
+    product = _Images(lambda xy: ha.mul_F(F("Y", xy[0]), F("Y", xy[1])))
+    coproduct = _Images(lambda t: ha.comul_F(F("Y", t)))
     violations = []
     for n1 in range(1, n + 1):
         for b in tc.all_bileveled(n1):
             for t in tc.all_trees(n - n1):
-                lhs = _tensor_sum((k, [coaction(c)])
-                                  for c, k in action(b, t).terms.items())
-                rhs = _tensor_sum(
-                    (u * v, [action(b0, t0), product(b1, t1)])
-                    for (b0, b1), u in coaction(b).terms.items()
-                    for (t0, t1), v in coproduct(t).terms.items())
-                if lhs != rhs:
+                lhs: dict = {}
+                for c, k in action[b, t].items():
+                    for keys, u in coaction[c].items():
+                        lhs[keys] = lhs.get(keys, 0) + k * u
+                rhs: dict = {}
+                for (b0, b1), u in coaction[b].items():
+                    for (t0, t1), v in coproduct[t].items():
+                        uv = u * v
+                        for x, a in action[b0, t0].items():
+                            for y, p in product[b1, t1].items():
+                                keys = (x, y)
+                                rhs[keys] = rhs.get(keys, 0) + uv * a * p
+                # a right side reads an action of total degree n only at
+                # its own pair (both second legs empty), so no later pair
+                # reads this one
+                del action[b, t]
+                if _nonzero(lhs) != _nonzero(rhs):
                     violations.append(
                         (tc.format_bileveled(b), tc.format_tree(t)))
     return {"n": n, "ok": not violations, "violations": violations}
@@ -433,20 +456,29 @@ def bbslash_verify(n: int) -> dict:
     basis, is ``coaction_rho`` of ``b``'s fundamental expansion. A
     violation is the encoding of ``b``.  Each ``to_F`` of one second-basis
     vector and each ``coaction_rho`` of one fundamental vector is computed
-    once per call, and both sides of the last comparison are summed from
-    these images."""
-    to_F = _memo(lambda family, x: ha.to_F(Mb(family, x)))
-    rho = _memo(lambda c: ha.coaction_rho(F("M", c)))
+    once per call and kept as its map of term and coefficient; both sides
+    of the last comparison are summed from these maps into dicts of tensor
+    key and coefficient, compared without their zero coefficients."""
+    to_F = _Images(lambda fx: ha.to_F(Mb(*fx)))
+    rho = _Images(lambda c: ha.coaction_rho(F("M", c)))
     violations = []
     for b in tc.all_bileveled(n):
         bp, t = bbslash_decompose(b)
         closed = ha.rho_M_closed(b)
+        lhs: dict = {}
+        for (x, y), c in closed.terms.items():
+            right = to_F["Y", y].items()
+            for x1, a in to_F["M", x].items():
+                for y1, p in right:
+                    keys = (x1, y1)
+                    lhs[keys] = lhs.get(keys, 0) + c * a * p
+        rhs: dict = {}
+        for c, mu in to_F["M", b].items():
+            for keys, r in rho[c].items():
+                rhs[keys] = rhs.get(keys, 0) + mu * r
         if msym_action_M(bp, t, tc.LEAF) != Mb("M", b) \
                 or msym_coaction_M(bp, t) != closed \
-                or _tensor_sum((c, [to_F("M", x), to_F("Y", y)])
-                               for (x, y), c in closed.terms.items()) \
-                != _tensor_sum((mu, [rho(c)])
-                               for c, mu in to_F("M", b).terms.items()):
+                or _nonzero(lhs) != _nonzero(rhs):
             violations.append(tc.format_bileveled(b))
     return {"n": n, "ok": not violations, "violations": violations}
 

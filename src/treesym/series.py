@@ -10,7 +10,6 @@ which quotients among the four series are coefficientwise nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -30,11 +29,30 @@ M+/M = 1 - 1/M is determined by M alone (and is computationally
 nonnegative to high order)."""
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """A power series modulo ``q^(N+1)``, with exact coefficients."""
+    """A power series modulo ``q^(N+1)``, with exact coefficients.  A
+    value: immutable, equal and hashed by its coefficients."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *args):
+        raise AttributeError("a TruncatedSeries is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TruncatedSeries:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return "TruncatedSeries(coeffs=%r)" % (self.coeffs,)
 
     @property
     def order(self) -> int:

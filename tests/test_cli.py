@@ -384,3 +384,17 @@ def test_closed_pipe_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+def test_import_loads_no_introspection_modules():
+    """Importing the CLI pulls in neither ``dataclasses`` nor ``inspect``
+    (with ``ast``, ``dis`` and ``tokenize``), which would add several
+    milliseconds to every command's start."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys, treesym.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

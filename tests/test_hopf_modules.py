@@ -320,6 +320,14 @@ def test_kappa_is_a_graded_bijection():
             assert hm.kappa_inverse(w) == pair
 
 
+def raises_value_error(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
 def test_kappa_membership_validation():
     with pytest.raises(ValueError):
         hm.kappa(pj.beta_max(tc.parse_tree("(..)")), ())
@@ -327,6 +335,15 @@ def test_kappa_membership_validation():
         hm.kappa(tc.FAMILIES["M"].empty, (1, 2))  # 12 is not in the index set
     with pytest.raises(ValueError):
         hm.kappa_inverse((1, 2))
+    # the guards read per-degree tables; they agree with the definitions
+    for n in range(7):
+        for v in tc.all_perms(n):
+            assert raises_value_error(hm.kappa, hm.EMPTY_B, v) == \
+                (not oracles.in_script_s_prime(v)), v
+    for n in range(6):
+        for bp in tc.all_bileveled(n):
+            assert raises_value_error(hm.kappa, bp, ()) == \
+                (not hm.is_b_prime(bp)), bp
 
 
 def test_index_sets_match_their_oracles():
@@ -370,9 +387,9 @@ def flip_one_coefficient(coaction):
     return flipped
 
 
-def assert_report_and_suite_fail(capsys, report, suite):
+def assert_report_and_suite_fail(capsys, report, suite, n=3):
     assert not report["ok"] and report["violations"]
-    code = cli.run(["verify", "--suite", suite, "--n", "3"])
+    code = cli.run(["verify", "--suite", suite, "--n", str(n)])
     out = capsys.readouterr().out
     assert code == 1 and out.startswith("FAIL: "), out
 
@@ -461,6 +478,17 @@ def test_kappa_report_catches_a_wrong_inverse(monkeypatch, capsys):
     monkeypatch.setattr(hm, "kappa_inverse", lambda w: (
         (hm.EMPTY_B, w) if len(w) == 3 else inverse(w)))
     assert_report_and_suite_fail(capsys, hm.kappa_verify(3), "kappa")
+
+
+def test_kappa_report_catches_a_wrong_image(monkeypatch, capsys):
+    """One pair of total degree 4 mapped where another pair goes: the
+    report calls ``kappa`` itself for every pair."""
+    kappa = hm.kappa
+    first, other = hm.b_prime_basis(4)[:2]
+    monkeypatch.setattr(hm, "kappa", lambda bp, v: kappa(
+        other if bp == first else bp, v))
+    assert [n for n in range(6) if not hm.kappa_verify(n)["ok"]] == [4]
+    assert_report_and_suite_fail(capsys, hm.kappa_verify(4), "kappa", n=4)
 
 
 @pytest.fixture

@@ -41,6 +41,22 @@ def test_rational_coefficients_kept_exact():
     assert (q * two).coeffs == one.coeffs
 
 
+def test_series_is_an_immutable_value():
+    a = TruncatedSeries((1, 2, 3))
+    b = TruncatedSeries((1, 2, 3))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, TruncatedSeries((1, 2, 4))}) == 2
+    assert a != TruncatedSeries((1, 2)) and a != (1, 2, 3)
+    assert se.series("Y", 4) == TruncatedSeries((1, 1, 2, 5, 14))
+    with pytest.raises(AttributeError):
+        a.coeffs = (0,)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        del a.coeffs
+    assert a.coeffs == (1, 2, 3)
+
+
 def test_exact_quotients_keep_integer_coefficients():
     q = se.series("S", N) / se.series("Y", N)
     assert all(type(c) is int for c in q.coeffs)
