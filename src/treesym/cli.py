@@ -69,11 +69,12 @@ def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
 
 def _cmd_enumerate(args, parser) -> int:
     _check_size(args.n, parser)
-    elements = tc.enumerate_family(args.family, args.n)
     if args.count:
-        payload = len(elements)
+        # a count needs no canonical order
+        payload = len(tc.FAMILIES[args.family].generate(args.n))
         print(json.dumps(payload) if args.json else payload)
         return 0
+    elements = tc.enumerate_family(args.family, args.n)
     encoded = [tc.FAMILIES[args.family].format(x) for x in elements]
     if args.json:
         print(json.dumps(encoded))
@@ -207,25 +208,24 @@ def _cmd_series(args, parser) -> int:
         parser.error("order %d outside supported range 0..%d"
                      % (args.order, MAX_ORDER))
     if args.quotients:
-        report = se.quotient_sign_report(args.order)
-        rows = [
-            {
-                "quotient": "%s/%s" % pair,
-                "nonnegative": info["nonnegative"],
-                "first_negative": info["first_negative"],
-                "trivial": info["trivial"],
-                "coeffs": [str(c) for c in info["coeffs"]],
-            }
-            for pair, info in sorted(report.items())
-        ]
+        report = sorted(se.quotient_sign_report(args.order).items())
         if args.json:
-            print(json.dumps(rows))
+            print(json.dumps([
+                {
+                    "quotient": "%s/%s" % pair,
+                    "nonnegative": info["nonnegative"],
+                    "first_negative": info["first_negative"],
+                    "trivial": info["trivial"],
+                    "coeffs": [str(c) for c in info["coeffs"]],
+                }
+                for pair, info in report
+            ]))
         else:
-            for row in rows:
+            for pair, info in report:
                 print("%-6s %-12s first_negative=%s" % (
-                    row["quotient"],
-                    "nonnegative" if row["nonnegative"] else "mixed-sign",
-                    row["first_negative"]))
+                    "%s/%s" % pair,
+                    "nonnegative" if info["nonnegative"] else "mixed-sign",
+                    info["first_negative"]))
         return 0
     if not args.which:
         parser.error("provide --which or --quotients")

@@ -8,10 +8,21 @@ The three partial orders, their Mobius functions, and interval-retract checks.
 * marked trees: ``(s; S) <= (t; T)`` iff ``s <= t`` for trees and ``S >= T``;
   a cover makes at most one rotation and drops at most one mark.
 
+Two local rules decide the covers of ``(t; I)`` that only drop a mark or
+only rotate, read from the parent table of ``t``.  Dropping the mark ``v``
+keeps ``I - v`` admissible iff ``v`` is not node 1 and no child of ``v`` is
+marked.  Rotating node ``p`` over its left child ``c`` keeps ``I``
+admissible iff ``c`` is not node 1 and not (``p`` in ``I`` and ``c`` not in
+``I``): the rotation changes only the parents of ``p``, of ``c`` and of
+``c``'s right child, and only ``p``'s new parent ``c`` can break
+up-closure (see :func:`m_covers`).
+
 :class:`FinitePoset` stores the covers of a finite poset and builds its
 order relation, as bitmask rows, the first time something reads it.
-:data:`ORDERS` gives each family tag the generator of its exact covers and,
-where one is known, its closed-form Mobius row.
+:data:`ORDERS` gives each family tag the generator of the cover pairs of a
+graded piece and, where one is known, its closed-form Mobius row.  The
+bi-leveled one computes the parent table and the rotations of each tree
+once for the run of elements over it.
 """
 
 from __future__ import annotations
@@ -234,31 +245,63 @@ def is_weak_interval(perms: Iterable[tuple]) -> bool:
     return True
 
 
-def tamari_covers(t: tuple) -> tuple:
-    """All single rotations moving a left child to the right branch."""
-    out = []
+def _rotations(t: tuple, offset: int = 0) -> list:
+    """Each rotation of ``t`` as ``(t2, p, c)``: node ``p`` moved over its
+    left child ``c`` (in-order numbers, shifted by ``offset``) gives
+    ``t2``."""
     if not t:
-        return ()
+        return []
     left, right = t
+    root = offset + tc.nodes(left) + 1
+    out = []
     if left:
         a, b = left
-        out.append((a, (b, right)))
-    for l2 in tamari_covers(left):
-        out.append((l2, right))
-    for r2 in tamari_covers(right):
-        out.append((left, r2))
-    return tuple(out)
+        out.append(((a, (b, right)), root, offset + tc.nodes(a) + 1))
+    out += [((l2, right), p, c) for l2, p, c in _rotations(left, offset)]
+    out += [((left, r2), p, c) for r2, p, c in _rotations(right, root)]
+    return out
+
+
+def tamari_covers(t: tuple) -> tuple:
+    """All single rotations moving a left child to the right branch."""
+    return tuple(t2 for t2, _, _ in _rotations(t))
+
+
+def _each(covers: Callable) -> Callable:
+    """The cover pairs of a list of elements, from the covers of one."""
+    return lambda elements: ((x, y) for x in elements for y in covers(x))
 
 
 @lru_cache(maxsize=None)
 def family_poset(family: str, n: int) -> FinitePoset:
     """The order on one graded piece, built from its covers."""
-    covers, mobius_row = ORDERS[family]
+    cover_pairs, mobius_row = ORDERS[family]
     elements = tc.enumerate_family(family, n)
     # The pairs are generated lazily: each cover is a fresh object, dropped
     # once the poset has mapped it to an index.
-    pairs = ((x, y) for x in elements for y in covers(x))
-    return FinitePoset(elements, pairs, mobius_row)
+    return FinitePoset(elements, cover_pairs(elements), mobius_row)
+
+
+def _m_covers(b: tc.BiLeveledTree, parent: tuple, rotations: list) -> list:
+    """:func:`m_covers` from the parent table and the rotations of
+    ``b.tree``."""
+    t, ideal = b.tree, b.ideal
+    # the marks with a marked child (the root is its own parent)
+    held = {parent[u] for u in ideal if parent[u] != u}
+    out = []
+    blocked = []  # I - v for the marks v that cannot be dropped alone
+    for v in ideal:
+        if v in held:
+            blocked.append(ideal - {v})
+        elif v != 1:
+            out.append(tc.BiLeveledTree(t, ideal - {v}))
+    for t2, p, c in rotations:
+        if c != 1 and (c in ideal or p not in ideal):
+            out.append(tc.BiLeveledTree(t2, ideal))
+        else:
+            out.extend(tc.BiLeveledTree(t2, i) for i in blocked
+                       if tc.is_admissible_ideal(t2, i))
+    return out
 
 
 def m_covers(b: tc.BiLeveledTree) -> list:
@@ -266,25 +309,42 @@ def m_covers(b: tc.BiLeveledTree) -> list:
     ``t -> t'`` and dropping at most one mark ``v``.  ``(t, I - v)`` and
     ``(t', I)`` are covers when admissible; ``(t', I - v)`` is one when
     admissible and neither of those is, as the interval up to it lies in
-    ``{t, t'} x {I, I - v}``."""
-    t, ideal = b.tree, b.ideal
-    unmarked = [(i, tc.is_admissible_ideal(t, i))
-                for i in (ideal - {v} for v in ideal)]
-    out = [tc.BiLeveledTree(t, i) for i, ok in unmarked if ok]
-    for t2 in tamari_covers(t):
-        if tc.is_admissible_ideal(t2, ideal):
-            out.append(tc.BiLeveledTree(t2, ideal))
-            continue
-        out.extend(tc.BiLeveledTree(t2, i) for i, ok in unmarked
-                   if not ok and tc.is_admissible_ideal(t2, i))
-    return out
+    ``{t, t'} x {I, I - v}``.
+
+    The first two kinds are decided by local rules.  ``(t, I - v)`` is
+    admissible iff ``v`` is not node 1 and no child of ``v`` is marked:
+    only the children of ``v`` lose a marked parent.  Rotating node ``p``
+    over its left child ``c`` changes the parents of ``p``, of ``c`` and of
+    ``c``'s right child only; ``c`` takes ``p``'s old parent and the right
+    child of ``c`` takes ``p``, both marked whenever the moved node is, so
+    only ``p``'s new parent ``c`` can break up-closure.  And ``p`` becomes
+    the right child of ``c``, which must stay unmarked when ``c`` is node 1
+    (a marked ``c`` has a marked parent ``p``).  So ``(t', I)`` is
+    admissible iff ``c`` is not node 1 and not (``p`` in ``I`` and ``c``
+    not in ``I``).  The third kind keeps a full admissibility test."""
+    return _m_covers(b, tc.node_parents(b.tree), _rotations(b.tree))
+
+
+def _m_cover_pairs(elements: Sequence) -> Iterable[tuple]:
+    """The cover pairs of a list of bi-leveled trees, reading the parent
+    table and the rotations of a tree once for a run of elements over it
+    (in the canonical order the elements over one tree are contiguous, as
+    no tree encoding is a prefix of another)."""
+    tree = None
+    for b in elements:
+        if b.tree != tree:
+            tree = b.tree
+            parent, rotations = tc.node_parents(tree), _rotations(tree)
+        for c in _m_covers(b, parent, rotations):
+            yield b, c
 
 
 ORDERS = {
-    # tag: (the covers of one element; its closed-form Mobius row or None)
-    "S": (weak_covers, weak_mobius_row),
-    "Y": (tamari_covers, None),
-    "M": (m_covers, None),
+    # tag: (the cover pairs of a graded piece; the closed-form Mobius row
+    # of one element or None)
+    "S": (_each(weak_covers), weak_mobius_row),
+    "Y": (_each(tamari_covers), None),
+    "M": (_m_cover_pairs, None),
 }
 
 

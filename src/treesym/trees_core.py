@@ -27,13 +27,13 @@ permutation and the empty tree are both ``()``).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "LEAF", "BiLeveledTree", "DecoratedForest", "ParseError", "Family",
     "FAMILIES", "nodes", "leaves", "backslash", "tree_indecomposables",
-    "perm_indecomposables", "node_descendants", "leftmost_branch",
+    "perm_indecomposables", "node_parents", "leftmost_branch",
     "parse_tree", "format_tree", "parse_perm", "format_perm",
     "parse_bileveled", "format_bileveled", "standardize", "all_trees",
     "all_perms", "all_bileveled", "is_admissible_ideal", "splittings",
@@ -136,27 +136,23 @@ def perm_indecomposables(w: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def node_descendants(t: tuple) -> dict:
-    """Map each node to the frozenset of nodes strictly under it."""
-    down: dict = {}
+def node_parents(t: tuple) -> tuple:
+    """The parent of each node, indexed by node (index 0 unused); the root
+    is its own parent."""
+    parent = [0] * (nodes(t) + 1)
 
-    def fill(sub: tuple, offset: int) -> None:
+    def walk(sub: tuple, offset: int, up: int) -> None:
         left, right = sub
         root = offset + nodes(left) + 1
-        acc = set()
+        parent[root] = up or root
         if left:
-            fill(left, offset)
-            l_root = offset + nodes(left[0]) + 1
-            acc |= down[l_root] | {l_root}
+            walk(left, offset, root)
         if right:
-            fill(right, root)
-            r_root = root + nodes(right[0]) + 1
-            acc |= down[r_root] | {r_root}
-        down[root] = frozenset(acc)
+            walk(right, root, root)
 
     if t:
-        fill(t, 0)
-    return down
+        walk(t, 0, 0)
+    return tuple(parent)
 
 
 @lru_cache(maxsize=None)
@@ -277,36 +273,48 @@ def all_perms(n: int) -> tuple:
 
 
 def is_admissible_ideal(t: tuple, ideal: frozenset) -> bool:
-    """Check the bi-leveled constraints for ``(t, ideal)``."""
+    """Check the bi-leveled constraints for ``(t, ideal)``: node 1 is
+    marked, every mark is a node, the parent of every mark is marked, and
+    the right child of node 1 (its only child) is not."""
     n = nodes(t)
     if n == 0:
-        return ideal == frozenset()
-    if 1 not in ideal or not ideal <= frozenset(range(1, n + 1)):
+        return not ideal
+    if 1 not in ideal:
         return False
-    down = node_descendants(t)
-    # nothing strictly under node 1, and up-closed: nothing marked under an
-    # unmarked node
-    return ideal.isdisjoint(down[1]) and all(
-        ideal.isdisjoint(down[v]) for v in range(1, n + 1) if v not in ideal)
+    parent = node_parents(t)
+    for v in ideal:
+        if not 1 <= v <= n:
+            return False
+        p = parent[v]
+        if p not in ideal or (p == 1 and v != 1):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
 def all_bileveled(n: int) -> tuple:
+    """Every bi-leveled tree of degree ``n``: tree by tree in the order of
+    :func:`all_trees`, and over one tree the leftmost branch plus each
+    up-closed set of the nodes that may join it, by size and then
+    lexicographically."""
     if n == 0:
         return (BiLeveledTree(LEAF, frozenset()),)
     out = []
     for t in all_trees(n):
-        down = node_descendants(t)
+        parent = node_parents(t)
         branch = leftmost_branch(t)
-        optional = [
-            v for v in range(1, n + 1)
-            if v not in branch and v not in down[1]
-        ]
-        for r in range(len(optional) + 1):
-            for extra in combinations(optional, r):
-                ideal = branch | frozenset(extra)
-                if is_admissible_ideal(t, ideal):
-                    out.append(BiLeveledTree(t, ideal))
+        # the nodes off the branch that hang from it above node 1, then
+        # their descendants: parents come before their children
+        order = [v for v in range(1, n + 1)
+                 if v not in branch and parent[v] in branch and parent[v] != 1]
+        for v in order:
+            order.extend(u for u in range(1, n + 1) if parent[u] == v)
+        extras = [()]
+        for v in order:
+            p = parent[v]
+            extras += [e + (v,) for e in extras if p in branch or p in e]
+        extras.sort(key=lambda e: (len(e), sorted(e)))
+        out.extend(BiLeveledTree(t, branch.union(e)) for e in extras)
     return tuple(out)
 
 

@@ -19,7 +19,10 @@ bit by bit, replaced by the closed products of
 :data:`treesym.hopf_algebra.M_PRODUCTS` and a ``to_M`` that sums by index;
 and pattern avoidance by standardizing every subsequence.  Last come the
 definitions that the package no longer needs: the cover relation of the
-nodes of a tree, the admissibility test built on it, the three kinds of
+nodes of a tree, the descendants of each node, the admissibility test
+built on them, the generation of bi-leveled trees by filtering every set
+of optional nodes through it (which the direct generation of
+:func:`treesym.trees_core.all_bileveled` replaced), the three kinds of
 covers of the paper's classification of the bi-leveled order (which
 :func:`treesym.posets.m_covers` replaced), the inverse of the
 forest form, and the fibers of ``tau``.  Last of all, the two Hopf-module
@@ -294,6 +297,29 @@ def node_covers(t: tuple) -> tuple:
     return tuple(out)
 
 
+def node_descendants(t: tuple) -> dict:
+    """Map each node to the frozenset of nodes strictly under it."""
+    down: dict = {}
+
+    def fill(sub: tuple, offset: int) -> None:
+        left, right = sub
+        root = offset + tc.nodes(left) + 1
+        acc = set()
+        if left:
+            fill(left, offset)
+            l_root = offset + tc.nodes(left[0]) + 1
+            acc |= down[l_root] | {l_root}
+        if right:
+            fill(right, root)
+            r_root = root + tc.nodes(right[0]) + 1
+            acc |= down[r_root] | {r_root}
+        down[root] = frozenset(acc)
+
+    if t:
+        fill(t, 0)
+    return down
+
+
 def is_admissible_ideal(t: tuple, ideal: frozenset) -> bool:
     """Check the bi-leveled constraints for ``(t, ideal)``."""
     n = tc.nodes(t)
@@ -301,13 +327,36 @@ def is_admissible_ideal(t: tuple, ideal: frozenset) -> bool:
         return ideal == frozenset()
     if 1 not in ideal or not ideal <= frozenset(range(1, n + 1)):
         return False
-    down = tc.node_descendants(t)
+    down = node_descendants(t)
     # up-closed: every ancestor of a member is a member
     for child, parent in node_covers(t):
         if child in ideal and parent not in ideal:
             return False
     # nothing strictly under node 1
     return not (ideal & down[1])
+
+
+def all_bileveled(n: int) -> tuple:
+    """Every bi-leveled tree of degree ``n``, by filtering every set of
+    optional nodes: tree by tree, the leftmost branch plus each subset of
+    the other nodes not under node 1, by size and then lexicographically,
+    kept when admissible."""
+    if n == 0:
+        return (tc.BiLeveledTree(tc.LEAF, frozenset()),)
+    out = []
+    for t in tc.all_trees(n):
+        down = node_descendants(t)
+        branch = tc.leftmost_branch(t)
+        optional = [
+            v for v in range(1, n + 1)
+            if v not in branch and v not in down[1]
+        ]
+        for r in range(len(optional) + 1):
+            for extra in combinations(optional, r):
+                ideal = branch | frozenset(extra)
+                if is_admissible_ideal(t, ideal):
+                    out.append(tc.BiLeveledTree(t, ideal))
+    return tuple(out)
 
 
 def _add_leftmost_node(t: tuple) -> tuple:

@@ -75,6 +75,17 @@ def test_map_rejects_bad_node_number(capsys):
     assert err.splitlines()[-1].startswith("treesym: error: bad node number")
 
 
+@pytest.mark.parametrize("text", [
+    "(.(..));{0,1}", "(.(..));{-1,1}", "(.(..));{1,4}", ".;{1}"])
+def test_map_rejects_marks_off_the_tree(capsys, text):
+    code, out, err = invoke(capsys, "map", "phi", text)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: treesym")
+    assert lines[-1].startswith("treesym: error: inadmissible node set")
+    assert "Traceback" not in err
+
+
 DEEP_TREE = "(" * 1200 + "." + ".)" * 1200
 
 

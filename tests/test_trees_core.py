@@ -122,6 +122,21 @@ def test_admissibility_matches_node_cover_test():
                     ideal = frozenset(marks)
                     assert tc.is_admissible_ideal(t, ideal) \
                         == oracles.is_admissible_ideal(t, ideal), (t, ideal)
+                    # a mark outside 1..n, with or without the node marks
+                    for bad in (0, n + 1, -1):
+                        for wrong in (ideal | {bad}, ideal | {1, bad}):
+                            assert not tc.is_admissible_ideal(t, wrong)
+                            assert not oracles.is_admissible_ideal(t, wrong)
+    for marks in ({1}, {0}, {-1}, {0, 1}):
+        assert not tc.is_admissible_ideal(tc.LEAF, frozenset(marks))
+        assert not oracles.is_admissible_ideal(tc.LEAF, frozenset(marks))
+
+
+def test_generation_matches_subset_filter():
+    """The direct generation gives the subset filter's elements in its
+    order, which the Hopf-module reports iterate."""
+    for n in range(9):
+        assert tc.all_bileveled(n) == oracles.all_bileveled(n), n
 
 
 # ---------------------------------------------------------------------------
