@@ -329,29 +329,21 @@ def to_M(a: LinComb) -> LinComb:
     _require(a, "F")
     family = a.family
     degree = tc.FAMILIES[family].degree
-    sums: dict = {}  # poset -> {index: coefficient}
+    out: dict = {}
     for x, c in a.terms.items():
-        poset = po.family_poset(family, degree(x))
-        acc = sums.setdefault(poset, {})
-        for j in po._bits(poset.up[poset.index[x]]):
-            acc[j] = acc.get(j, 0) + c
-    return LinComb(family, "M", {poset.elements[j]: c
-                                 for poset, acc in sums.items()
-                                 for j, c in acc.items()})
+        for y in po.family_poset(family, degree(x)).above(x):
+            out[y] = out.get(y, 0) + c
+    return LinComb(family, "M", out)
 
 
 def to_F(a: LinComb) -> LinComb:
     """Inverse basis change: M_x = sum of mu(x, y) F_y over y at least x."""
     _require(a, "M")
-    family = a.family
-    degree = tc.FAMILIES[family].degree
     out: dict = {}
     for x, c in a.terms.items():
-        poset = po.family_poset(family, degree(x))
-        for j, mu in poset.mobius_row(poset.index[x]).items():
-            y = poset.elements[j]
+        for y, mu in po.mobius_row_of(a.family, x).items():
             out[y] = out.get(y, 0) + c * mu
-    return LinComb(family, "F", out)
+    return LinComb(a.family, "F", out)
 
 
 # ---------------------------------------------------------------------------

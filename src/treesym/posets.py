@@ -6,23 +6,16 @@ The three partial orders, their Mobius functions, and interval-retract checks.
 * trees: covers move a child node from the left to the right branch of its
   parent (a rotation); the order is the transitive closure;
 * marked trees: ``(s; S) <= (t; T)`` iff ``s <= t`` for trees and ``S >= T``;
-  a cover makes at most one rotation and drops at most one mark.
+  a cover makes at most one rotation and drops at most one mark (the rules
+  that decide them are in :func:`m_covers`).
 
-Two local rules decide the covers of ``(t; I)`` that only drop a mark or
-only rotate, read from the parent table of ``t``.  Dropping the mark ``v``
-keeps ``I - v`` admissible iff ``v`` is not node 1 and no child of ``v`` is
-marked.  Rotating node ``p`` over its left child ``c`` keeps ``I``
-admissible iff ``c`` is not node 1 and not (``p`` in ``I`` and ``c`` not in
-``I``): the rotation changes only the parents of ``p``, of ``c`` and of
-``c``'s right child, and only ``p``'s new parent ``c`` can break
-up-closure (see :func:`m_covers`).
-
-:class:`FinitePoset` stores the covers of a finite poset and builds its
-order relation, as bitmask rows, the first time something reads it.
-:data:`ORDERS` gives each family tag the generator of the cover pairs of a
-graded piece and, where one is known, its closed-form Mobius row.  The
-bi-leveled one computes the parent table and the rotations of each tree
-once for the run of elements over it.
+:class:`FinitePoset` is built from the elements and the cover pairs of a
+finite poset, and builds its order relation, as bitmask rows, the first
+time something reads it.  :data:`ORDERS` gives each family tag the
+generator of the cover pairs of a graded piece and, where one is known, its
+closed-form Mobius row.  :func:`mobius_row_of` reads a Mobius row by
+element, in closed form where there is one, so an order is built only where
+its covers or its closure are read.
 """
 
 from __future__ import annotations
@@ -37,25 +30,23 @@ from . import trees_core as tc
 __all__ = [
     "FinitePoset", "ORDERS", "family_poset", "inversion_set", "weak_leq",
     "weak_covers", "weak_mobius_row", "is_weak_interval", "tamari_covers",
-    "m_covers", "mobius", "interval_retract_verify",
+    "m_covers", "mobius_row_of", "mobius", "interval_retract_verify",
     "fiberwise_mobius_verify", "hasse_dot",
 ]
 
 
 class FinitePoset:
-    """A finite poset given by its cover pairs.
+    """A finite poset given by its elements and its cover pairs.
 
     ``succ[i]`` and ``pred[i]`` are the indices of the elements covering and
     covered by ``elements[i]``.  ``up[i]`` and ``down[i]``, the bitmasks of
     the elements above and below ``elements[i]`` (both reflexive), are the
     closures of the covers and of the reversed covers, built on first read.
     Mobius values are read from sparse rows ``mu(x, .)``, each computed on
-    first use, in closed form when ``mobius_row`` (an element to
-    ``{element: value}``) is given; only the other rows read the closures.
+    first use by the recursion over the closures.
     """
 
-    def __init__(self, elements: Sequence, cover_pairs: Iterable[tuple],
-                 mobius_row: Callable = None):
+    def __init__(self, elements: Sequence, cover_pairs: Iterable[tuple]):
         self.elements = tuple(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.succ = [[] for _ in self.elements]
@@ -64,7 +55,6 @@ class FinitePoset:
             i, j = self.index[x], self.index[y]
             self.succ[i].append(j)
             self.pred[j].append(i)
-        self._row_rule = mobius_row
         self._rows: dict = {}
 
     def __len__(self) -> int:
@@ -86,6 +76,10 @@ class FinitePoset:
     def leq(self, x, y) -> bool:
         return bool(self.up[self.index[x]] >> self.index[y] & 1)
 
+    def above(self, x) -> list:
+        """The elements ``y >= x``, in index order."""
+        return [self.elements[j] for j in _bits(self.up[self.index[x]])]
+
     def covers(self) -> tuple:
         """All cover pairs ``(x, y)`` with ``x`` covered by ``y``, in index
         order of ``x`` and then of ``y``."""
@@ -100,12 +94,7 @@ class FinitePoset:
         """The nonzero values ``mu(elements[i], .)``, keyed by index."""
         row = self._rows.get(i)
         if row is None:
-            if self._row_rule is not None:
-                row = {self.index[y]: mu
-                       for y, mu in self._row_rule(self.elements[i]).items()}
-            else:
-                row = self._row_from_order(i)
-            self._rows[i] = row
+            row = self._rows[i] = self._row_from_order(i)
         return row
 
     def _row_from_order(self, i: int) -> dict:
@@ -275,11 +264,11 @@ def _each(covers: Callable) -> Callable:
 @lru_cache(maxsize=None)
 def family_poset(family: str, n: int) -> FinitePoset:
     """The order on one graded piece, built from its covers."""
-    cover_pairs, mobius_row = ORDERS[family]
+    cover_pairs = ORDERS[family][0]
     elements = tc.enumerate_family(family, n)
     # The pairs are generated lazily: each cover is a fresh object, dropped
     # once the poset has mapped it to an index.
-    return FinitePoset(elements, cover_pairs(elements), mobius_row)
+    return FinitePoset(elements, cover_pairs(elements))
 
 
 def _m_covers(b: tc.BiLeveledTree, parent: tuple, rotations: list) -> list:
@@ -341,8 +330,8 @@ def _m_cover_pairs(elements: Sequence) -> Iterable[tuple]:
 
 ORDERS = {
     # tag: (the cover pairs of a graded piece; the closed-form Mobius row
-    # of one element or None)
-    "S": (_each(weak_covers), weak_mobius_row),
+    # of one element or None, which looks its function up when called)
+    "S": (_each(weak_covers), lambda u: weak_mobius_row(u)),
     "Y": (_each(tamari_covers), None),
     "M": (_m_cover_pairs, None),
 }
@@ -352,8 +341,22 @@ ORDERS = {
 # Mobius values
 
 
+def mobius_row_of(family: str, x) -> dict:
+    """The nonzero Mobius values ``mu(x, .)`` of a family's order, keyed by
+    element: the closed form where :data:`ORDERS` has one, else the row of
+    the graded piece's order."""
+    closed = ORDERS[family][1]
+    if closed is not None:
+        return closed(x)
+    poset = family_poset(family, tc.FAMILIES[family].degree(x))
+    return {poset.elements[j]: mu
+            for j, mu in poset.mobius_row(poset.index[x]).items()}
+
+
 def mobius(family: str, x, y) -> int:
     """Exact Mobius value between two same-degree elements of a family."""
+    if ORDERS[family][1] is not None:
+        return mobius_row_of(family, x).get(y, 0)
     return family_poset(family, tc.FAMILIES[family].degree(x)).mobius(x, y)
 
 
@@ -388,20 +391,18 @@ def fiberwise_mobius_verify(n: int) -> dict:
     """Check that each Mobius value on bi-leveled trees is the sum of the
     Mobius values between the two fibers, on all pairs.
 
-    One pass over the permutations adds each nonzero ``mu_S(a, v)`` to the
-    entry ``(beta(a), beta(v))``.  The rows of the bi-leveled order itself
-    are then compared with these sums; pairs missing from both are zero.
+    One pass over the permutations adds each nonzero ``mu_S(a, v)``, in
+    closed form, to the entry ``(beta(a), beta(v))``.  The rows of the
+    bi-leveled order itself, by the recursion over its closure, are then
+    compared with these sums; pairs missing from both are zero.
     """
-    sposet = family_poset("S", n)
     mposet = family_poset("M", n)
-    fiber_of = [None] * len(sposet)
-    for b, fiber in pj.beta_fibers(n).items():
-        for w in fiber:
-            fiber_of[sposet.index[w]] = mposet.index[b]
+    fiber_of = {w: mposet.index[b]
+                for b, fiber in pj.beta_fibers(n).items() for w in fiber}
     sums = [{} for _ in mposet.elements]
-    for a, x in enumerate(fiber_of):
+    for a, x in fiber_of.items():
         acc = sums[x]
-        for v, mu in sposet.mobius_row(a).items():
+        for v, mu in weak_mobius_row(a).items():
             y = fiber_of[v]
             acc[y] = acc.get(y, 0) + mu
     violations = []
@@ -418,12 +419,12 @@ def fiberwise_mobius_verify(n: int) -> dict:
 def hasse_dot(family: str, n: int) -> str:
     """DOT digraph of the cover relation, edges pointing upward."""
     poset = family_poset(family, n)
-    fmt = tc.FAMILIES[family].format
+    # the elements are in the order of their encodings, so index order is
+    # the text order
+    names = [tc.FAMILIES[family].format(x) for x in poset.elements]
     lines = [f'digraph "{family}{n}" {{']
-    for x in poset.elements:
-        lines.append(f'  "{fmt(x)}";')
-    for x, y in sorted(poset.covers(),
-                       key=lambda p: (fmt(p[0]), fmt(p[1]))):
-        lines.append(f'  "{fmt(x)}" -> "{fmt(y)}";')
+    lines += [f'  "{name}";' for name in names]
+    lines += [f'  "{names[i]}" -> "{names[j]}";'
+              for i, js in enumerate(poset.succ) for j in sorted(js)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -138,6 +138,17 @@ COMMANDS = (
        for f, n in (("S", 5), ("Y", 5), ("M", 6))]
     + [["mobius", "--family", "S", "1234567", "7654321"],
        ["verify", "--suite", "interval-retract", "--n", "6"]]
+    # Mobius rows read by element: weak-order values in closed form (one
+    # pair not comparable, one at degree 8), a Tamari value, the basis
+    # changes both ways on M, the fiber comparison and a Tamari diagram
+    + [["mobius", "--family", "S", "21", "12"],
+       ["mobius", "--family", "S", "12345678", "87654321"],
+       ["mobius", "--family", "Y", "((((((..).).).).).)",
+        "(.(.(.(.(.(..))))))"],
+       ["op", "mul", "--family", "M", "--basis", "M",
+        "((..).);{1,2}", "((..)(..));{1,2,3}"],
+       ["verify", "--suite", "mobius-fibers", "--n", "6"],
+       ["hasse", "--family", "Y", "--n", "6"]]
 )
 
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from treesym import cli
+from treesym import hopf_algebra as ha
 from treesym import posets as po
 from treesym import projections as pj
 from treesym import trees_core as tc
@@ -245,13 +246,25 @@ def test_cover_built_orders_match_definition(family, top):
 
 @pytest.mark.parametrize("family,top", [("S", 5), ("Y", 6), ("M", 6)])
 def test_mobius_rows_match_chain_oracle(family, top):
+    """The values the ``mobius`` command reads, in closed form on
+    permutations."""
     for n in range(top + 1):
-        fast = po.family_poset(family, n)
         # the Tamari order is defined by its covers, so it is its own oracle
-        slow = fast if family == "Y" else leq_poset(family, n)
-        for x in fast.elements:
-            for y in fast.elements:
-                assert fast.mobius(x, y) == hall_mobius(slow, x, y), (x, y)
+        slow = po.family_poset(family, n) if family == "Y" \
+            else leq_poset(family, n)
+        for x in slow.elements:
+            for y in slow.elements:
+                assert po.mobius(family, x, y) == hall_mobius(slow, x, y), \
+                    (x, y)
+
+
+def test_closed_weak_order_rows_match_the_recursion():
+    for n in range(7):
+        sposet = po.family_poset("S", n)
+        for i, x in enumerate(sposet.elements):
+            row = {sposet.elements[j]: mu
+                   for j, mu in sposet.mobius_row(i).items()}
+            assert po.mobius_row_of("S", x) == row, x
 
 
 def test_beta_fibers_match_scan():
@@ -305,20 +318,27 @@ def test_weak_interval_test_matches_closure_oracle():
 
 
 def test_order_suites_build_no_weak_order_closure():
-    """The fiber test, the Hasse diagrams, a weak-order Mobius value and
-    the Mobius comparison build no closure of the weak order, and the first
-    two none of the bi-leveled order."""
+    """The fiber test and the Hasse diagrams build no closure of the weak
+    or the bi-leveled order; a weak-order Mobius value, the fundamental
+    image of a second-basis permutation and the Mobius comparison build no
+    weak order at all."""
     po.family_poset.cache_clear()
     po.interval_retract_verify(5)
     po.hasse_dot("M", 5)
+    po.hasse_dot("S", 5)
     for family in "SM":
         assert "up" not in vars(po.family_poset(family, 5)), family
         assert "down" not in vars(po.family_poset(family, 5)), family
-    po.hasse_dot("S", 5)
+    po.family_poset.cache_clear()
     assert po.mobius("S", (1, 2, 3, 4, 5), (2, 1, 3, 5, 4)) == 1
-    po.fiberwise_mobius_verify(5)
-    assert "up" not in vars(po.family_poset("S", 5))
-    assert "down" not in vars(po.family_poset("S", 5))
+    assert ha.to_F(ha.Mb("S", (1, 3, 2))) == \
+        ha.F("S", (1, 3, 2)) - ha.F("S", (2, 3, 1))
+    assert po.fiberwise_mobius_verify(5)["ok"]
+    for n in (3, 5):
+        # a weak order asked for now is built, not found in the cache
+        misses = po.family_poset.cache_info().misses
+        po.family_poset("S", n)
+        assert po.family_poset.cache_info().misses == misses + 1, n
 
 
 def test_fiberwise_mobius_reports_a_bad_row(monkeypatch):
@@ -331,6 +351,31 @@ def test_fiberwise_mobius_reports_a_bad_row(monkeypatch):
     x, y = mposet.elements[0], mposet.elements[j]
     assert report["violations"] == [
         (tc.format_bileveled(x), tc.format_bileveled(y), 1, 0)]
+
+
+def test_a_flipped_weak_order_value_shows(monkeypatch, capsys):
+    """One closed-form weak-order value with its sign flipped shows in the
+    Mobius comparison, in its suite and in the ``mobius`` command."""
+    u, v = (1, 2, 3), (2, 1, 3)
+    closed = po.weak_mobius_row
+
+    def flipped(w):
+        row = closed(w)
+        if w == u:
+            row[v] = -row[v]
+        return row
+
+    monkeypatch.setattr(po, "weak_mobius_row", flipped)
+    x, y = pj.beta(u), pj.beta(v)
+    lhs = po.family_poset("M", 3).mobius(x, y)
+    report = po.fiberwise_mobius_verify(3)
+    assert report["violations"] == [
+        (tc.format_bileveled(x), tc.format_bileveled(y), lhs, lhs + 2)]
+    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "3"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.startswith("FAIL: "), out
+    assert cli.run(["mobius", "--family", "S", "123", "213"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 # ---------------------------------------------------------------------------
