@@ -187,26 +187,17 @@ def _formatted_terms(a: LinComb) -> list:
             for keys, c in items]
 
 
-def _join(parts) -> str:
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return out
-
-
-def _scalar_prefix(c: int) -> str:
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    return "%d*" % c
-
-
 def format_lincomb(a: LinComb) -> str:
-    """A linear or tensor combination as text."""
-    return _join([_scalar_prefix(c) + text for text, c in _formatted_terms(a)])
+    """A linear or tensor combination as text: each term is its sign (only
+    a ``-`` on the first term), ``k*`` when ``|k| != 1``, and its text."""
+    out = ""
+    for text, c in _formatted_terms(a):
+        if out:
+            out += " - " if c < 0 else " + "
+        elif c < 0:
+            out = "-"
+        out += ("" if abs(c) == 1 else "%d*" % abs(c)) + text
+    return out or "0"
 
 
 format_tensor = format_lincomb

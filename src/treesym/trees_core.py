@@ -27,7 +27,7 @@ permutation and the empty tree are both ``()``).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -373,10 +373,12 @@ def perm_splittings(w: tuple, m: int) -> Iterator[tuple]:
         yield tuple(parts)
 
 
-def bileveled_splittings(b: BiLeveledTree, m: int) -> Iterator[DecoratedForest]:
-    """Split a bi-leveled tree; parts carry their inherited node marks."""
+def _split_bileveled(b: BiLeveledTree, m: int,
+                     first: int) -> Iterator[DecoratedForest]:
+    """Split ``b`` along each weakly increasing choice of ``m`` leaves
+    numbered ``first`` or more, in lexicographic order of the choices."""
     n = nodes(b.tree)
-    for choice in combinations_with_replacement(range(n + 1), m):
+    for choice in combinations_with_replacement(range(first, n + 1), m):
         trees = split_tree_at(b.tree, choice)
         bounds = list(choice) + [n]
         parts = []
@@ -388,18 +390,22 @@ def bileveled_splittings(b: BiLeveledTree, m: int) -> Iterator[DecoratedForest]:
         yield tuple(parts)
 
 
+def bileveled_splittings(b: BiLeveledTree, m: int) -> Iterator[DecoratedForest]:
+    """Split a bi-leveled tree; parts carry their inherited node marks."""
+    return _split_bileveled(b, m, 0)
+
+
 def splittings(family: str, x, m: int) -> list:
     """All splittings of ``x`` along a multiset of ``m`` leaves."""
     return list(FAMILIES[family].split(x, m))
 
 
 def restricted_splittings(b: BiLeveledTree, m: int) -> Iterator[DecoratedForest]:
-    """Splittings of ``b`` whose first part is nonempty."""
+    """Splittings of ``b`` whose first part is nonempty: the first cut is
+    at leaf 1 or later, since the first part holds the nodes left of it."""
     if not b.tree:
         raise ValueError("restricted splittings need a nonempty tree")
-    for forest in bileveled_splittings(b, m):
-        if forest[0][0]:
-            yield forest
+    yield from _split_bileveled(b, m, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +442,6 @@ def graft_perms(forest: Sequence[tuple], base: tuple) -> tuple:
     return tuple(out)
 
 
-def _grafted_positions(part_sizes: Sequence[int]):
-    """In-order positions of base nodes and of each part's nodes.
-
-    For a grafting of parts ``(f0..fm)`` onto an ``m``-node base, returns
-    ``(base_pos, part_offsets)`` where ``base_pos[j]`` is the final position
-    of base node ``j+1`` and part ``j``'s node ``k`` lands at
-    ``part_offsets[j] + k``.
-    """
-    base_pos = []
-    part_offsets = []
-    total = 0
-    for j, size in enumerate(part_sizes):
-        part_offsets.append(total + j)
-        total += size
-    for j in range(1, len(part_sizes)):
-        base_pos.append(part_offsets[j])
-    return base_pos, part_offsets
-
-
 def graft_bileveled(forest: DecoratedForest, base: BiLeveledTree) -> BiLeveledTree:
     """Graft a decorated forest onto a bi-leveled base.
 
@@ -463,13 +450,15 @@ def graft_bileveled(forest: DecoratedForest, base: BiLeveledTree) -> BiLeveledTr
     """
     part_trees = [p[0] for p in forest]
     tree = graft_trees(part_trees, base.tree)
-    base_pos, part_offsets = _grafted_positions([nodes(p) for p in part_trees])
-    if not forest[0][0]:
-        ideal = frozenset(base_pos[v - 1] for v in base.ideal)
+    # in-order, base node j sits between parts j - 1 and j: part j's node
+    # k lands at start[j] + k, and base node j at start[j]
+    start = list(accumulate((nodes(p) + 1 for p in part_trees[:-1]),
+                            initial=0))
+    if not part_trees[0]:
+        ideal = frozenset(start[v] for v in base.ideal)
     else:
-        ideal = frozenset(base_pos) | frozenset(
-            part_offsets[j] + k for j, (pt, marks) in enumerate(forest) for k in marks
-        )
+        ideal = frozenset(start[1:]) | frozenset(
+            start[j] + k for j, (_, marks) in enumerate(forest) for k in marks)
     return BiLeveledTree(tree, ideal)
 
 

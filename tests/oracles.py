@@ -22,10 +22,13 @@ definitions that the package no longer needs: the cover relation of the
 nodes of a tree, the descendants of each node, the admissibility test
 built on them, the generation of bi-leveled trees by filtering every set
 of optional nodes through it (which the direct generation of
-:func:`treesym.trees_core.all_bileveled` replaced), the three kinds of
-covers of the paper's classification of the bi-leveled order (which
-:func:`treesym.posets.m_covers` replaced), the inverse of the
-forest form, and the fibers of ``tau``.  Last of all, the two Hopf-module
+:func:`treesym.trees_core.all_bileveled` replaced), the restricted
+splittings as every splitting less those with an empty first part (which
+:func:`treesym.trees_core.restricted_splittings` replaced by cutting at
+leaf 1 or later), the three kinds of covers of the paper's
+classification of the bi-leveled order (which
+:func:`treesym.posets.m_covers` replaced), the inverse of the forest
+form, and the fibers of ``tau``.  Last of all, the two Hopf-module
 reports as they were before they kept each single-element image for the
 length of the call: they recompute every image for every pair, and call
 each function through its module attribute, so a wrapper put on one
@@ -359,6 +362,13 @@ def all_bileveled(n: int) -> tuple:
     return tuple(out)
 
 
+def restricted_splittings(b: tc.BiLeveledTree, m: int) -> list:
+    """Every splitting of ``b`` along ``m`` leaves whose first part is
+    nonempty, by dropping the others."""
+    return [forest for forest in tc.bileveled_splittings(b, m)
+            if forest[0][0]]
+
+
 def _add_leftmost_node(t: tuple) -> tuple:
     if not t:
         return (tc.LEAF, tc.LEAF)
@@ -371,9 +381,11 @@ def ideal_form(t0: tuple, forest: Sequence[tuple]) -> tc.BiLeveledTree:
         raise ValueError("forest size must be one more than the upper tree size")
     upper = _add_leftmost_node(t0)
     tree = tc.graft_trees((tc.LEAF,) + tuple(forest), upper)
-    sizes = [0] + [tc.nodes(f) for f in forest]
-    base_pos, _ = tc._grafted_positions(sizes)
-    return tc.BiLeveledTree(tree, frozenset(base_pos))
+    # in-order, the upper node j follows the j - 1 upper nodes before it
+    # and the pieces hanging at the leaves left of it, forest[:j - 1]
+    return tc.BiLeveledTree(tree, frozenset(
+        j + sum(tc.nodes(f) for f in forest[:j - 1])
+        for j in range(1, len(forest) + 1)))
 
 
 def _rotate_leftmost_node(t: tuple) -> tuple:

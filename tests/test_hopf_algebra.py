@@ -128,6 +128,24 @@ def test_tags_keep_families_and_bases_apart():
     assert ha.format_lincomb(F("Y", ())) == "1"
 
 
+def test_signed_display():
+    # terms are ordered by text: 12 < 21 < 231
+    assert ha.format_lincomb(LinComb("S", "F", {(1, 2): -1, (2, 1): 1})) \
+        == "-F[S:12] + F[S:21]"
+    assert ha.format_lincomb(LinComb("S", "F", {(1, 2): -2, (2, 1): -1})) \
+        == "-2*F[S:12] - F[S:21]"
+    assert ha.format_lincomb(
+        LinComb("S", "F", {(1, 2): 1, (2, 1): -3, (2, 3, 1): 2})) \
+        == "F[S:12] - 3*F[S:21] + 2*F[S:231]"
+    assert ha.format_lincomb(LinComb("S", "M", {})) == "0"
+    pair = TensorComb(("M", "Y"), "F", {
+        (tc.parse_bileveled("(..);{1}"), tc.LEAF): -2,
+        (tc.parse_bileveled("(..);{1}"), (tc.LEAF, tc.LEAF)): -1})
+    # the tree "(..)" sorts before the empty tree "."
+    assert ha.format_tensor(pair) \
+        == "-F[M:(..);{1}] (x) F[Y:(..)] - 2*F[M:(..);{1}] (x) 1"
+
+
 # ---------------------------------------------------------------------------
 # coproducts
 

@@ -427,6 +427,37 @@ def test_plus_module_report_catches_a_flipped_coaction_coefficient(
         capsys, hm.plus_module_verify(3), "hopf-module-plus")
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_plus_module_report_drops_cancelled_terms(monkeypatch, k):
+    """An extra term in the action of one pair of total degree ``k`` keeps
+    the law when it is a restricted coinvariant ``v``.  ``v`` has a
+    negative coefficient, so its coaction, summed term by term into the
+    left side, cancels to explicit zeros that the right side lacks: the
+    report stays OK only because it compares the sums without their zero
+    coefficients.  A plain basis vector as the extra term breaks the law."""
+    b_star = tc.all_bileveled(k)[0]
+    v = next(v for v in (ha.to_F(Mb("M", b0)) for b0 in hm.b_basis(k))
+             if min(v.terms.values()) < 0)
+    action = hm.plus_action
+
+    def plus_action_with(extra):
+        def patched(a, h):
+            image = action(a, h)
+            if a == F("M", b_star) and h == F("Y", tc.LEAF):
+                return image + extra
+            return image
+        return patched
+
+    monkeypatch.setattr(hm, "plus_action", plus_action_with(v))
+    assert hm.plus_module_verify(k)["ok"]
+    c = tc.all_bileveled(k)[1]
+    monkeypatch.setattr(hm, "plus_action", plus_action_with(F("M", c)))
+    report = hm.plus_module_verify(k)
+    assert not report["ok"]
+    assert (tc.format_bileveled(b_star), tc.format_tree(tc.LEAF)) \
+        in report["violations"]
+
+
 def test_hopf_module_reports_match_their_oracles(monkeypatch):
     """Each image computed once per call gives the whole report, its
     violations in order, that recomputing every image for each case gives:

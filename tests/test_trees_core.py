@@ -179,6 +179,14 @@ def test_restricted_splittings_skip_empty_first_part():
         list(tc.restricted_splittings(BiLeveledTree((), frozenset()), 1))
 
 
+def test_restricted_splittings_match_the_filter():
+    for n in range(1, 7):
+        for b in tc.all_bileveled(n):
+            for m in range(4):
+                assert list(tc.restricted_splittings(b, m)) \
+                    == oracles.restricted_splittings(b, m), (b, m)
+
+
 def test_perm_graft_display():
     # a five-piece forest grafted onto a four-letter base
     forest = ((3, 2), (), (7, 5, 1), (6,), (4,))
