@@ -9,20 +9,25 @@ The three partial orders, their Mobius functions, and interval-retract checks.
   a cover makes at most one rotation and drops at most one mark (the rules
   that decide them are in :func:`m_covers`).
 
-:class:`FinitePoset` is built from the elements and the cover pairs of a
-finite poset, and builds its order relation, as bitmask rows, the first
-time something reads it.  :data:`ORDERS` gives each family tag the
-generator of the cover pairs of a graded piece and, where one is known, its
-closed-form Mobius row.  :func:`mobius_row_of` reads a Mobius row by
-element, in closed form where there is one, so an order is built only where
-its covers or its closure are read.
+:class:`FinitePoset` is built from the elements of a finite poset and, for
+each, the list of the indices of its covers, and builds its order relation,
+as bitmask rows, the first time something reads it.  :data:`ORDERS` gives
+each family tag the builder of those index lists for a graded piece and,
+where one is known, its closed-form Mobius row.  The Tamari and bi-leveled
+builders build no cover as an element: a tree's rotations are found by
+position in the canonical order, and a bi-leveled cover by its mark set in
+its tree's block of elements.  A Mobius row is computed by the recursion
+over the closure, keeping one bitmask per value and counting bits.
+:func:`mobius_row_of` reads a Mobius row by element, in closed form where
+there is one, so an order is built only where its covers or its closure
+are read.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import projections as pj
 from . import trees_core as tc
@@ -36,29 +41,28 @@ __all__ = [
 
 
 class FinitePoset:
-    """A finite poset given by its elements and its cover pairs.
+    """A finite poset given by its elements and its cover relation.
 
-    ``succ[i]`` and ``pred[i]`` are the indices of the elements covering and
-    covered by ``elements[i]``.  ``up[i]`` and ``down[i]``, the bitmasks of
-    the elements above and below ``elements[i]`` (both reflexive), are the
-    closures of the covers and of the reversed covers, built on first read.
-    Mobius values are read from sparse rows ``mu(x, .)``, each computed on
-    first use by the recursion over the closures.
+    ``succ[i]`` lists the indices of the elements covering ``elements[i]``.
+    ``up[i]`` and ``down[i]``, the bitmasks of the elements above and below
+    ``elements[i]`` (both reflexive), are the closures of the covers and of
+    the reversed covers.  They are built on first read, as is ``index``,
+    the position of each element.  Mobius values are read from sparse rows
+    ``mu(x, .)``, each computed on first use by the recursion over the
+    closures.
     """
 
-    def __init__(self, elements: Sequence, cover_pairs: Iterable[tuple]):
+    def __init__(self, elements: Sequence, succ: list):
         self.elements = tuple(elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self.succ = [[] for _ in self.elements]
-        self.pred = [[] for _ in self.elements]
-        for x, y in cover_pairs:
-            i, j = self.index[x], self.index[y]
-            self.succ[i].append(j)
-            self.pred[j].append(i)
+        self.succ = succ
         self._rows: dict = {}
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def index(self) -> dict:
+        return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
     def up(self) -> list:
@@ -66,7 +70,15 @@ class FinitePoset:
 
     @cached_property
     def down(self) -> list:
-        return _transitive_closure(self.pred)
+        # each element passes its down-set on to its covers, in a linear
+        # extension: z < y strictly implies more elements above z than y
+        up = self.up
+        down = [1 << i for i in range(len(up))]
+        for i in sorted(range(len(up)), key=lambda i: -up[i].bit_count()):
+            mask = down[i]
+            for j in self.succ[i]:
+                down[j] |= mask
+        return down
 
     @cached_property
     def _heights(self) -> list:
@@ -99,16 +111,22 @@ class FinitePoset:
 
     def _row_from_order(self, i: int) -> dict:
         """``mu(x, y) = -sum of mu(x, z) over x <= z < y``, for ``y`` above
-        ``x`` in a linear extension, summing over the nonzero ``z`` only."""
+        ``x`` in a linear extension.  The ``z`` with a nonzero value are
+        kept as one bitmask per value ``v``, so the sum is the sum of
+        ``v * |mask_v & down[y]|``, its bits counted in C."""
         above = _bits(self.up[i] & ~(1 << i))
         above.sort(key=self._heights.__getitem__)
+        down = self.down
         row = {i: 1}
-        support = 1 << i
+        support = {1: 1 << i}
         for j in above:
-            total = sum(row[k] for k in _bits(support & self.down[j]))
+            below = down[j]
+            total = 0
+            for v, mask in support.items():
+                total += v * (mask & below).bit_count()
             if total:
                 row[j] = -total
-                support |= 1 << j
+                support[-total] = support.get(-total, 0) | 1 << j
         return row
 
 
@@ -256,41 +274,93 @@ def tamari_covers(t: tuple) -> tuple:
     return tuple(t2 for t2, _, _ in _rotations(t))
 
 
-def _each(covers: Callable) -> Callable:
-    """The cover pairs of a list of elements, from the covers of one."""
-    return lambda elements: ((x, y) for x in elements for y in covers(x))
-
-
 @lru_cache(maxsize=None)
 def family_poset(family: str, n: int) -> FinitePoset:
     """The order on one graded piece, built from its covers."""
-    cover_pairs = ORDERS[family][0]
     elements = tc.enumerate_family(family, n)
-    # The pairs are generated lazily: each cover is a fresh object, dropped
-    # once the poset has mapped it to an index.
-    return FinitePoset(elements, cover_pairs(elements))
+    return FinitePoset(elements, ORDERS[family][0](elements))
 
 
-def _m_covers(b: tc.BiLeveledTree, parent: tuple, rotations: list) -> list:
-    """:func:`m_covers` from the parent table and the rotations of
-    ``b.tree``."""
-    t, ideal = b.tree, b.ideal
+def _rotation_rows(trees: Sequence) -> list:
+    """The rotations of each tree of one degree, the trees given in
+    canonical order, as triples ``(j, p, c)``: moving node ``p`` over its
+    left child ``c`` gives ``trees[j]``.  The triples come in the order of
+    :func:`_rotations`.
+
+    No rotated tree is built.  In text order the trees ``(L, R)`` of degree
+    ``m`` with one left subtree ``L`` form a block, ordered by ``R``, so
+    ``(L, R)`` sits at the start of ``L``'s block plus the position of
+    ``R``.  The last block, ``L`` empty, runs over the trees of degree
+    ``m - 1``, so every smaller degree is read off the trees given.  The
+    rows of a degree are built from those of the two subtrees, plus the
+    rotation at the root: ``((A, B), R)`` becomes ``(A, (B, R))``.
+    """
+    levels = [trees]
+    while levels[-1][0]:
+        levels.append([t[1] for t in levels[-1] if not t[0]])
+    levels.reverse()
+    where = {}  # tree -> (degree, position)
+    splits, starts, rows = [], [], []
+    for m, level in enumerate(levels):
+        # each tree (L, R) as (degree of L, position of L, position of R)
+        split, start = [], {}
+        for i, t in enumerate(level):
+            where[t] = (m, i)
+            if t:
+                k, lpos = where[t[0]]
+                split.append((k, lpos, where[t[1]][1]))
+                start.setdefault((k, lpos), i)
+        splits.append(split)
+        starts.append(start)
+        rows.append([] if m else [[]])
+        for i, (k, lpos, rpos) in enumerate(split):
+            root = k + 1
+            row = []
+            if k:
+                ka, apos, bpos = splits[k][lpos]
+                # (A, (B, R)), where (B, R) has degree m - 1 - ka
+                row.append((start[ka, apos] + rpos
+                            + starts[m - 1 - ka][k - 1 - ka, bpos],
+                            root, ka + 1))
+                row += [(start[k, lpos2] + rpos, p, c)
+                        for lpos2, p, c in rows[k][lpos]]
+            row += [(i - rpos + rpos2, p + root, c + root)
+                    for rpos2, p, c in rows[m - 1 - k][rpos]]
+            rows[m].append(row)
+    return rows[-1]
+
+
+def _tamari_succ(trees: Sequence) -> list:
+    return [[j for j, _, _ in row] for row in _rotation_rows(trees)]
+
+
+def _weak_succ(perms: Sequence) -> list:
+    # a permutation is a flat tuple, cheap to hash: its covers are looked
+    # up in an index of the elements
+    index = {w: i for i, w in enumerate(perms)}
+    return [[index[v] for v in weak_covers(w)] for w in perms]
+
+
+def _m_cover_steps(ideal: frozenset, parent: tuple, rotations: list):
+    """The covers of ``(t, ideal)`` by the rules of :func:`m_covers`, from
+    the parent table and the rotations ``(r, p, c)`` of ``t``: each as
+    ``(r, marks, sure)``, over ``t`` itself when ``r`` is None and else over
+    the rotation ``r``.  One of the third kind has ``sure`` false, and is a
+    cover only when ``marks`` is admissible on its tree."""
     # the marks with a marked child (the root is its own parent)
     held = {parent[u] for u in ideal if parent[u] != u}
-    out = []
     blocked = []  # I - v for the marks v that cannot be dropped alone
     for v in ideal:
         if v in held:
             blocked.append(ideal - {v})
         elif v != 1:
-            out.append(tc.BiLeveledTree(t, ideal - {v}))
-    for t2, p, c in rotations:
+            yield None, ideal - {v}, True
+    for r, p, c in rotations:
         if c != 1 and (c in ideal or p not in ideal):
-            out.append(tc.BiLeveledTree(t2, ideal))
+            yield r, ideal, True
         else:
-            out.extend(tc.BiLeveledTree(t2, i) for i in blocked
-                       if tc.is_admissible_ideal(t2, i))
-    return out
+            for marks in blocked:
+                yield r, marks, False
 
 
 def m_covers(b: tc.BiLeveledTree) -> list:
@@ -311,29 +381,44 @@ def m_covers(b: tc.BiLeveledTree) -> list:
     (a marked ``c`` has a marked parent ``p``).  So ``(t', I)`` is
     admissible iff ``c`` is not node 1 and not (``p`` in ``I`` and ``c``
     not in ``I``).  The third kind keeps a full admissibility test."""
-    return _m_covers(b, tc.node_parents(b.tree), _rotations(b.tree))
+    t = b.tree
+    steps = _m_cover_steps(b.ideal, tc.node_parents(t), _rotations(t))
+    return [tc.BiLeveledTree(t if t2 is None else t2, marks)
+            for t2, marks, sure in steps
+            if sure or tc.is_admissible_ideal(t2, marks)]
 
 
-def _m_cover_pairs(elements: Sequence) -> Iterable[tuple]:
-    """The cover pairs of a list of bi-leveled trees, reading the parent
-    table and the rotations of a tree once for a run of elements over it
-    (in the canonical order the elements over one tree are contiguous, as
-    no tree encoding is a prefix of another)."""
-    tree = None
-    for b in elements:
-        if b.tree != tree:
-            tree = b.tree
-            parent, rotations = tc.node_parents(tree), _rotations(tree)
-        for c in _m_covers(b, parent, rotations):
-            yield b, c
+def _m_succ(elements: Sequence) -> list:
+    """:func:`m_covers` of each of a degree's bi-leveled trees, given in
+    canonical order, as index lists.  In that order the elements over one
+    tree form a block, and the blocks come in the canonical order of their
+    trees (no tree encoding is a prefix of another), so a cover is found in
+    its tree's block by its mark set."""
+    trees, blocks = [], []
+    for k, b in enumerate(elements):
+        if not trees or b.tree != trees[-1]:
+            trees.append(b.tree)
+            blocks.append({})
+        blocks[-1][b.ideal] = k
+    succ = []
+    for t, block, rotations in zip(trees, blocks, _rotation_rows(trees)):
+        parent = tc.node_parents(t)
+        for ideal in block:
+            # a mark set is admissible on a tree iff it is in its block
+            succ.append([(block if r is None else blocks[r])[marks]
+                         for r, marks, sure
+                         in _m_cover_steps(ideal, parent, rotations)
+                         if sure or marks in blocks[r]])
+    return succ
 
 
 ORDERS = {
-    # tag: (the cover pairs of a graded piece; the closed-form Mobius row
-    # of one element or None, which looks its function up when called)
-    "S": (_each(weak_covers), lambda u: weak_mobius_row(u)),
-    "Y": (_each(tamari_covers), None),
-    "M": (_m_cover_pairs, None),
+    # tag: (the covers of a graded piece, given in canonical order, as
+    # index lists; the closed-form Mobius row of one element or None, which
+    # looks its function up when called)
+    "S": (_weak_succ, lambda u: weak_mobius_row(u)),
+    "Y": (_tamari_succ, None),
+    "M": (_m_succ, None),
 }
 
 

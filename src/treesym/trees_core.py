@@ -18,8 +18,9 @@ The module also implements splitting an element along a multiset of leaves,
 grafting a forest onto the leaves of a base element, and the two-factor
 decompositions of the backslash product.  :data:`FAMILIES` holds one
 :class:`Family` record per tag (``"S"``, ``"Y"``, ``"M"``) with its text
-encoding, degree, empty element, generator, splitting, grafting and
-decompositions; code that handles all three families reads this table
+encoding, degree, empty element, generator, canonical order, splitting,
+grafting and decompositions; code that handles all three families reads
+this table
 instead of guessing the family from the shape of a value (the empty
 permutation and the empty tree are both ``()``).
 """
@@ -27,7 +28,9 @@ permutation and the empty tree are both ``()``).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, permutations
+from itertools import (accumulate, combinations_with_replacement, groupby,
+                       permutations)
+from operator import attrgetter
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -221,9 +224,12 @@ def parse_perm(text: str) -> tuple:
     return w
 
 
+def _format_marks(ideal: frozenset) -> str:
+    return "{" + ",".join(map(str, sorted(ideal))) + "}"
+
+
 def format_bileveled(b: BiLeveledTree) -> str:
-    inner = ",".join(str(i) for i in sorted(b.ideal))
-    return f"{format_tree(b.tree)};{{{inner}}}"
+    return f"{format_tree(b.tree)};{_format_marks(b.ideal)}"
 
 
 def parse_bileveled(text: str) -> BiLeveledTree:
@@ -318,11 +324,35 @@ def all_bileveled(n: int) -> tuple:
     return tuple(out)
 
 
+def _perms_in_order(n: int) -> tuple:
+    """``all_perms(n)`` in text order.  Up to degree 9 each letter is one
+    digit, so the text order is the lexicographic order of the tuples, in
+    which ``permutations`` yields them."""
+    if n <= 9:
+        return all_perms(n)
+    return tuple(sorted(all_perms(n), key=format_perm))
+
+
+def _trees_in_order(n: int) -> tuple:
+    return tuple(sorted(all_trees(n), key=format_tree))
+
+
+def _bileveled_in_order(n: int) -> tuple:
+    """``all_bileveled(n)`` in text order: the trees sorted once by their
+    text, and the mark sets over each tree by their mark text.  No tree
+    encoding is a prefix of another, so two elements over different trees
+    compare as their trees do."""
+    runs = [list(run) for _, run in groupby(all_bileveled(n),
+                                            key=attrgetter("tree"))]
+    runs.sort(key=lambda run: format_tree(run[0].tree))
+    return tuple(b for run in runs
+                 for b in sorted(run, key=lambda b: _format_marks(b.ideal)))
+
+
 def enumerate_family(family: str, n: int) -> tuple:
     """Every element of degree ``n``, in the canonical order of the family:
     lexicographic on the text encodings."""
-    fam = FAMILIES[family]
-    return tuple(sorted(fam.generate(n), key=fam.format))
+    return FAMILIES[family].in_order(n)
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +547,21 @@ class Family(NamedTuple):
     degree: Callable[[Any], int]
     empty: Any
     generate: Callable[[int], tuple]  # every element of one degree
+    in_order: Callable[[int], tuple]  # the same, in text order
     split: Callable[[Any, int], Iterator[tuple]]
     graft: Callable[[Sequence, Any], Any]
     decompose: Callable[[Any], tuple]  # two-factor backslash decompositions
 
 
 FAMILIES = {
-    "S": Family(parse_perm, format_perm, len, (), all_perms,
+    "S": Family(parse_perm, format_perm, len, (), all_perms, _perms_in_order,
                 perm_splittings, graft_perms, perm_backslash_decompositions),
     "Y": Family(parse_tree, format_tree, nodes, LEAF, all_trees,
-                tree_splittings, graft_trees, tree_backslash_decompositions),
+                _trees_in_order, tree_splittings, graft_trees,
+                tree_backslash_decompositions),
     "M": Family(parse_bileveled, format_bileveled, lambda b: nodes(b.tree),
                 BiLeveledTree(LEAF, frozenset()), all_bileveled,
-                bileveled_splittings, graft_bileveled,
+                _bileveled_in_order, bileveled_splittings, graft_bileveled,
                 bileveled_backslash_decompositions),
 }
 

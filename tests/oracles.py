@@ -2,7 +2,12 @@
 
 First the orders read pair by pair: :func:`leq_order` builds a
 :class:`treesym.posets.FinitePoset` by testing the defining relation on
-every pair and reads its covers from that closure; :func:`interval` and
+every pair and reads its covers from that closure;
+:func:`enumerate_by_text` sorts every element of a degree by its text,
+the canonical order that :func:`treesym.trees_core.enumerate_family`
+reaches without formatting every element; :func:`row_from_order` is the
+Mobius recursion as it was before it counted bits, listing the nonzero
+values below each element; :func:`interval` and
 :func:`is_interval_subset` read intervals from the ``up`` and ``down``
 bitmasks, the last the reference for the weak-order fiber test
 :func:`treesym.posets.is_weak_interval`.
@@ -60,12 +65,34 @@ def leq_order(elements: Sequence, leq) -> po.FinitePoset:
             if leq(x, y):
                 up[i] |= 1 << j
                 down[j] |= 1 << i
-    covers = [(x, elements[j]) for i, x in enumerate(elements)
-              for j in po._bits(up[i] & ~(1 << i))
-              if up[i] & down[j] == (1 << i) | (1 << j)]
-    poset = po.FinitePoset(elements, covers)
+    succ = [[j for j in po._bits(up[i] & ~(1 << i))
+             if up[i] & down[j] == (1 << i) | (1 << j)]
+            for i in range(len(elements))]
+    poset = po.FinitePoset(elements, succ)
     poset.up, poset.down = up, down
     return poset
+
+
+def enumerate_by_text(family: str, n: int) -> tuple:
+    """Every element of degree ``n``, sorted by its text encoding."""
+    fam = tc.FAMILIES[family]
+    return tuple(sorted(fam.generate(n), key=fam.format))
+
+
+def row_from_order(poset, i: int) -> dict:
+    """The nonzero Mobius values ``mu(elements[i], .)`` by the recursion
+    over the closure, listing the nonzero values below each ``y`` and
+    summing them one by one."""
+    above = po._bits(poset.up[i] & ~(1 << i))
+    above.sort(key=poset._heights.__getitem__)
+    row = {i: 1}
+    support = 1 << i
+    for j in above:
+        total = sum(row[k] for k in po._bits(support & poset.down[j]))
+        if total:
+            row[j] = -total
+            support |= 1 << j
+    return row
 
 
 def interval(poset, x, y) -> list:

@@ -13,7 +13,7 @@ from treesym import trees_core as tc
 
 from oracles import (chain_sum, chain_sum_meeting_all_blocks, hall_mobius,
                      interval, is_interval_subset, leq_order,
-                     m_covers_by_types)
+                     m_covers_by_types, row_from_order)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +256,79 @@ def test_mobius_rows_match_chain_oracle(family, top):
             for y in slow.elements:
                 assert po.mobius(family, x, y) == hall_mobius(slow, x, y), \
                     (x, y)
+
+
+@pytest.mark.parametrize("family,top,covers", [
+    ("Y", 8, po.tamari_covers), ("M", 7, po.m_covers)])
+def test_index_covers_match_element_covers(family, top, covers):
+    """The index lists of the order builds, against the covers of each
+    element built as elements, order included."""
+    for n in range(top + 1):
+        poset = po.family_poset(family, n)
+        for x, js in zip(poset.elements, poset.succ):
+            assert js == [poset.index[c] for c in covers(x)], x
+
+
+def rows_differ_from_listing(poset) -> bool:
+    return any(poset.mobius_row(i) != row_from_order(poset, i)
+               for i in range(len(poset)))
+
+
+@pytest.mark.parametrize("family,top", [("S", 6), ("Y", 8), ("M", 7)])
+def test_mobius_rows_match_listing_oracle(family, top):
+    for n in range(top + 1):
+        assert not rows_differ_from_listing(po.family_poset(family, n)), n
+
+
+def counted_row(drop=None, sign=-1):
+    """The bit-counting recursion of ``FinitePoset._row_from_order``,
+    mutated: the mask of the value ``drop`` is never kept, and each value
+    is ``sign`` times the sum below it."""
+
+    def row_from_order(self, i):
+        above = po._bits(self.up[i] & ~(1 << i))
+        above.sort(key=self._heights.__getitem__)
+        row = {i: 1}
+        support = {1: 1 << i}
+        for j in above:
+            total = 0
+            for v, mask in support.items():
+                total += v * (mask & self.down[j]).bit_count()
+            if total:
+                row[j] = value = sign * total
+                if value != drop:
+                    support[value] = support.get(value, 0) | 1 << j
+        return row
+
+    return row_from_order
+
+
+@pytest.fixture
+def fresh_orders():
+    """No order built before the test, and none it built kept after it."""
+    po.family_poset.cache_clear()
+    yield
+    po.family_poset.cache_clear()
+
+
+def test_counted_row_is_the_recursion(fresh_orders, monkeypatch):
+    monkeypatch.setattr(po.FinitePoset, "_row_from_order", counted_row())
+    assert not rows_differ_from_listing(po.family_poset("M", 4))
+
+
+@pytest.mark.parametrize("mutation", [dict(drop=-1), dict(sign=1)],
+                         ids=["dropped-mask", "flipped-sign"])
+def test_a_wrong_row_count_shows(fresh_orders, monkeypatch, capsys,
+                                 mutation):
+    """A mask left out of the count, or the sign of the sum flipped, shows
+    in the comparison with the listing recursion and in the Mobius
+    comparison suite."""
+    monkeypatch.setattr(po.FinitePoset, "_row_from_order",
+                        counted_row(**mutation))
+    assert rows_differ_from_listing(po.family_poset("M", 4))
+    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "4"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.startswith("FAIL: "), out
 
 
 def test_closed_weak_order_rows_match_the_recursion():

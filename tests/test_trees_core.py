@@ -102,6 +102,30 @@ def test_enumeration_is_canonically_sorted():
             assert len(set(keys)) == len(keys)
 
 
+@pytest.mark.parametrize("family", "SYM")
+def test_enumeration_matches_text_sort(family):
+    """The canonical order, reached without formatting every element,
+    order included."""
+    for n in range(9):
+        assert tc.enumerate_family(family, n) == \
+            oracles.enumerate_by_text(family, n), n
+
+
+def test_degree_ten_permutations_are_sorted_by_text(monkeypatch):
+    """From degree 10 a letter can take two digits, and ``1,10,...`` comes
+    before ``1,2,...`` in text: the tuple order of S is its text order only
+    up to degree 9."""
+    rest = tuple(range(3, 10))
+    perms = ((1, 2, 10) + rest, (1, 10, 2) + rest, (2, 1, 10) + rest,
+             (2, 10, 1) + rest, (10, 1, 2) + rest)
+    by_text = tuple(sorted(perms, key=tc.format_perm))
+    assert by_text != tuple(sorted(perms))
+    all_perms = tc.all_perms
+    monkeypatch.setattr(tc, "all_perms",
+                        lambda n: perms if n == 10 else all_perms(n))
+    assert tc.enumerate_family("S", 10) == by_text
+
+
 @given(bileveleds())
 def test_generated_mark_sets_admissible(b):
     assert tc.is_admissible_ideal(b.tree, b.ideal)
