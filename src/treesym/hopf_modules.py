@@ -112,7 +112,6 @@ def is_b_prime(b: BiLeveledTree) -> bool:
     return is_indecomposable_bileveled(b) and not pj.is_fiber_top(b)
 
 
-@lru_cache(maxsize=None)
 def b_basis(n: int) -> tuple:
     """Indecomposable bi-leveled trees with ``n`` nodes."""
     return tuple(
@@ -220,19 +219,12 @@ def _sections(k: int) -> tuple:
     return values, frozenset(u for bp, u in values.items() if bp.tree)
 
 
-def _section_image(k: int) -> frozenset:
-    """The section values of the nonempty coinvariant indices of degree
-    ``k``: as ``beta . iota`` is the identity, the components ``c`` with
-    ``beta(c)`` such an index and ``iota(beta(c)) == c``."""
-    return _sections(k)[1]
-
-
 def _even_initial_run(comps: tuple) -> bool:
     """Is the maximal initial run of components lying in the section image
     of even length?"""
     length = 0
     for c in comps:
-        if c not in _section_image(len(c)):
+        if c not in _sections(len(c))[1]:
             break
         length += 1
     return length % 2 == 0

@@ -16,11 +16,12 @@ each family tag the builder of those index lists for a graded piece and,
 where one is known, its closed-form Mobius row.  The Tamari and bi-leveled
 builders build no cover as an element: a tree's rotations are found by
 position in the canonical order, and a bi-leveled cover by its mark set in
-its tree's block of elements.  A Mobius row is computed by the recursion
-over the closure, keeping one bitmask per value and counting bits.
-:func:`mobius_row_of` reads a Mobius row by element, in closed form where
-there is one, so an order is built only where its covers or its closure
-are read.
+its tree's block of elements.  A Mobius row is computed where it is read,
+and not kept, by the recursion over the closure, keeping one bitmask per
+value and counting bits; a single value ``mu(x, y)`` by the same
+recursion over ``[x, y]``.  :func:`mobius_row_of` reads a Mobius row by
+element, in closed form where there is one, so an order is built only
+where its covers or its closure are read.
 """
 
 from __future__ import annotations
@@ -47,15 +48,14 @@ class FinitePoset:
     ``up[i]`` and ``down[i]``, the bitmasks of the elements above and below
     ``elements[i]`` (both reflexive), are the closures of the covers and of
     the reversed covers.  They are built on first read, as is ``index``,
-    the position of each element.  Mobius values are read from sparse rows
-    ``mu(x, .)``, each computed on first use by the recursion over the
-    closures.
+    the position of each element.  A sparse Mobius row ``mu(x, .)`` is
+    computed by the recursion over the closures where it is read, and is
+    not kept; a single value ``mu(x, y)`` by the recursion over ``[x, y]``.
     """
 
     def __init__(self, elements: Sequence, succ: list):
         self.elements = tuple(elements)
         self.succ = succ
-        self._rows: dict = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -100,21 +100,20 @@ class FinitePoset:
                      for j in sorted(js))
 
     def mobius(self, x, y) -> int:
-        return self.mobius_row(self.index[x]).get(self.index[y], 0)
+        i, j = self.index[x], self.index[y]
+        return self._row_from_order(i, self.up[i] & self.down[j]).get(j, 0)
 
     def mobius_row(self, i: int) -> dict:
         """The nonzero values ``mu(elements[i], .)``, keyed by index."""
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows[i] = self._row_from_order(i)
-        return row
+        return self._row_from_order(i, self.up[i])
 
-    def _row_from_order(self, i: int) -> dict:
-        """``mu(x, y) = -sum of mu(x, z) over x <= z < y``, for ``y`` above
-        ``x`` in a linear extension.  The ``z`` with a nonzero value are
-        kept as one bitmask per value ``v``, so the sum is the sum of
-        ``v * |mask_v & down[y]|``, its bits counted in C."""
-        above = _bits(self.up[i] & ~(1 << i))
+    def _row_from_order(self, i: int, span: int) -> dict:
+        """``mu(x, y) = -sum of mu(x, z) over x <= z < y``, for the ``y`` of
+        the bitmask ``span`` in a linear extension; ``span`` lies above
+        ``x`` and holds ``[x, y]`` for each of its ``y``.  The ``z`` with a
+        nonzero value are kept as one bitmask per value ``v``, so the sum
+        is the sum of ``v * |mask_v & down[y]|``, its bits counted in C."""
+        above = _bits(span & ~(1 << i))
         above.sort(key=self._heights.__getitem__)
         down = self.down
         row = {i: 1}
@@ -492,12 +491,13 @@ def fiberwise_mobius_verify(n: int) -> dict:
             acc[y] = acc.get(y, 0) + mu
     violations = []
     for i, x in enumerate(mposet.elements):
-        for j in sorted(sums[i].keys() | mposet.mobius_row(i).keys()):
-            y = mposet.elements[j]
-            lhs, rhs = mposet.mobius(x, y), sums[i].get(j, 0)
+        row = mposet.mobius_row(i)
+        for j in sorted(sums[i].keys() | row.keys()):
+            lhs, rhs = row.get(j, 0), sums[i].get(j, 0)
             if lhs != rhs:
-                violations.append(
-                    (tc.format_bileveled(x), tc.format_bileveled(y), lhs, rhs))
+                violations.append((tc.format_bileveled(x),
+                                   tc.format_bileveled(mposet.elements[j]),
+                                   lhs, rhs))
     return {"n": n, "ok": not violations, "violations": violations}
 
 

@@ -123,7 +123,6 @@ class TruncatedSeries:
         return TruncatedSeries((0,) + self.coeffs[:-1])
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 

@@ -352,7 +352,7 @@ def test_index_sets_match_their_oracles():
     for n in range(8):
         for w in tc.all_perms(n):
             if len(tc.perm_indecomposables(w)) == 1:
-                assert (w in hm._section_image(n)) == \
+                assert (w in hm._sections(n)[1]) == \
                     oracles.component_in_section_image(w), w
             assert hm.in_script_s_prime(w) == oracles.in_script_s_prime(w), w
         assert hm.script_s(n) == oracles.script_s(n)
@@ -533,10 +533,11 @@ def fresh_script_sets():
 
 def test_kappa_report_catches_a_dropped_section_value(
         monkeypatch, capsys, fresh_script_sets):
-    image = hm._section_image
-    dropped = min(image(3))
-    monkeypatch.setattr(hm, "_section_image", lambda k: (
-        image(k) - {dropped} if k == 3 else image(k)))
+    sections = hm._sections
+    values, image = sections(3)
+    dropped = min(image)
+    monkeypatch.setattr(hm, "_sections", lambda k: (
+        (values, image - {dropped}) if k == 3 else sections(k)))
     failing = [n for n in range(7) if not hm.kappa_verify(n)["ok"]]
     assert failing == [3, 6]
     assert_report_and_suite_fail(capsys, hm.kappa_verify(3), "kappa")

@@ -285,8 +285,8 @@ def counted_row(drop=None, sign=-1):
     mutated: the mask of the value ``drop`` is never kept, and each value
     is ``sign`` times the sum below it."""
 
-    def row_from_order(self, i):
-        above = po._bits(self.up[i] & ~(1 << i))
+    def row_from_order(self, i, span):
+        above = po._bits(span & ~(1 << i))
         above.sort(key=self._heights.__getitem__)
         row = {i: 1}
         support = {1: 1 << i}
@@ -414,16 +414,68 @@ def test_order_suites_build_no_weak_order_closure():
         assert po.family_poset.cache_info().misses == misses + 1, n
 
 
-def test_fiberwise_mobius_reports_a_bad_row(monkeypatch):
+def test_fiberwise_mobius_reports_a_bad_row(fresh_orders, monkeypatch):
     mposet = po.family_poset("M", 3)
     row = dict(mposet.mobius_row(0))
     j = min(set(range(len(mposet))) - set(row))
     row[j] = 1
-    monkeypatch.setitem(mposet._rows, 0, row)
+    read = mposet.mobius_row
+    monkeypatch.setattr(mposet, "mobius_row",
+                        lambda i: row if i == 0 else read(i))
     report = po.fiberwise_mobius_verify(3)
     x, y = mposet.elements[0], mposet.elements[j]
     assert report["violations"] == [
         (tc.format_bileveled(x), tc.format_bileveled(y), 1, 0)]
+
+
+def test_mobius_comparison_computes_each_row_once(fresh_orders,
+                                                  monkeypatch):
+    """Each call of the Mobius comparison, the second one too, runs the
+    recursion once per bi-leveled tree: no row is kept, and no value is
+    read one pair at a time."""
+    recursion = po.FinitePoset._row_from_order
+    calls = []
+
+    def counted(self, i, span):
+        calls.append(i)
+        return recursion(self, i, span)
+
+    monkeypatch.setattr(po.FinitePoset, "_row_from_order", counted)
+    for n in range(7):
+        for _ in range(2):
+            calls.clear()
+            assert po.fiberwise_mobius_verify(n)["ok"]
+            assert sorted(calls) == list(range(len(po.family_poset("M", n))))
+
+
+def without_steps(drop):
+    """``po._m_cover_steps`` with the steps ``(r, marks, sure)`` for which
+    ``drop`` holds left out."""
+    steps = po._m_cover_steps
+
+    def mutated(ideal, parent, rotations):
+        return (step for step in steps(ideal, parent, rotations)
+                if not drop(*step))
+
+    return mutated
+
+
+@pytest.mark.parametrize("drop,first", [
+    (lambda r, marks, sure: not sure, 2),
+    (lambda r, marks, sure: r is None, 3),
+], ids=["third-kind", "mark-drop"])
+def test_a_dropped_bileveled_cover_rule_shows(fresh_orders, monkeypatch,
+                                              capsys, drop, first):
+    """The index builder and ``m_covers`` share the cover rules, so their
+    comparison cannot show a rule left out of both; the Mobius comparison
+    suite does, from the degree given."""
+    monkeypatch.setattr(po, "_m_cover_steps", without_steps(drop))
+    failing = [n for n in range(first + 2)
+               if not po.fiberwise_mobius_verify(n)["ok"]]
+    assert failing and failing[0] == first, failing
+    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", str(first)])
+    out = capsys.readouterr().out
+    assert code == 1 and out.startswith("FAIL: "), out
 
 
 def test_a_flipped_weak_order_value_shows(monkeypatch, capsys):
