@@ -69,13 +69,11 @@ def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
 
 def _cmd_enumerate(args, parser) -> int:
     _check_size(args.n, parser)
-    if args.count:
-        # a count needs no canonical order
-        payload = len(tc.FAMILIES[args.family].generate(args.n))
-        print(json.dumps(payload) if args.json else payload)
-        return 0
     elements = tc.enumerate_family(args.family, args.n)
-    encoded = [tc.FAMILIES[args.family].format(x) for x in elements]
+    if args.count:
+        print(json.dumps(len(elements)) if args.json else len(elements))
+        return 0
+    encoded = sorted(map(tc.FAMILIES[args.family].format, elements))
     if args.json:
         print(json.dumps(encoded))
     else:

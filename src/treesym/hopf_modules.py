@@ -290,10 +290,12 @@ def coinvariant_kernel(n: int, restricted: bool) -> list:
     """Basis of the coinvariants in degree ``n``, by an exact kernel solve.
 
     Solves ``coaction(x) = x (x) 1`` over the rationals in the fundamental
-    basis, using the restricted coaction when ``restricted`` is true.  Each
-    free column of the reduced row echelon form gives one vector, in
-    increasing column order: 1 at the free column and minus the pivot rows'
-    entries there, scaled to integers by the lcm of their denominators.
+    basis, using the restricted coaction when ``restricted`` is true.  The
+    columns are the bi-leveled trees of degree ``n`` in canonical order,
+    the generator's.  Each free column of the reduced row echelon form
+    gives one vector, in increasing column order: 1 at the free column and
+    minus the pivot rows' entries there, scaled to integers by the lcm of
+    their denominators.
     Returns a list of fundamental-basis combinations with integer entries.
     """
     if restricted and n == 0:

@@ -16,18 +16,20 @@ each family tag the builder of those index lists for a graded piece and,
 where one is known, its closed-form Mobius row.  The Tamari and bi-leveled
 builders build no cover as an element: a tree's rotations are found by
 position in the canonical order, and a bi-leveled cover by its mark set in
-its tree's block of elements.  A Mobius row is computed where it is read,
-and not kept, by the recursion over the closure, keeping one bitmask per
-value and counting bits; a single value ``mu(x, y)`` by the same
-recursion over ``[x, y]``.  :func:`mobius_row_of` reads a Mobius row by
-element, in closed form where there is one, so an order is built only
-where its covers or its closure are read.
+its tree's block of elements.  The canonical order of a family is its
+generator's; :func:`hasse_dot` sorts by text where it prints.  A Mobius
+row is computed where it is read, and not kept, by the recursion over
+the closure, keeping one bitmask per value and counting bits; a single
+value ``mu(x, y)`` by the same recursion over ``[x, y]``.
+:func:`mobius_row_of` reads a Mobius row by element, in closed form where
+there is one, so an order is built only where its covers or its closure
+are read.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 from . import projections as pj
@@ -70,15 +72,11 @@ class FinitePoset:
 
     @cached_property
     def down(self) -> list:
-        # each element passes its down-set on to its covers, in a linear
-        # extension: z < y strictly implies more elements above z than y
-        up = self.up
-        down = [1 << i for i in range(len(up))]
-        for i in sorted(range(len(up)), key=lambda i: -up[i].bit_count()):
-            mask = down[i]
-            for j in self.succ[i]:
-                down[j] |= mask
-        return down
+        below = [[] for _ in self.succ]
+        for i, js in enumerate(self.succ):
+            for j in js:
+                below[j].append(i)
+        return _transitive_closure(below)
 
     @cached_property
     def _heights(self) -> list:
@@ -158,6 +156,7 @@ def _transitive_closure(succ: list) -> list:
 
     for i in range(n):
         solve(i)
+    del solve  # free the cycle through its own cell, and the lists it holds
     return reach
 
 
@@ -280,57 +279,48 @@ def family_poset(family: str, n: int) -> FinitePoset:
     return FinitePoset(elements, ORDERS[family][0](elements))
 
 
-def _rotation_rows(trees: Sequence) -> list:
-    """The rotations of each tree of one degree, the trees given in
-    canonical order, as triples ``(j, p, c)``: moving node ``p`` over its
-    left child ``c`` gives ``trees[j]``.  The triples come in the order of
-    :func:`_rotations`.
+def _rotation_rows(n: int) -> list:
+    """The rotations of each tree of degree ``n``, the trees in the order
+    of :func:`tc.all_trees`, as triples ``(j, p, c)``: moving node ``p``
+    over its left child ``c`` gives ``all_trees(n)[j]``.  The triples come
+    in the order of :func:`_rotations`.
 
-    No rotated tree is built.  In text order the trees ``(L, R)`` of degree
-    ``m`` with one left subtree ``L`` form a block, ordered by ``R``, so
-    ``(L, R)`` sits at the start of ``L``'s block plus the position of
-    ``R``.  The last block, ``L`` empty, runs over the trees of degree
-    ``m - 1``, so every smaller degree is read off the trees given.  The
-    rows of a degree are built from those of the two subtrees, plus the
-    rotation at the root: ``((A, B), R)`` becomes ``(A, (B, R))``.
+    No tree is built or hashed.  In that order a tree ``(L, R)`` of degree
+    ``m`` with ``|L| = k`` sits at ``off[m][k] + pos(L) * Cat(m - 1 - k) +
+    pos(R)``, where ``off[m][k]`` counts the trees of degree ``m`` with a
+    smaller left subtree.  The rows of a degree are built from those of the
+    two subtrees, plus the rotation at the root: ``((A, B), R)`` becomes
+    ``(A, (B, R))``.
     """
-    levels = [trees]
-    while levels[-1][0]:
-        levels.append([t[1] for t in levels[-1] if not t[0]])
-    levels.reverse()
-    where = {}  # tree -> (degree, position)
-    splits, starts, rows = [], [], []
-    for m, level in enumerate(levels):
-        # each tree (L, R) as (degree of L, position of L, position of R)
-        split, start = [], {}
-        for i, t in enumerate(level):
-            where[t] = (m, i)
-            if t:
-                k, lpos = where[t[0]]
-                split.append((k, lpos, where[t[1]][1]))
-                start.setdefault((k, lpos), i)
-        splits.append(split)
-        starts.append(start)
-        rows.append([] if m else [[]])
-        for i, (k, lpos, rpos) in enumerate(split):
-            root = k + 1
+    cat = [len(tc.all_trees(m)) for m in range(n + 1)]
+    off = [list(accumulate((cat[k] * cat[m - 1 - k] for k in range(m)),
+                           initial=0)) for m in range(n + 1)]
+    # each tree (L, R) of degree m as (|L|, position of L, position of R)
+    splits = [[(k, lpos, rpos) for k in range(m) for lpos in range(cat[k])
+               for rpos in range(cat[m - 1 - k])] for m in range(n + 1)]
+    rows = [[[]]]
+    for m in range(1, n + 1):
+        rows.append([])
+        for i, (k, lpos, rpos) in enumerate(splits[m]):
+            root, width = k + 1, cat[m - 1 - k]
             row = []
             if k:
                 ka, apos, bpos = splits[k][lpos]
                 # (A, (B, R)), where (B, R) has degree m - 1 - ka
-                row.append((start[ka, apos] + rpos
-                            + starts[m - 1 - ka][k - 1 - ka, bpos],
+                br = off[m - 1 - ka][k - 1 - ka] + bpos * width + rpos
+                row.append((off[m][ka] + apos * cat[m - 1 - ka] + br,
                             root, ka + 1))
-                row += [(start[k, lpos2] + rpos, p, c)
+                row += [(off[m][k] + lpos2 * width + rpos, p, c)
                         for lpos2, p, c in rows[k][lpos]]
             row += [(i - rpos + rpos2, p + root, c + root)
                     for rpos2, p, c in rows[m - 1 - k][rpos]]
             rows[m].append(row)
-    return rows[-1]
+    return rows[n]
 
 
 def _tamari_succ(trees: Sequence) -> list:
-    return [[j for j, _, _ in row] for row in _rotation_rows(trees)]
+    return [[j for j, _, _ in row]
+            for row in _rotation_rows(tc.nodes(trees[0]))]
 
 
 def _weak_succ(perms: Sequence) -> list:
@@ -390,9 +380,9 @@ def m_covers(b: tc.BiLeveledTree) -> list:
 def _m_succ(elements: Sequence) -> list:
     """:func:`m_covers` of each of a degree's bi-leveled trees, given in
     canonical order, as index lists.  In that order the elements over one
-    tree form a block, and the blocks come in the canonical order of their
-    trees (no tree encoding is a prefix of another), so a cover is found in
-    its tree's block by its mark set."""
+    tree form a block, and the blocks come in the order of
+    :func:`tc.all_trees`, which is that of :func:`_rotation_rows`, so a
+    cover is found in its tree's block by its mark set."""
     trees, blocks = [], []
     for k, b in enumerate(elements):
         if not trees or b.tree != trees[-1]:
@@ -400,7 +390,8 @@ def _m_succ(elements: Sequence) -> list:
             blocks.append({})
         blocks[-1][b.ideal] = k
     succ = []
-    for t, block, rotations in zip(trees, blocks, _rotation_rows(trees)):
+    for t, block, rotations in zip(trees, blocks,
+                                   _rotation_rows(tc.nodes(trees[0]))):
         parent = tc.node_parents(t)
         for ideal in block:
             # a mark set is admissible on a tree iff it is in its block
@@ -412,9 +403,9 @@ def _m_succ(elements: Sequence) -> list:
 
 
 ORDERS = {
-    # tag: (the covers of a graded piece, given in canonical order, as
-    # index lists; the closed-form Mobius row of one element or None, which
-    # looks its function up when called)
+    # tag: (the covers of a graded piece, given in the canonical order of
+    # its generator, as index lists; the closed-form Mobius row of one
+    # element or None, which looks its function up when called)
     "S": (_weak_succ, lambda u: weak_mobius_row(u)),
     "Y": (_tamari_succ, None),
     "M": (_m_succ, None),
@@ -502,14 +493,15 @@ def fiberwise_mobius_verify(n: int) -> dict:
 
 
 def hasse_dot(family: str, n: int) -> str:
-    """DOT digraph of the cover relation, edges pointing upward."""
+    """DOT digraph of the cover relation, edges pointing upward: the nodes,
+    and the covers of each, in text order."""
     poset = family_poset(family, n)
-    # the elements are in the order of their encodings, so index order is
-    # the text order
     names = [tc.FAMILIES[family].format(x) for x in poset.elements]
+    by_name = names.__getitem__
+    order = sorted(range(len(names)), key=by_name)
     lines = [f'digraph "{family}{n}" {{']
-    lines += [f'  "{name}";' for name in names]
+    lines += [f'  "{names[i]}";' for i in order]
     lines += [f'  "{names[i]}" -> "{names[j]}";'
-              for i, js in enumerate(poset.succ) for j in sorted(js)]
+              for i in order for j in sorted(poset.succ[i], key=by_name)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,19 +18,18 @@ The module also implements splitting an element along a multiset of leaves,
 grafting a forest onto the leaves of a base element, and the two-factor
 decompositions of the backslash product.  :data:`FAMILIES` holds one
 :class:`Family` record per tag (``"S"``, ``"Y"``, ``"M"``) with its text
-encoding, degree, empty element, generator, canonical order, splitting,
-grafting and decompositions; code that handles all three families reads
-this table
+encoding, degree, empty element, generator, splitting, grafting and
+decompositions; code that handles all three families reads this table
 instead of guessing the family from the shape of a value (the empty
-permutation and the empty tree are both ``()``).
+permutation and the empty tree are both ``()``).  Each family has one
+canonical order, the order its generator yields the elements of a degree
+in; text order is a sort made where text is printed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import (accumulate, combinations_with_replacement, groupby,
-                       permutations)
-from operator import attrgetter
+from itertools import accumulate, combinations_with_replacement, permutations
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -264,6 +263,8 @@ def standardize(word: Sequence[int]) -> tuple:
 
 @lru_cache(maxsize=None)
 def all_trees(n: int) -> tuple:
+    """Every tree with ``n`` nodes: the trees ``(L, R)`` by the size of
+    ``L``, then by ``L`` and then by ``R``, each in this order."""
     if n == 0:
         return (LEAF,)
     out = []
@@ -275,6 +276,7 @@ def all_trees(n: int) -> tuple:
 
 
 def all_perms(n: int) -> tuple:
+    """Every permutation of ``1..n``, in lexicographic order."""
     return tuple(permutations(range(1, n + 1)))
 
 
@@ -324,35 +326,11 @@ def all_bileveled(n: int) -> tuple:
     return tuple(out)
 
 
-def _perms_in_order(n: int) -> tuple:
-    """``all_perms(n)`` in text order.  Up to degree 9 each letter is one
-    digit, so the text order is the lexicographic order of the tuples, in
-    which ``permutations`` yields them."""
-    if n <= 9:
-        return all_perms(n)
-    return tuple(sorted(all_perms(n), key=format_perm))
-
-
-def _trees_in_order(n: int) -> tuple:
-    return tuple(sorted(all_trees(n), key=format_tree))
-
-
-def _bileveled_in_order(n: int) -> tuple:
-    """``all_bileveled(n)`` in text order: the trees sorted once by their
-    text, and the mark sets over each tree by their mark text.  No tree
-    encoding is a prefix of another, so two elements over different trees
-    compare as their trees do."""
-    runs = [list(run) for _, run in groupby(all_bileveled(n),
-                                            key=attrgetter("tree"))]
-    runs.sort(key=lambda run: format_tree(run[0].tree))
-    return tuple(b for run in runs
-                 for b in sorted(run, key=lambda b: _format_marks(b.ideal)))
-
-
 def enumerate_family(family: str, n: int) -> tuple:
     """Every element of degree ``n``, in the canonical order of the family:
-    lexicographic on the text encodings."""
-    return FAMILIES[family].in_order(n)
+    the order its generator yields them in.  Text order is a sort where
+    text is printed."""
+    return FAMILIES[family].generate(n)
 
 
 # ---------------------------------------------------------------------------
@@ -540,28 +518,27 @@ def bileveled_backslash_decompositions(b: BiLeveledTree) -> tuple:
 
 class Family(NamedTuple):
     """How one family is written, measured, generated, split, grafted and
-    cut in two by the backslash product."""
+    cut in two by the backslash product.  ``generate`` gives the elements
+    of one degree in the canonical order of the family."""
 
     parse: Callable[[str], Any]
     format: Callable[[Any], str]
     degree: Callable[[Any], int]
     empty: Any
     generate: Callable[[int], tuple]  # every element of one degree
-    in_order: Callable[[int], tuple]  # the same, in text order
     split: Callable[[Any, int], Iterator[tuple]]
     graft: Callable[[Sequence, Any], Any]
     decompose: Callable[[Any], tuple]  # two-factor backslash decompositions
 
 
 FAMILIES = {
-    "S": Family(parse_perm, format_perm, len, (), all_perms, _perms_in_order,
+    "S": Family(parse_perm, format_perm, len, (), all_perms,
                 perm_splittings, graft_perms, perm_backslash_decompositions),
     "Y": Family(parse_tree, format_tree, nodes, LEAF, all_trees,
-                _trees_in_order, tree_splittings, graft_trees,
-                tree_backslash_decompositions),
+                tree_splittings, graft_trees, tree_backslash_decompositions),
     "M": Family(parse_bileveled, format_bileveled, lambda b: nodes(b.tree),
                 BiLeveledTree(LEAF, frozenset()), all_bileveled,
-                _bileveled_in_order, bileveled_splittings, graft_bileveled,
+                bileveled_splittings, graft_bileveled,
                 bileveled_backslash_decompositions),
 }
 

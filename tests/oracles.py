@@ -3,11 +3,11 @@
 First the orders read pair by pair: :func:`leq_order` builds a
 :class:`treesym.posets.FinitePoset` by testing the defining relation on
 every pair and reads its covers from that closure;
-:func:`enumerate_by_text` sorts every element of a degree by its text,
-the canonical order that :func:`treesym.trees_core.enumerate_family`
-reaches without formatting every element; :func:`row_from_order` is the
-Mobius recursion as it was before it counted bits, listing the nonzero
-values below each element; :func:`interval` and
+:func:`enumerate_by_text` sorts every element of a degree by its text:
+the order of the ``enumerate`` listing, which sorts where it prints (the
+canonical order of a family is its generator's);
+:func:`row_from_order` is the Mobius recursion as it was before it
+counted bits, listing the nonzero values below each element; :func:`interval` and
 :func:`is_interval_subset` read intervals from the ``up`` and ``down``
 bitmasks, the last the reference for the weak-order fiber test
 :func:`treesym.posets.is_weak_interval`.

@@ -149,6 +149,10 @@ COMMANDS = (
         "((..).);{1,2}", "((..)(..));{1,2,3}"],
        ["verify", "--suite", "mobius-fibers", "--n", "6"],
        ["hasse", "--family", "Y", "--n", "6"]]
+    # listings beyond degree 4, where the generators' order and the text
+    # order of the trees and of the mark sets differ
+    + [["enumerate", "--family", f, "--n", "6"] + extra
+       for f in "YM" for extra in ([], ["--json"])]
 )
 
 

@@ -478,6 +478,25 @@ def test_a_dropped_bileveled_cover_rule_shows(fresh_orders, monkeypatch,
     assert code == 1 and out.startswith("FAIL: "), out
 
 
+def test_a_dropped_rotation_shows(fresh_orders, monkeypatch, capsys):
+    """The first rotation of each tree dropped from the position-built rows
+    shows in the comparison of both index builders with the covers built
+    as elements, and in the Mobius comparison suite from degree 2."""
+    rows = po._rotation_rows
+    monkeypatch.setattr(po, "_rotation_rows",
+                        lambda n: [row[1:] for row in rows(n)])
+    for family, covers in (("Y", po.tamari_covers), ("M", po.m_covers)):
+        poset = po.family_poset(family, 2)
+        assert any(js != [poset.index[c] for c in covers(x)]
+                   for x, js in zip(poset.elements, poset.succ)), family
+    failing = [n for n in range(4)
+               if not po.fiberwise_mobius_verify(n)["ok"]]
+    assert failing and failing[0] == 2, failing
+    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "2"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.startswith("FAIL: "), out
+
+
 def test_a_flipped_weak_order_value_shows(monkeypatch, capsys):
     """One closed-form weak-order value with its sign flipped shows in the
     Mobius comparison, in its suite and in the ``mobius`` command."""

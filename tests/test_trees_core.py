@@ -1,6 +1,7 @@
 """Core encodings, generation, splitting, grafting, and the two
 representations of bi-leveled trees."""
 
+import json
 from functools import reduce
 from itertools import combinations
 from math import comb
@@ -8,6 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from treesym import cli
 from treesym import trees_core as tc
 from treesym.trees_core import BiLeveledTree
 
@@ -93,37 +95,54 @@ def test_family_cardinalities():
         [1, 1, 2, 6, 21, 80, 322]
 
 
-def test_enumeration_is_canonically_sorted():
+def listing(capsys, family, n, *extra):
+    """The exit code and stdout of ``enumerate`` for one graded piece."""
+    code = cli.run(["enumerate", "--family", family, "--n", str(n), *extra])
+    return code, capsys.readouterr().out
+
+
+def test_enumeration_is_canonically_sorted(capsys):
+    """The ``enumerate`` listing is in text order, without repeats, in text
+    and in JSON."""
     for family in "SMY":
         for n in range(5):
-            elements = tc.enumerate_family(family, n)
-            keys = [tc.FAMILIES[family].format(x) for x in elements]
-            assert keys == sorted(keys)
-            assert len(set(keys)) == len(keys)
+            code, out = listing(capsys, family, n)
+            keys = out.splitlines()
+            assert code == 0 and keys == sorted(set(keys)), (family, n)
+            assert listing(capsys, family, n, "--json") == \
+                (0, json.dumps(keys) + "\n")
+
+
+def printed(family, elements):
+    """The listing of ``elements``, one text encoding a line."""
+    fmt = tc.FAMILIES[family].format
+    return "".join(fmt(x) + "\n" for x in elements)
 
 
 @pytest.mark.parametrize("family", "SYM")
-def test_enumeration_matches_text_sort(family):
-    """The canonical order, reached without formatting every element,
-    order included."""
+def test_enumeration_matches_text_sort(capsys, family):
+    """The ``enumerate`` listing, sorted where it is printed, order
+    included."""
     for n in range(9):
-        assert tc.enumerate_family(family, n) == \
-            oracles.enumerate_by_text(family, n), n
+        assert listing(capsys, family, n) == \
+            (0, printed(family, oracles.enumerate_by_text(family, n))), n
 
 
-def test_degree_ten_permutations_are_sorted_by_text(monkeypatch):
+def test_degree_ten_permutations_are_sorted_by_text(capsys, monkeypatch):
     """From degree 10 a letter can take two digits, and ``1,10,...`` comes
-    before ``1,2,...`` in text: the tuple order of S is its text order only
-    up to degree 9."""
+    before ``1,2,...`` in text: the tuple order of S, its generator's, is
+    its text order only up to degree 9, and the listing is in text
+    order."""
     rest = tuple(range(3, 10))
     perms = ((1, 2, 10) + rest, (1, 10, 2) + rest, (2, 1, 10) + rest,
              (2, 10, 1) + rest, (10, 1, 2) + rest)
-    by_text = tuple(sorted(perms, key=tc.format_perm))
-    assert by_text != tuple(sorted(perms))
-    all_perms = tc.all_perms
-    monkeypatch.setattr(tc, "all_perms",
-                        lambda n: perms if n == 10 else all_perms(n))
-    assert tc.enumerate_family("S", 10) == by_text
+    text_order = tuple(sorted(perms, key=tc.format_perm))
+    assert text_order != tuple(sorted(perms))
+    family = tc.FAMILIES["S"]
+    monkeypatch.setenv("TREESYM_MAX_N", "10")
+    monkeypatch.setitem(tc.FAMILIES, "S", family._replace(
+        generate=lambda n: perms if n == 10 else family.generate(n)))
+    assert listing(capsys, "S", 10) == (0, printed("S", text_order))
 
 
 @given(bileveleds())
