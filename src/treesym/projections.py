@@ -7,7 +7,10 @@ Projection maps between the three families and their canonical sections.
 * ``phi`` forgets the marked nodes; ``tau = phi . beta``;
 * ``min_perm``/``max_perm`` pick the weak-order extremes of a ``tau`` fiber
   (the 231-avoiding and 132-avoiding representatives);
-* ``iota`` is the order-preserving section of ``beta``.
+* ``iota`` is the order-preserving section of ``beta``;
+* ``beta_fibers`` groups a degree's permutations by ``beta``, built from
+  the fibers of the degree below by inserting the letter 1, with no
+  permutation mapped on its own.
 """
 
 from __future__ import annotations
@@ -117,12 +120,53 @@ def iota(b: BiLeveledTree) -> tuple:
 
 @lru_cache(maxsize=None)
 def beta_fibers(n: int) -> dict:
-    """Every nonempty fiber of ``beta`` in degree ``n``, from one pass over
-    the permutations: ``{b: canonically sorted permutations}``."""
+    """Every nonempty fiber of ``beta`` in degree ``n``:
+    ``{b: canonically sorted permutations}``.
+
+    Built from the fibers of degree ``n - 1`` by inserting the letter 1:
+    each ``w`` is ``w'`` with its letters raised by one and 1 put at some
+    position ``i``, and ``beta(w)`` depends on ``beta(w')`` and ``i``
+    alone (:func:`_beta_inserting_one`), so no permutation is mapped on
+    its own."""
+    if n == 0:
+        return {BiLeveledTree(tc.LEAF, frozenset()): ((),)}
     fibers: dict = {}
-    for w in tc.all_perms(n):  # lexicographic, so each fiber comes sorted
-        fibers.setdefault(beta(w), []).append(w)
-    return {b: tuple(ws) for b, ws in fibers.items()}
+    for b, ws in beta_fibers(n - 1).items():
+        raised = [tuple(map((1).__add__, w)) for w in ws]
+        for i in range(n):
+            fibers.setdefault(_beta_inserting_one(b, i), []).extend(
+                w[:i] + (1,) + w[i:] for w in raised)
+    return {b: tuple(sorted(ws)) for b, ws in fibers.items()}
+
+
+def _beta_inserting_one(b: BiLeveledTree, i: int) -> BiLeveledTree:
+    """``beta(w)`` for ``w`` the word ``w'`` with ``beta(w') = b``, raised
+    by one, with the letter 1 inserted at position ``i`` (from 0).
+
+    The letter 1 has no children in the tree of ``w``, and ``w'`` is
+    ``w`` with it removed, so the tree of ``w`` is that of ``w'`` with a
+    node grafted at leaf ``i``.  When 1 is the first letter every position
+    is marked; otherwise the first letter is that of ``w'``, raised, and
+    the marks after position ``i`` move up by one."""
+    n = tc.nodes(b.tree) + 1
+    if i == 0:
+        marks = frozenset(range(1, n + 1))
+    else:
+        marks = frozenset(p + 1 if p > i else p for p in b.ideal)
+    return BiLeveledTree(_graft_node(b.tree, i), marks)
+
+
+def _graft_node(t: tuple, i: int) -> tuple:
+    """``t`` with a node, both of whose children are leaves, at leaf ``i``
+    (from 0, left to right): :func:`tc.graft_trees` of that forest, with
+    no forest built."""
+    if not t:
+        return (tc.LEAF, tc.LEAF)
+    left, right = t
+    k = tc.nodes(left)
+    if i <= k:
+        return (_graft_node(left, i), right)
+    return (left, _graft_node(right, i - k - 1))
 
 
 def beta_fiber(b: BiLeveledTree) -> tuple:

@@ -22,7 +22,11 @@ the backslash decompositions that the table
 through the fundamental basis and the basis change that walks every up-set
 bit by bit, replaced by the closed products of
 :data:`treesym.hopf_algebra.M_PRODUCTS` and a ``to_M`` that sums by index;
-and pattern avoidance by standardizing every subsequence.  Last come the
+pattern avoidance by standardizing every subsequence; the closed-form
+weak-order Mobius row with its sets of ascents drawn by ``combinations``,
+which the submask walk of :func:`treesym.posets.weak_mobius_row` replaced;
+and the set bits of a mask found lowest first, one step per bit, which
+the byte table of ``posets._bits`` replaced.  Last come the
 definitions that the package no longer needs: the cover relation of the
 nodes of a tree, the descendants of each node, the admissibility test
 built on them, the generation of bi-leveled trees by filtering every set
@@ -307,6 +311,39 @@ def avoids_pinned(w: tuple, pattern: tuple) -> bool:
         if tc.standardize((w[0],) + rest) == target:
             return False
     return True
+
+
+def weak_mobius_row(u: tuple) -> dict:
+    """The closed-form weak-order Mobius row of ``u``, each set ``J`` of
+    ascent values drawn by ``combinations`` and its blocks reversed on a
+    fresh value map."""
+    pos = {a: i for i, a in enumerate(u)}
+    ascents = [k for k in range(1, len(u)) if pos[k] < pos[k + 1]]
+    row = {}
+    for r in range(len(ascents) + 1):
+        for J in combinations(ascents, r):
+            image = list(range(len(u) + 1))
+            i = 0
+            while i < r:
+                start = i
+                while i + 1 < r and J[i + 1] == J[i] + 1:
+                    i += 1
+                lo, hi = J[start], J[i] + 1
+                image[lo:hi + 1] = range(hi, lo - 1, -1)
+                i += 1
+            row[tuple(image[a] for a in u)] = -1 if r % 2 else 1
+    return row
+
+
+def bits(mask: int) -> list:
+    """Positions of the set bits of ``mask``, lowest first, one step per
+    bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def node_covers(t: tuple) -> tuple:

@@ -1,6 +1,11 @@
 """Orders on the three families, Mobius functions with independent chain
 oracles, cover classification, and the fiber-projection properties."""
 
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -11,6 +16,7 @@ from treesym import posets as po
 from treesym import projections as pj
 from treesym import trees_core as tc
 
+import oracles
 from oracles import (chain_sum, chain_sum_meeting_all_blocks, hall_mobius,
                      interval, is_interval_subset, leq_order,
                      m_covers_by_types, row_from_order)
@@ -340,13 +346,56 @@ def test_closed_weak_order_rows_match_the_recursion():
             assert po.mobius_row_of("S", x) == row, x
 
 
+def test_closed_weak_order_rows_match_the_combinations_form():
+    """The submask walk gives the row of the closed form as written, its
+    sets of ascents drawn by ``combinations``, on every permutation
+    through degree 7."""
+    for n in range(8):
+        for u in tc.all_perms(n):
+            assert po.weak_mobius_row(u) == oracles.weak_mobius_row(u), u
+
+
 def test_beta_fibers_match_scan():
-    for n in range(7):
-        images = {w: pj.beta(w) for w in tc.all_perms(n)}
+    """The fibers built by inserting the letter 1 are those of ``beta``
+    applied to every permutation, each sorted, through degree 8."""
+    for n in range(9):
+        scan = {}
+        for w in tc.all_perms(n):
+            scan.setdefault(pj.beta(w), []).append(w)
         assert set(pj.beta_fibers(n)) == set(tc.all_bileveled(n))
         for b in tc.all_bileveled(n):
-            scan = tuple(sorted(w for w, c in images.items() if c == b))
-            assert pj.beta_fiber(b) == scan
+            assert pj.beta_fiber(b) == tuple(sorted(scan[b])), b
+
+
+def test_inversion_mask_is_the_inversion_set():
+    """The mask has a bit for each inversion on all of S_n for n <= 7, and
+    its containment is the weak order on all pairs for n <= 5."""
+    for n in range(8):
+        for w in tc.all_perms(n):
+            pairs = po.inversion_set(w)
+            mask = po._inversion_mask(w)
+            assert mask.bit_count() == len(pairs), w
+            assert mask == sum(1 << ((i - 1) * n + j - 1) for i, j in pairs)
+    for n in range(6):
+        masks = {w: po._inversion_mask(w) for w in tc.all_perms(n)}
+        for u, mu in masks.items():
+            for v, mv in masks.items():
+                assert (not mu & ~mv) == po.weak_leq(u, v), (u, v)
+
+
+def test_set_bits_match_the_lowest_bit_loop():
+    """The byte-table scan lists the bits of the one-bit-at-a-time loop,
+    on 0, single bits, masks ending at and around byte boundaries, and
+    masks as wide as the bi-leveled order of degree 9."""
+    masks = [0] + [1 << k for k in range(70)]
+    masks += [(1 << w) - 1 for w in range(1, 70)]
+    masks += [(1 << w) - 1 ^ (1 << (w - 1) // 2) for w in range(2, 70)]
+    rng = random.Random(9)
+    masks += [rng.getrandbits(25_674) | 1 << 25_673 for _ in range(3)]
+    masks += [sum(1 << rng.randrange(25_674) for _ in range(500))
+              for _ in range(3)]
+    for mask in masks:
+        assert po._bits(mask) == oracles.bits(mask), mask.bit_length()
 
 
 @pytest.mark.parametrize("bad_fiber", [
@@ -520,6 +569,98 @@ def test_a_flipped_weak_order_value_shows(monkeypatch, capsys):
     assert code == 1 and out.startswith("FAIL: "), out
     assert cli.run(["mobius", "--family", "S", "123", "213"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_a_flipped_block_reversal_sign_shows(monkeypatch, capsys):
+    """The sign of the table entry of ``J = {1}`` flipped, in every
+    degree's table of block reversals, shows in the Mobius comparison
+    from degree 2, and in its suite."""
+    table = po._block_reversals
+
+    def flipped(n):
+        entries = list(table(n))
+        if len(entries) > 1:
+            image, sign = entries[1]
+            entries[1] = (image, -sign)
+        return entries
+
+    monkeypatch.setattr(po, "_block_reversals", flipped)
+    failing = [n for n in range(5)
+               if not po.fiberwise_mobius_verify(n)["ok"]]
+    assert failing and failing[0] == 2, failing
+    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "2"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.startswith("FAIL: "), out
+
+
+@pytest.fixture
+def fresh_fibers():
+    """No beta-fiber built before the test, and none it built kept after
+    it."""
+    pj.beta_fibers.cache_clear()
+    yield
+    pj.beta_fibers.cache_clear()
+
+
+def test_unshifted_marks_show(fresh_fibers, monkeypatch, capsys):
+    """The marks after the inserted letter 1 left where they were, in the
+    step that builds each fiber from the degree below, show as fibers that
+    are not weak-order intervals from degree 3."""
+    step = pj._beta_inserting_one
+    monkeypatch.setattr(
+        pj, "_beta_inserting_one",
+        lambda b, i: step(b, i) if i == 0 else step(b, i)._replace(
+            ideal=b.ideal))
+    failing = [n for n in range(5)
+               if not po.interval_retract_verify(n)["ok"]]
+    assert failing and failing[0] == 3, failing
+    kinds = {v[0] for v in po.interval_retract_verify(3)["violations"]}
+    assert kinds == {"fiber-not-interval"}
+    code = cli.run(["verify", "--suite", "interval-retract", "--n", "3"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.startswith("FAIL: "), out
+
+
+def test_a_dropped_section_inversion_shows(monkeypatch, capsys):
+    """One pair dropped from the inversion mask of the section value
+    ``n...1``, the section of the top of the bi-leveled order, shows in
+    the check that the section preserves the covers, from degree 3."""
+    inversions = po._inversion_mask
+
+    def dropped(w):
+        mask = inversions(w)
+        if w == tuple(range(len(w), 0, -1)):
+            mask &= mask - 1
+        return mask
+
+    monkeypatch.setattr(po, "_inversion_mask", dropped)
+    failing = [n for n in range(5)
+               if not po.interval_retract_verify(n)["ok"]]
+    assert failing and failing[0] == 3, failing
+    kinds = {v[0] for v in po.interval_retract_verify(3)["violations"]}
+    assert kinds == {"section-not-order-preserving"}
+    code = cli.run(["verify", "--suite", "interval-retract", "--n", "3"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.startswith("FAIL: "), out
+
+
+@pytest.mark.slow
+def test_order_suites_pass_at_degree_nine():
+    """Both order suites through degree 9, each in a fresh process under
+    ``TREESYM_MAX_N=9``."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), TREESYM_MAX_N="9")
+    for suite, line in (
+            ("mobius-fibers",
+             "OK: Mobius values agree across fibers through degree 9"),
+            ("interval-retract",
+             "OK: interval retract verified through degree 9")):
+        done = subprocess.run(
+            [sys.executable, "-c", "from treesym.cli import main; main()",
+             "verify", "--suite", suite, "--n", "9"],
+            capture_output=True, text=True, timeout=600, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == line, done.stdout
 
 
 # ---------------------------------------------------------------------------
