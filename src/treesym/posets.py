@@ -11,16 +11,16 @@ The three partial orders, their Mobius functions, and interval-retract checks.
 
 :class:`FinitePoset` is built from the elements of a finite poset and, for
 each, the list of the indices of its covers, and builds its order relation,
-as bitmask rows, the first time something reads it.  :data:`ORDERS` gives
-each family tag the builder of those index lists for a graded piece and,
-where one is known, its closed-form Mobius row.  The Tamari and bi-leveled
-builders build no cover as an element: a tree's rotations are found by
-position in the canonical order, and a bi-leveled cover by its mark set in
-its tree's block of elements.  The canonical order of a family is its
-generator's; :func:`hasse_dot` sorts by text where it prints.  A Mobius
-row is computed where it is read, and not kept, by the recursion over
-the closure, keeping one bitmask per value and counting bits; a single
-value ``mu(x, y)`` by the same recursion over ``[x, y]``.
+as bitmask rows of up-sets, the first time something reads it, in one
+pass: in the canonical order of a family, its generator's, every element
+comes after its covers.  :data:`ORDERS` gives each family tag the builder
+of those index lists for a graded piece and, where one is known, its
+closed-form Mobius row.  The Tamari and bi-leveled builders build no
+cover as an element: a tree's rotations are found by position in the
+canonical order, and a bi-leveled cover by its mark set in its tree's
+block of elements.  :func:`hasse_dot` sorts by text where it prints.
+Mobius rows with no closed form are computed by Rota's crosscut theorem,
+on orders checked to be lattices, where they are read, and not kept.
 :func:`mobius_row_of` reads a Mobius row by element, in closed form where
 there is one, so an order is built only where its covers or its closure
 are read.  The weak order's closed form walks the submasks of a
@@ -33,7 +33,7 @@ bitmasks, one bit per pair of positions; :func:`inversion_set` and
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 from . import projections as pj
@@ -50,13 +50,13 @@ __all__ = [
 class FinitePoset:
     """A finite poset given by its elements and its cover relation.
 
-    ``succ[i]`` lists the indices of the elements covering ``elements[i]``.
-    ``up[i]`` and ``down[i]``, the bitmasks of the elements above and below
-    ``elements[i]`` (both reflexive), are the closures of the covers and of
-    the reversed covers.  They are built on first read, as is ``index``,
-    the position of each element.  A sparse Mobius row ``mu(x, .)`` is
-    computed by the recursion over the closures where it is read, and is
-    not kept; a single value ``mu(x, y)`` by the recursion over ``[x, y]``.
+    ``succ[i]`` lists the indices of the elements covering ``elements[i]``,
+    each smaller than ``i``.  ``up[i]``, the bitmask of the elements above
+    ``elements[i]`` (reflexive), is built on first read in one pass in
+    index order, as is ``index``, the position of each element.  A sparse
+    Mobius row ``mu(x, .)`` is computed by the crosscut theorem each time
+    it is read, and is not kept; a single value ``mu(x, y)`` from the
+    covers of ``x`` below ``y`` only.
     """
 
     def __init__(self, elements: Sequence, succ: list):
@@ -72,20 +72,32 @@ class FinitePoset:
 
     @cached_property
     def up(self) -> list:
-        return _transitive_closure(self.succ)
-
-    @cached_property
-    def down(self) -> list:
-        below = [[] for _ in self.succ]
+        up = []
         for i, js in enumerate(self.succ):
+            mask = 1 << i
             for j in js:
-                below[j].append(i)
-        return _transitive_closure(below)
+                if j >= i:
+                    raise ValueError("a cover must come before its element")
+                mask |= up[j]
+            up.append(mask)
+        return up
 
     @cached_property
-    def _heights(self) -> list:
-        # z < y strictly implies fewer elements below z than below y
-        return [m.bit_count() for m in self.down]
+    def _join(self) -> dict:
+        """The index of each element keyed by its up-set, once the order is
+        checked to be a lattice: it has a least element, and any two covers
+        of one element have a join, keyed by the AND of their up-sets.  The
+        second makes covers locally confluent, so from the least element
+        (Newman's lemma) there is one maximal element, and a bounded order
+        with the second is a lattice (Bjorner-Edelman-Ziegler, Lemma 2.1).
+        Any join is then keyed by the AND of the up-sets joined."""
+        up = self.up
+        join = {mask: i for i, mask in enumerate(up)}
+        if (1 << len(up)) - 1 not in join or any(
+                up[a] & up[b] not in join
+                for js in self.succ for a, b in combinations(js, 2)):
+            raise ValueError("the order is not a lattice")
+        return join
 
     def leq(self, x, y) -> bool:
         return bool(self.up[self.index[x]] >> self.index[y] & 1)
@@ -103,31 +115,28 @@ class FinitePoset:
 
     def mobius(self, x, y) -> int:
         i, j = self.index[x], self.index[y]
-        return self._row_from_order(i, self.up[i] & self.down[j]).get(j, 0)
+        below = [c for c in self.succ[i] if self.up[c] >> j & 1]
+        return self._crosscut(i, below).get(j, 0)
 
     def mobius_row(self, i: int) -> dict:
         """The nonzero values ``mu(elements[i], .)``, keyed by index."""
-        return self._row_from_order(i, self.up[i])
+        return self._crosscut(i, self.succ[i])
 
-    def _row_from_order(self, i: int, span: int) -> dict:
-        """``mu(x, y) = -sum of mu(x, z) over x <= z < y``, for the ``y`` of
-        the bitmask ``span`` in a linear extension; ``span`` lies above
-        ``x`` and holds ``[x, y]`` for each of its ``y``.  The ``z`` with a
-        nonzero value are kept as one bitmask per value ``v``, so the sum
-        is the sum of ``v * |mask_v & down[y]|``, its bits counted in C."""
-        above = _bits(span & ~(1 << i))
-        above.sort(key=self._heights.__getitem__)
-        down = self.down
+    def _crosscut(self, i: int, covers: Sequence) -> dict:
+        """The nonzero ``mu(x, y)`` for ``x = elements[i]`` by Rota's crosscut
+        theorem: the sum of ``(-1)**len(A)`` over the sets ``A`` of these
+        covers of ``x`` whose join is ``y`` (that of none is ``x``).  Each
+        cover is joined to the join of each set so far, by an AND and a
+        :attr:`_join` lookup, keeping one coefficient per join."""
+        up, join = self.up, self._join
         row = {i: 1}
-        support = {1: 1 << i}
-        for j in above:
-            below = down[j]
-            total = 0
-            for v, mask in support.items():
-                total += v * (mask & below).bit_count()
-            if total:
-                row[j] = -total
-                support[-total] = support.get(-total, 0) | 1 << j
+        for c in covers:
+            above = up[c]
+            step = row.copy()
+            for j, v in row.items():
+                k = join[up[j] & above]
+                step[k] = step.get(k, 0) - v
+            row = {j: v for j, v in step.items() if v}
         return row
 
 
@@ -143,29 +152,6 @@ def _bits(mask: int) -> list:
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return [base + k for base, byte in zip(range(0, 8 * len(data), 8), data)
             if byte for k in _BYTE_BITS[byte]]
-
-
-def _transitive_closure(succ: list) -> list:
-    """Reflexive-transitive closure of a DAG given as successor index lists,
-    as bitmasks."""
-    n = len(succ)
-    reach = [None] * n
-
-    def solve(i: int) -> int:
-        if reach[i] is None:
-            reach[i] = -1  # sentinel; the input must be acyclic
-            mask = 1 << i
-            for j in succ[i]:
-                mask |= solve(j)
-            reach[i] = mask
-        elif reach[i] == -1:
-            raise ValueError("cover relation contains a cycle")
-        return reach[i]
-
-    for i in range(n):
-        solve(i)
-    del solve  # free the cycle through its own cell, and the lists it holds
-    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +512,15 @@ def fiberwise_mobius_verify(n: int) -> dict:
 
     One pass over the permutations adds each nonzero ``mu_S(a, v)``, in
     closed form, to the entry ``(beta(a), beta(v))``.  The rows of the
-    bi-leveled order itself, by the recursion over its closure, are then
-    compared with these sums; pairs missing from both are zero.
+    bi-leveled order itself, unless it is not a lattice (the one violation
+    then), are compared with these sums; pairs missing from both are zero.
     """
     mposet = family_poset("M", n)
+    mposet.up  # a cover listed after its element raises here
+    try:
+        mposet._join
+    except ValueError:
+        return {"n": n, "ok": False, "violations": [("not-a-lattice", n)]}
     fiber_of = {w: mposet.index[b]
                 for b, fiber in pj.beta_fibers(n).items() for w in fiber}
     sums = [{} for _ in mposet.elements]

@@ -121,7 +121,7 @@ def iota(b: BiLeveledTree) -> tuple:
 @lru_cache(maxsize=None)
 def beta_fibers(n: int) -> dict:
     """Every nonempty fiber of ``beta`` in degree ``n``:
-    ``{b: canonically sorted permutations}``.
+    ``{b: its permutations in lexicographic order}``.
 
     Built from the fibers of degree ``n - 1`` by inserting the letter 1:
     each ``w`` is ``w'`` with its letters raised by one and 1 put at some
@@ -159,7 +159,7 @@ def _beta_inserting_one(b: BiLeveledTree, i: int) -> BiLeveledTree:
 def _graft_node(t: tuple, i: int) -> tuple:
     """``t`` with a node, both of whose children are leaves, at leaf ``i``
     (from 0, left to right): :func:`tc.graft_trees` of that forest, with
-    no forest built."""
+    no forest built and only the path to leaf ``i`` rebuilt."""
     if not t:
         return (tc.LEAF, tc.LEAF)
     left, right = t
@@ -170,7 +170,7 @@ def _graft_node(t: tuple, i: int) -> tuple:
 
 
 def beta_fiber(b: BiLeveledTree) -> tuple:
-    """All permutations mapping to ``b``, canonically sorted."""
+    """All permutations mapping to ``b``, in lexicographic order."""
     return beta_fibers(tc.nodes(b.tree)).get(b, ())
 
 

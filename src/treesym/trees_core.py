@@ -276,8 +276,9 @@ def all_trees(n: int) -> tuple:
 
 
 def all_perms(n: int) -> tuple:
-    """Every permutation of ``1..n``, in lexicographic order."""
-    return tuple(permutations(range(1, n + 1)))
+    """Every permutation of ``1..n``, in decreasing lexicographic order, in
+    which the weak-order covers of a permutation come before it."""
+    return tuple(permutations(range(n, 0, -1)))
 
 
 def is_admissible_ideal(t: tuple, ideal: frozenset) -> bool:
@@ -424,11 +425,15 @@ def graft_trees(forest: Sequence[tuple], base: tuple) -> tuple:
     """Attach the root of ``forest[i]`` to the ``i``-th leaf of ``base``."""
     if len(forest) != leaves(base):
         raise ValueError("forest size must equal number of leaves of base")
+    return _graft_onto(iter(forest), base)
+
+
+def _graft_onto(parts: Iterator[tuple], base: tuple) -> tuple:
+    """``base`` with each leaf replaced by the next tree of ``parts``."""
     if not base:
-        return forest[0]
+        return next(parts)
     left, right = base
-    k = leaves(left)
-    return (graft_trees(forest[:k], left), graft_trees(forest[k:], right))
+    return (_graft_onto(parts, left), _graft_onto(parts, right))
 
 
 def graft_perms(forest: Sequence[tuple], base: tuple) -> tuple:

@@ -2,18 +2,23 @@
 
 First the orders read pair by pair: :func:`leq_order` builds a
 :class:`treesym.posets.FinitePoset` by testing the defining relation on
-every pair and reads its covers from that closure;
+every pair, keeping the up-sets and the down-sets it reads, and reads its
+covers from that closure; :func:`down_sets` gives the down-sets of any
+order, those of :func:`leq_order` or the transpose of the ``up`` of a
+built one (the package keeps up-sets only);
 :func:`enumerate_by_text` sorts every element of a degree by its text:
 the order of the ``enumerate`` listing, which sorts where it prints (the
 canonical order of a family is its generator's);
-:func:`row_from_order` is the Mobius recursion as it was before it
-counted bits, listing the nonzero values below each element; :func:`interval` and
-:func:`is_interval_subset` read intervals from the ``up`` and ``down``
-bitmasks, the last the reference for the weak-order fiber test
+:func:`row_from_order` is the Mobius recursion ``mu(x, y) = -sum of
+mu(x, z) over x <= z < y``, taking the elements by the sizes of their
+down-sets and listing the nonzero values below each, which the crosscut
+rows of :class:`treesym.posets.FinitePoset` replaced; :func:`interval`
+and :func:`is_interval_subset` read intervals from the up-sets and the
+down-sets, the last the reference for the weak-order fiber test
 :func:`treesym.posets.is_weak_interval`.
 The chain-counting oracles for Mobius values work on any
-:class:`treesym.posets.FinitePoset` through its ``up`` and ``down``
-bitmasks, independently of the sparse Mobius rows they check.
+:class:`treesym.posets.FinitePoset` through its up-sets and down-sets,
+independently of the sparse Mobius rows they check.
 :func:`sympy_coinvariant_kernel` is the coinvariant solve by sympy's
 ``nullspace``, against which the plain-Python elimination is checked.
 Then come, written as they were, the rules that faster code replaced:
@@ -47,6 +52,7 @@ permutation: a component is tested against the section image by ``beta``
 then ``iota``, and each set filters every permutation on its own.
 """
 
+import weakref
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -73,8 +79,26 @@ def leq_order(elements: Sequence, leq) -> po.FinitePoset:
              if up[i] & down[j] == (1 << i) | (1 << j)]
             for i in range(len(elements))]
     poset = po.FinitePoset(elements, succ)
-    poset.up, poset.down = up, down
+    poset.up = up
+    _DOWN[poset] = down
     return poset
+
+
+# the down-sets of each order read so far, for as long as the order lives
+_DOWN = weakref.WeakKeyDictionary()
+
+
+def down_sets(poset) -> list:
+    """The bitmask of the elements below each element (reflexive): the
+    ones :func:`leq_order` read pair by pair, and for any other order the
+    transpose of its ``up``."""
+    if poset not in _DOWN:
+        down = [0] * len(poset)
+        for i, mask in enumerate(poset.up):
+            for j in po._bits(mask):
+                down[j] |= 1 << i
+        _DOWN[poset] = down
+    return _DOWN[poset]
 
 
 def enumerate_by_text(family: str, n: int) -> tuple:
@@ -85,14 +109,16 @@ def enumerate_by_text(family: str, n: int) -> tuple:
 
 def row_from_order(poset, i: int) -> dict:
     """The nonzero Mobius values ``mu(elements[i], .)`` by the recursion
-    over the closure, listing the nonzero values below each ``y`` and
-    summing them one by one."""
+    ``mu(x, y) = -sum of mu(x, z) over x <= z < y``, taking the ``y`` by
+    the number of elements below them, listing the nonzero values below
+    each ``y`` and summing them one by one."""
+    down = down_sets(poset)
     above = po._bits(poset.up[i] & ~(1 << i))
-    above.sort(key=poset._heights.__getitem__)
+    above.sort(key=lambda j: down[j].bit_count())
     row = {i: 1}
     support = 1 << i
     for j in above:
-        total = sum(row[k] for k in po._bits(support & poset.down[j]))
+        total = sum(row[k] for k in po._bits(support & down[j]))
         if total:
             row[j] = -total
             support |= 1 << j
@@ -101,7 +127,7 @@ def row_from_order(poset, i: int) -> dict:
 
 def interval(poset, x, y) -> list:
     """Elements ``z`` with ``x <= z <= y``."""
-    m = poset.up[poset.index[x]] & poset.down[poset.index[y]]
+    m = poset.up[poset.index[x]] & down_sets(poset)[poset.index[y]]
     return [poset.elements[j] for j in po._bits(m)]
 
 
@@ -113,11 +139,12 @@ def is_interval_subset(poset, subset) -> bool:
     mask = 0
     for i in idx:
         mask |= 1 << i
-    mins = [i for i in idx if poset.down[i] & mask == 1 << i]
+    down = down_sets(poset)
+    mins = [i for i in idx if down[i] & mask == 1 << i]
     maxs = [i for i in idx if poset.up[i] & mask == 1 << i]
     if len(mins) != 1 or len(maxs) != 1:
         return False
-    return poset.up[mins[0]] & poset.down[maxs[0]] == mask
+    return poset.up[mins[0]] & down[maxs[0]] == mask
 
 
 def all_chains(poset) -> Iterator[tuple]:
@@ -174,6 +201,7 @@ def hall_mobius(poset, x, y) -> int:
     if not poset.leq(x, y):
         return 0
     i0, j0 = poset.index[x], poset.index[y]
+    below_y = down_sets(poset)[j0]
     memo: dict = {}
 
     def from_idx(i: int) -> int:
@@ -181,7 +209,7 @@ def hall_mobius(poset, x, y) -> int:
             return 1
         if i not in memo:
             total = 0
-            m = poset.up[i] & poset.down[j0] & ~(1 << i)
+            m = poset.up[i] & below_y & ~(1 << i)
             while m:
                 j = (m & -m).bit_length() - 1
                 total -= from_idx(j)

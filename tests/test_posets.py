@@ -246,7 +246,8 @@ def test_cover_built_orders_match_definition(family, top):
     for n in range(top + 1):
         fast, slow = po.family_poset(family, n), leq_poset(family, n)
         assert fast.elements == slow.elements
-        assert fast.up == slow.up and fast.down == slow.down, n
+        assert fast.up == slow.up, n
+        assert oracles.down_sets(fast) == oracles.down_sets(slow), n
         assert fast.covers() == slow.covers(), n
 
 
@@ -286,27 +287,25 @@ def test_mobius_rows_match_listing_oracle(family, top):
         assert not rows_differ_from_listing(po.family_poset(family, n)), n
 
 
-def counted_row(drop=None, sign=-1):
-    """The bit-counting recursion of ``FinitePoset._row_from_order``,
-    mutated: the mask of the value ``drop`` is never kept, and each value
-    is ``sign`` times the sum below it."""
+def counted_row(drop=False, sign=-1, top=0):
+    """The crosscut walk of ``FinitePoset._crosscut``, mutated: with
+    ``drop`` the last of the given covers is left out of the walk, a set
+    with a cover added takes ``sign`` times the value of the set, and the
+    join lookup returns ``top`` for the top element, index 0."""
 
-    def row_from_order(self, i, span):
-        above = po._bits(span & ~(1 << i))
-        above.sort(key=self._heights.__getitem__)
+    def crosscut(self, i, covers):
+        up, join = self.up, self._join
         row = {i: 1}
-        support = {1: 1 << i}
-        for j in above:
-            total = 0
-            for v, mask in support.items():
-                total += v * (mask & self.down[j]).bit_count()
-            if total:
-                row[j] = value = sign * total
-                if value != drop:
-                    support[value] = support.get(value, 0) | 1 << j
+        for c in covers[:-1] if drop else covers:
+            above = up[c]
+            step = row.copy()
+            for j, v in row.items():
+                k = join[up[j] & above] or top
+                step[k] = step.get(k, 0) + sign * v
+            row = {j: v for j, v in step.items() if v}
         return row
 
-    return row_from_order
+    return crosscut
 
 
 @pytest.fixture
@@ -318,23 +317,67 @@ def fresh_orders():
 
 
 def test_counted_row_is_the_recursion(fresh_orders, monkeypatch):
-    monkeypatch.setattr(po.FinitePoset, "_row_from_order", counted_row())
+    monkeypatch.setattr(po.FinitePoset, "_crosscut", counted_row())
     assert not rows_differ_from_listing(po.family_poset("M", 4))
 
 
-@pytest.mark.parametrize("mutation", [dict(drop=-1), dict(sign=1)],
-                         ids=["dropped-mask", "flipped-sign"])
+@pytest.mark.parametrize("mutation,first", [
+    (dict(drop=True), 2),
+    (dict(sign=1), 2),
+    (dict(top=1), 2),
+], ids=["dropped-cover", "flipped-sign", "wrong-join"])
 def test_a_wrong_row_count_shows(fresh_orders, monkeypatch, capsys,
-                                 mutation):
-    """A mask left out of the count, or the sign of the sum flipped, shows
-    in the comparison with the listing recursion and in the Mobius
-    comparison suite."""
-    monkeypatch.setattr(po.FinitePoset, "_row_from_order",
-                        counted_row(**mutation))
+                                 mutation, first):
+    """A cover left out of the crosscut walk, the sign of the odd sets of
+    covers flipped, or the top read as another element by the join
+    lookup, shows in the comparison with the listing recursion at degree
+    4, and in the Mobius comparison and its suite from the degree given."""
+    monkeypatch.setattr(po.FinitePoset, "_crosscut", counted_row(**mutation))
     assert rows_differ_from_listing(po.family_poset("M", 4))
-    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "4"])
+    failing = [n for n in range(first + 2)
+               if not po.fiberwise_mobius_verify(n)["ok"]]
+    assert failing and failing[0] == first, failing
+    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", str(first)])
     out = capsys.readouterr().out
     assert code == 1 and out.startswith("FAIL: "), out
+
+
+def test_a_cover_listed_after_its_element_is_rejected():
+    for succ in ([[1], []], [[0]], [[], [0], [1, 2]]):
+        with pytest.raises(ValueError, match="before its element"):
+            po.FinitePoset(range(len(succ)), succ).up
+
+
+@pytest.mark.parametrize("succ", [
+    # top 0 over 1 and 2, each over both 3 and 4, which cover the bottom
+    # 5: the covers 3 and 4 of the bottom have two minimal upper bounds
+    [[], [0], [0], [1, 2], [1, 2], [3, 4]],
+    # top 0 over the two minimal elements 1 and 2
+    [[], [0], [0]],
+], ids=["two-minimal-upper-bounds", "no-bottom"])
+def test_an_order_that_is_no_lattice_is_rejected(succ):
+    poset = po.FinitePoset(range(len(succ)), succ)
+    last = len(succ) - 1
+    assert poset.leq(last, 0)
+    with pytest.raises(ValueError, match="not a lattice"):
+        poset.mobius_row(last)
+    with pytest.raises(ValueError, match="not a lattice"):
+        poset.mobius(last, 0)
+
+
+def test_a_bileveled_order_that_is_no_lattice_is_reported(
+        fresh_orders, monkeypatch, capsys):
+    """With the first rotation of each tree dropped, the two bi-leveled
+    trees of degree 2 are incomparable: the Mobius comparison reports that
+    their order is not a lattice, and its suite fails."""
+    rows = po._rotation_rows
+    monkeypatch.setattr(po, "_rotation_rows",
+                        lambda n: [row[1:] for row in rows(n)])
+    assert po.fiberwise_mobius_verify(2)["violations"] == [
+        ("not-a-lattice", 2)]
+    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "2"])
+    out = capsys.readouterr().out
+    assert code == 1 and out == "FAIL: ('not-a-lattice', 2)\n", out
 
 
 def test_closed_weak_order_rows_match_the_recursion():
@@ -450,7 +493,6 @@ def test_order_suites_build_no_weak_order_closure():
     po.hasse_dot("S", 5)
     for family in "SM":
         assert "up" not in vars(po.family_poset(family, 5)), family
-        assert "down" not in vars(po.family_poset(family, 5)), family
     po.family_poset.cache_clear()
     assert po.mobius("S", (1, 2, 3, 4, 5), (2, 1, 3, 5, 4)) == 1
     assert ha.to_F(ha.Mb("S", (1, 3, 2))) == \
@@ -479,17 +521,17 @@ def test_fiberwise_mobius_reports_a_bad_row(fresh_orders, monkeypatch):
 
 def test_mobius_comparison_computes_each_row_once(fresh_orders,
                                                   monkeypatch):
-    """Each call of the Mobius comparison, the second one too, runs the
-    recursion once per bi-leveled tree: no row is kept, and no value is
+    """Each call of the Mobius comparison, the second one too, walks the
+    crosscut once per bi-leveled tree: no row is kept, and no value is
     read one pair at a time."""
-    recursion = po.FinitePoset._row_from_order
+    crosscut = po.FinitePoset._crosscut
     calls = []
 
-    def counted(self, i, span):
+    def counted(self, i, covers):
         calls.append(i)
-        return recursion(self, i, span)
+        return crosscut(self, i, covers)
 
-    monkeypatch.setattr(po.FinitePoset, "_row_from_order", counted)
+    monkeypatch.setattr(po.FinitePoset, "_crosscut", counted)
     for n in range(7):
         for _ in range(2):
             calls.clear()
@@ -645,22 +687,19 @@ def test_a_dropped_section_inversion_shows(monkeypatch, capsys):
 
 
 @pytest.mark.slow
-def test_order_suites_pass_at_degree_nine():
-    """Both order suites through degree 9, each in a fresh process under
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_every_suite_passes_at_degree_nine(suite):
+    """Each suite through degree 9, in a fresh process under
     ``TREESYM_MAX_N=9``."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), TREESYM_MAX_N="9")
-    for suite, line in (
-            ("mobius-fibers",
-             "OK: Mobius values agree across fibers through degree 9"),
-            ("interval-retract",
-             "OK: interval retract verified through degree 9")):
-        done = subprocess.run(
-            [sys.executable, "-c", "from treesym.cli import main; main()",
-             "verify", "--suite", suite, "--n", "9"],
-            capture_output=True, text=True, timeout=600, env=env)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == line, done.stdout
+    done = subprocess.run(
+        [sys.executable, "-c", "from treesym.cli import main; main()",
+         "verify", "--suite", suite, "--n", "9"],
+        capture_output=True, text=True, timeout=600, env=env)
+    assert done.returncode == 0, done.stderr
+    line = "OK: %s through degree 9" % cli.SUITES[suite][2]
+    assert done.stdout.splitlines()[-1] == line, done.stdout
 
 
 # ---------------------------------------------------------------------------

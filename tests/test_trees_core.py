@@ -246,6 +246,14 @@ def test_split_then_graft_recovers_tree(t, m):
             assert tc.nodes(grafted) == tc.nodes(t) + m
 
 
+def test_graft_needs_one_tree_per_leaf():
+    base = tc.parse_tree("((..).)")
+    for forest in ((tc.LEAF,) * 2, (tc.LEAF,) * 4):
+        with pytest.raises(ValueError):
+            tc.graft_trees(forest, base)
+    assert tc.graft_trees((tc.LEAF,) * 3, base) == base
+
+
 def test_graft_single_tree_onto_leaf_is_identity():
     for n in range(5):
         for t in tc.all_trees(n):
