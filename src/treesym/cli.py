@@ -12,19 +12,27 @@ degree (``posets.*_verify`` or ``hopf_modules.*_verify``, returning
 ``{"n", "ok", "violations"}``), the first degree it runs at, and the claim
 its OK line states; ``verify --n N`` runs it at every degree up to ``N``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, and
-:data:`EXIT_BROKEN_PIPE` when standard output is closed early.  Output is
-deterministic; progress for long verifications goes to standard error.
+Exit codes: 0 success, 1 verification failure, 2 usage error,
+:data:`EXIT_BROKEN_PIPE` when standard output is closed early, and
+:data:`EXIT_IO_ERROR` when any other write to standard output fails.
+Output is deterministic; progress for long verifications goes to standard
+error, which carries diagnostics only: a write that fails there is
+dropped, and the verdict and exit code stand.
 The exhaustive size cap defaults to 8 and may be overridden with the
 ``TREESYM_MAX_N`` environment variable, up to :data:`MAX_N_CEILING`; it
 bounds the degree of every input and of a product.  ``series --order`` is
 at most :data:`MAX_ORDER`.
+
+:func:`main`, the console script, flushes standard output and standard
+error and then ends the process by ``os._exit``, skipping the
+interpreter's teardown.  Library callers, who keep their process, use
+:func:`run`, which returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import errno
 import os
 import sys
 from functools import lru_cache
@@ -46,6 +54,25 @@ MAX_N_CEILING = 400
 MAX_ORDER = 500
 # 128 + SIGPIPE: neither success nor the verification failure code
 EXIT_BROKEN_PIPE = 141
+# EX_IOERR of sysexits.h: standard output could not be written
+EXIT_IO_ERROR = 74
+
+
+def _json(value) -> str:
+    """``value`` as JSON text; ``json`` is imported by ``--json`` only."""
+    import json
+    return json.dumps(value)
+
+
+def _note(text: str) -> None:
+    """Write one line to standard error.  It carries diagnostics only, so
+    the line is dropped when standard error is closed (``2>&-``): Python
+    then has no ``sys.stderr``, or one whose writes fail."""
+    if sys.stderr is not None:
+        try:
+            print(text, file=sys.stderr)
+        except OSError:
+            pass
 
 
 def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
@@ -71,11 +98,11 @@ def _cmd_enumerate(args, parser) -> int:
     _check_size(args.n, parser)
     elements = tc.enumerate_family(args.family, args.n)
     if args.count:
-        print(json.dumps(len(elements)) if args.json else len(elements))
+        print(_json(len(elements)) if args.json else len(elements))
         return 0
     encoded = sorted(map(tc.FAMILIES[args.family].format, elements))
     if args.json:
-        print(json.dumps(encoded))
+        print(_json(encoded))
     else:
         for text in encoded:
             print(text)
@@ -110,7 +137,7 @@ def _parse(family: str, text: str, parser: argparse.ArgumentParser):
 def _cmd_map(args, parser) -> int:
     src, dst, fn = MAP_TABLE[args.name]
     result = tc.FAMILIES[dst].format(fn(_parse(src, args.element, parser)))
-    print(json.dumps(result) if args.json else result)
+    print(_json(result) if args.json else result)
     return 0
 
 
@@ -120,13 +147,13 @@ def _cmd_mobius(args, parser) -> int:
     if degree(x) != degree(y):
         parser.error("both elements must have the same degree")
     value = po.mobius(args.family, x, y)
-    print(json.dumps(value) if args.json else value)
+    print(_json(value) if args.json else value)
     return 0
 
 
 def _print_comb(comb, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(ha._formatted_terms(comb)))
+        print(_json(ha._formatted_terms(comb)))
     else:
         print(ha.format_lincomb(comb))
 
@@ -188,15 +215,15 @@ def _cmd_verify(args, parser) -> int:
     _check_size(args.n, parser)
     check, first, claim = SUITES[args.suite]
     for k in range(first, args.n + 1):
-        print("%s: degree %d" % (args.suite, k), file=sys.stderr)
+        _note("%s: degree %d" % (args.suite, k))
         report = check(k)
         if not report["ok"]:
             payload = report["violations"][0]
-            print(json.dumps({"ok": False, "counterexample": payload})
+            print(_json({"ok": False, "counterexample": payload})
                   if args.json else "FAIL: %s" % (payload,))
             return 1
     summary = "%s through degree %d" % (claim, args.n)
-    print(json.dumps({"ok": True, "summary": summary})
+    print(_json({"ok": True, "summary": summary})
           if args.json else "OK: %s" % summary)
     return 0
 
@@ -208,7 +235,7 @@ def _cmd_series(args, parser) -> int:
     if args.quotients:
         report = sorted(se.quotient_sign_report(args.order).items())
         if args.json:
-            print(json.dumps([
+            print(_json([
                 {
                     "quotient": "%s/%s" % pair,
                     "nonnegative": info["nonnegative"],
@@ -229,7 +256,7 @@ def _cmd_series(args, parser) -> int:
         parser.error("provide --which or --quotients")
     coeffs = se.series(args.which, args.order).coeffs
     if args.json:
-        print(json.dumps(list(coeffs)))
+        print(_json(list(coeffs)))
     else:
         print(" ".join(str(c) for c in coeffs))
     return 0
@@ -305,6 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command, ``argv`` or else ``sys.argv[1:]``, and return its
+    exit code; the entry point for callers that keep their process."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -315,18 +344,39 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:  # includes tc.ParseError
-        print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
+        _note("%s: error: %s" % (parser.prog, exc))
         return 2
 
 
 def main() -> None:
+    """Run the command of ``sys.argv`` and end the process with its code.
+
+    Standard output and standard error are flushed, then the process ends
+    by ``os._exit``, which skips the interpreter's teardown: freeing every
+    cached object one by one takes tens of milliseconds after a large
+    verification.  A reader that closes standard output early ends it
+    with :data:`EXIT_BROKEN_PIPE` and nothing on standard error; any other
+    failed write there with one error line and :data:`EXIT_IO_ERROR`.
+    Library callers use :func:`run`, which returns the code instead.
+    """
     try:
         code = run()
+        if sys.stdout is None:
+            # closed before Python started (``>&-``), so print wrote nothing
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader of standard output went away (``treesym ... | head``):
-        # send what is left, including the flush at exit, to the null
-        # device, and exit as a process killed by SIGPIPE shows in a shell.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # exit as a process killed by SIGPIPE shows in a shell.  What is
+        # left in the buffer is never written, as no flush at exit runs.
         code = EXIT_BROKEN_PIPE
-    sys.exit(code)
+    except OSError as exc:
+        _note("treesym: error: cannot write standard output: %s"
+              % (exc.strerror or exc))
+        code = EXIT_IO_ERROR
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
+    os._exit(code)

@@ -25,7 +25,6 @@ without their zero coefficients.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import hopf_algebra as ha
@@ -295,11 +294,37 @@ def coinvariant_kernel(n: int, restricted: bool) -> list:
     the generator's.  Each free column of the reduced row echelon form
     gives one vector, in increasing column order: 1 at the free column and
     minus the pivot rows' entries there, scaled to integers by the lcm of
-    their denominators.
+    their denominators.  Each such entry ``-a/b`` (``b`` the positive pivot
+    entry) has denominator ``b // gcd(a, b)`` in lowest terms, so the
+    vector is built in integers.
     Returns a list of fundamental-basis combinations with integer entries.
     """
     if restricted and n == 0:
         return []
+    basis, pivots = _coinvariant_echelon(n, restricted)
+    pivots_by_free: dict = {}
+    for p, row in pivots.items():
+        for c in row:
+            if c != p:
+                pivots_by_free.setdefault(c, []).append(p)
+    out = []
+    for f in range(len(basis)):
+        if f in pivots:
+            continue
+        column = [(p, pivots[p][f], pivots[p][p])
+                  for p in pivots_by_free.get(f, ())]
+        denom = math.lcm(1, *(b // math.gcd(a, b) for _p, a, b in column))
+        vec = {f: denom}
+        for p, a, b in column:
+            vec[p] = -a * denom // b
+        out.append(LinComb("M", "F", {basis[i]: vec[i] for i in sorted(vec)}))
+    return out
+
+
+def _coinvariant_echelon(n: int, restricted: bool) -> tuple:
+    """The bi-leveled trees of degree ``n`` in canonical order, and the
+    :func:`_echelon` form of ``coaction(x) - x (x) 1`` on them, one column
+    per tree."""
     basis = tc.enumerate_family("M", n)
     rows: dict = {}
     for j, b in enumerate(basis):
@@ -311,23 +336,7 @@ def coinvariant_kernel(n: int, restricted: bool) -> list:
         # subtract x (x) 1
         row = rows.setdefault((b, tc.LEAF), {})
         row[j] = row.get(j, 0) - 1
-    pivots = _echelon(rows.values())
-    pivots_by_free: dict = {}
-    for p, row in pivots.items():
-        for c in row:
-            if c != p:
-                pivots_by_free.setdefault(c, []).append(p)
-    out = []
-    for f in range(len(basis)):
-        if f in pivots:
-            continue
-        vec = {f: Fraction(1)}
-        for p in pivots_by_free.get(f, ()):
-            vec[p] = Fraction(-pivots[p][f], pivots[p][p])
-        denom = math.lcm(*(v.denominator for v in vec.values()))
-        out.append(LinComb("M", "F", {basis[i]: int(vec[i] * denom)
-                                      for i in sorted(vec)}))
-    return out
+    return basis, _echelon(rows.values())
 
 
 def _echelon(rows) -> dict:

@@ -10,7 +10,6 @@ which quotients among the four series are coefficientwise nonnegative.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
@@ -100,7 +99,12 @@ class TruncatedSeries:
             for k in range(n):
                 acc -= out[k] * other.coeffs[n - k]
             # one exact division: an int when it is exact
-            out.append(acc // c0 if acc % c0 == 0 else Fraction(acc) / c0)
+            if acc % c0 == 0:
+                out.append(acc // c0)
+            else:
+                # imported here: no CLI command divides inexactly
+                from fractions import Fraction
+                out.append(Fraction(acc) / c0)
         return TruncatedSeries(tuple(out))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":

@@ -20,7 +20,10 @@ The chain-counting oracles for Mobius values work on any
 :class:`treesym.posets.FinitePoset` through its up-sets and down-sets,
 independently of the sparse Mobius rows they check.
 :func:`sympy_coinvariant_kernel` is the coinvariant solve by sympy's
-``nullspace``, against which the plain-Python elimination is checked.
+``nullspace``, against which the plain-Python elimination is checked;
+:func:`fraction_coinvariant_kernel` reads the vectors off that
+elimination's echelon form over the rationals, which the integer vectors
+of :func:`treesym.hopf_modules.coinvariant_kernel` replaced.
 Then come, written as they were, the rules that faster code replaced:
 the backslash decompositions that the table
 :data:`treesym.trees_core.FAMILIES` replaced; the second-basis product
@@ -52,7 +55,9 @@ permutation: a component is tested against the section image by ``beta``
 then ``iota``, and each set filters every permutation on its own.
 """
 
+import math
 import weakref
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -253,6 +258,28 @@ def sympy_coinvariant_kernel(n: int, restricted: bool) -> list:
         ints = [int(e * denom) for e in vec]
         out.append(LinComb("M", "F", {
             basis[i]: v for i, v in enumerate(ints) if v}))
+    return out
+
+
+def fraction_coinvariant_kernel(n: int, restricted: bool) -> list:
+    """The vectors of :func:`treesym.hopf_modules.coinvariant_kernel`,
+    built over the rationals: for each free column ``f``, 1 at ``f`` and
+    ``-row[f] / row[p]`` at the pivot ``p`` of each pivot row, all scaled
+    by the lcm of their denominators."""
+    if restricted and n == 0:
+        return []
+    basis, pivots = hm._coinvariant_echelon(n, restricted)
+    out = []
+    for f in range(len(basis)):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for p, row in pivots.items():
+            if f in row:
+                vec[p] = Fraction(-row[f], row[p])
+        denom = math.lcm(*(v.denominator for v in vec.values()))
+        out.append(LinComb("M", "F", {basis[i]: int(vec[i] * denom)
+                                      for i in sorted(vec)}))
     return out
 
 

@@ -397,6 +397,105 @@ def test_closed_pipe_ends_quietly():
     assert err == b""
 
 
+CLI_MAIN = "from treesym.cli import main; main()"
+
+
+def spawn_main(*argv, script=CLI_MAIN, redirect=""):
+    """Run ``script``, by default :func:`cli.main`, with ``argv`` in a fresh
+    process, through ``sh`` with the shell redirection ``redirect`` when it
+    is given; its :class:`subprocess.CompletedProcess`, output as bytes."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # standard output stays buffered, as in a console, so that the flush
+    # before the exit is what sends its last block
+    for name in ("TREESYM_MAX_N", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    command = [sys.executable, "-c", script, *argv]
+    if redirect:
+        command = ["sh", "-c", 'exec "$@" ' + redirect, "sh", *command]
+    return subprocess.run(command, capture_output=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_main_writes_all_output_before_it_exits(capsys, flags):
+    """``main`` ends the process by ``os._exit``; what it printed reaches
+    a pipe in full first."""
+    argv = ("enumerate", "--family", "S", "--n", "7") + flags
+    code, out, _ = invoke(capsys, *argv)
+    done = spawn_main(*argv)
+    assert (done.returncode, done.stderr) == (code, b"") == (0, b"")
+    assert done.stdout.decode() == out and len(out) > 1 << 15
+
+
+def test_main_exits_2_on_a_usage_error():
+    done = spawn_main("enumerate", "--family", "X", "--n", "2")
+    assert done.returncode == 2 and done.stdout == b""
+    lines = done.stderr.decode().splitlines()
+    assert lines[0].startswith("usage: treesym enumerate")
+    assert lines[-1].startswith("treesym enumerate: error: argument --family")
+
+
+def test_main_exits_1_on_a_counterexample():
+    script = ("from treesym import cli, hopf_modules as hm; "
+              "hm.kappa_verify = lambda n: {'n': n, 'ok': n < 2, "
+              "'violations': [('patched', n)]}; cli.main()")
+    done = spawn_main("verify", "--suite", "kappa", "--n", "3",
+                      script=script)
+    assert done.returncode == 1
+    assert done.stdout == b"FAIL: ('patched', 2)\n"
+
+
+@pytest.mark.parametrize("redirect,script", [
+    ("2>&-", CLI_MAIN), ("", "import os; os.close(2); " + CLI_MAIN)])
+def test_closed_stderr_keeps_the_verdict(redirect, script):
+    """Progress goes to standard error, which carries diagnostics only: with
+    it closed, before Python starts (no ``sys.stderr``) or after (its
+    writes fail), the verdict and exit code are those of a run with it
+    open, and standard output holds the verdict alone."""
+    done = spawn_main("verify", "--suite", "kappa", "--n", "3",
+                      script=script, redirect=redirect)
+    assert done.returncode == 0 and done.stderr == b""
+    assert done.stdout == b"OK: bijection verified through degree 3\n"
+
+
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                              reason="needs the /dev/full device")
+
+
+@pytest.mark.parametrize("family,n,redirect,error", [
+    ("Y", 2, ">&-", b"Bad file descriptor"),
+    pytest.param("S", 7, ">/dev/full", b"No space left on device",
+                 marks=DEV_FULL),
+    pytest.param("Y", 2, ">/dev/full", b"No space left on device",
+                 marks=DEV_FULL)])
+def test_failed_write_to_stdout_is_one_error_line(family, n, redirect, error):
+    """A write to standard output that fails other than by a closed pipe
+    ends with one error line and :data:`cli.EXIT_IO_ERROR`: standard output
+    closed before Python starts; a full device, where the 5,040 lines of
+    S_7 overflow the buffer, so ``print`` fails, and the two of Y_2 stay in
+    it until the flush before the exit."""
+    done = spawn_main("enumerate", "--family", family, "--n", str(n),
+                      redirect=redirect)
+    assert done.returncode == cli.EXIT_IO_ERROR == 74
+    assert done.stderr == (b"treesym: error: cannot write standard output: "
+                           + error + b"\n")
+
+
+def test_import_loads_no_json_or_fractions():
+    """Importing the CLI loads neither ``json``, which only ``--json``
+    output needs, nor ``fractions`` with ``decimal`` and ``numbers``,
+    which only an inexact series division needs."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys; before = set(sys.modules); import treesym.cli; "
+              "print(sorted({'json', 'fractions', 'decimal', 'numbers'} "
+              "& (set(sys.modules) - before)))")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_import_loads_no_introspection_modules():
     """Importing the CLI pulls in neither ``dataclasses`` nor ``inspect``
     (with ``ast``, ``dis`` and ``tokenize``), which would add several

@@ -273,6 +273,14 @@ def test_coinvariant_kernel_equals_the_sympy_solve(restricted):
             sympy_coinvariant_kernel(n, restricted)
 
 
+@pytest.mark.parametrize("restricted", [True, False])
+def test_coinvariant_kernel_equals_the_rational_vectors(restricted):
+    from oracles import fraction_coinvariant_kernel
+    for n in range(7):
+        assert hm.coinvariant_kernel(n, restricted) == \
+            fraction_coinvariant_kernel(n, restricted)
+
+
 def test_coinvariants_suite_runs_without_sympy():
     script = ("import sys; from treesym import cli; "
               "code = cli.run(['verify', '--suite', 'coinvariants', '--n', '4']); "
