@@ -39,7 +39,7 @@ __all__ = [
     "b_basis", "b_prime_basis", "b_decompose",
     "bbslash", "bbslash_decompose",
     "msym_action_M", "msym_coaction_M",
-    "in_script_s", "in_script_s_prime", "script_s", "script_s_prime",
+    "in_script_s", "script_s", "script_s_prime",
     "kappa", "kappa_inverse",
     "coinvariant_kernel", "EMPTY_B",
     "plus_module_verify", "bbslash_verify", "coinvariants_verify",
@@ -227,13 +227,6 @@ def _even_initial_run(comps: tuple) -> bool:
             break
         length += 1
     return length % 2 == 0
-
-
-def in_script_s_prime(w: tuple) -> bool:
-    """Members of the big index set whose maximal initial run of components
-    lying in the section image has even length."""
-    comps = tc.perm_indecomposables(w)
-    return _last_has_132(comps) and _even_initial_run(comps)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,9 @@
-"""Command-line interface: exit codes, determinism, and output formats."""
+"""Command-line interface: usage errors and their messages, the size cap
+and its environment variable, random argument text, progress on standard
+error, and the ways a process ends.  The stdout and exit code of a fixed
+list of commands are pinned by ``test_cli_golden``."""
 
 import argparse
-import json
 import os
 import pathlib
 import subprocess
@@ -22,51 +24,7 @@ def invoke(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
-# enumerate
-
-
-def test_enumerate_count(capsys):
-    code, out, _ = invoke(capsys, "enumerate", "--family", "M", "--n", "4",
-                          "--count")
-    assert code == 0 and out.strip() == "21"
-
-
-def test_enumerate_listing_sorted_and_json(capsys):
-    code, out, _ = invoke(capsys, "enumerate", "--family", "Y", "--n", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 5 and lines == sorted(lines)
-    code, out, _ = invoke(capsys, "enumerate", "--family", "Y", "--n", "3",
-                          "--json")
-    assert code == 0 and json.loads(out) == lines
-
-
-def test_enumerate_deterministic(capsys):
-    first = invoke(capsys, "enumerate", "--family", "S", "--n", "4")
-    second = invoke(capsys, "enumerate", "--family", "S", "--n", "4")
-    assert first == second
-
-
-# ---------------------------------------------------------------------------
 # map and mobius
-
-
-def test_map_tau_display(capsys):
-    code, out, _ = invoke(capsys, "map", "tau", "3421")
-    assert code == 0 and out.strip() == "((..)(.(..)))"
-
-
-def test_map_round_trip_beta_iota(capsys):
-    code, out, _ = invoke(capsys, "map", "beta", "3421")
-    assert code == 0
-    encoded = out.strip()
-    code, out, _ = invoke(capsys, "map", "iota", encoded)
-    assert code == 0 and out.strip() == "3421"
-
-
-def test_map_rejects_malformed_element(capsys):
-    code, _, err = invoke(capsys, "map", "tau", "3x1")
-    assert code == 2
 
 
 def test_map_rejects_bad_node_number(capsys):
@@ -184,49 +142,8 @@ def test_value_error_is_a_usage_error(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "treesym: error: no such element\n")
 
 
-def test_mobius_value(capsys):
-    code, out, _ = invoke(capsys, "mobius", "--family", "S", "123", "213")
-    assert code == 0 and out.strip() == "-1"
-    code, out, _ = invoke(capsys, "mobius", "--family", "S", "132", "132")
-    assert code == 0 and out.strip() == "1"
-    code, out, _ = invoke(capsys, "mobius", "--family", "S", "321", "123")
-    assert code == 0 and out.strip() == "0"
-
-
-def test_mobius_mixed_degrees_rejected(capsys):
-    code, _, _ = invoke(capsys, "mobius", "--family", "S", "12", "321")
-    assert code == 2
-
-
 # ---------------------------------------------------------------------------
 # op
-
-
-def test_op_mul_six_terms(capsys):
-    code, out, _ = invoke(
-        capsys, "op", "mul", "--family", "M",
-        "(..);{1}", "(..);{1}", "--json")
-    assert code == 0
-    items = json.loads(out)
-    assert sum(c for _k, c in items) == 2
-
-
-def test_op_rho_display(capsys):
-    code, out, _ = invoke(
-        capsys, "op", "rho", "--family", "M", "--basis", "M",
-        "((..)(.(..)));{1,2,3,4}")
-    assert code == 0
-    assert out.strip() == "M[M:((..)(.(..)));{1,2,3,4}] (x) 1"
-
-
-def test_op_comul_rejects_bileveled(capsys):
-    code, _, _ = invoke(capsys, "op", "comul", "--family", "M", "(..);{1}")
-    assert code == 2
-
-
-def test_op_mul_wrong_arity(capsys):
-    code, _, _ = invoke(capsys, "op", "mul", "--family", "S", "12")
-    assert code == 2
 
 
 def test_op_mul_product_degree_is_capped(capsys, monkeypatch):
@@ -245,45 +162,13 @@ def test_op_mul_product_degree_is_capped(capsys, monkeypatch):
 
 
 def test_verify_suite_ok(capsys):
-    code, out, err = invoke(
+    _, _, err = invoke(
         capsys, "verify", "--suite", "interval-retract", "--n", "3")
-    assert code == 0 and out.startswith("OK:")
     assert "interval-retract" in err  # progress goes to standard error
-
-
-def test_verify_suite_json(capsys):
-    code, out, _ = invoke(
-        capsys, "verify", "--suite", "kappa", "--n", "4", "--json")
-    assert code == 0 and json.loads(out)["ok"] is True
-
-
-def test_verify_all_suites_small(capsys):
-    for suite in sorted(cli.SUITES):
-        code, out, _ = invoke(capsys, "verify", "--suite", suite, "--n", "3")
-        assert code == 0, (suite, out)
 
 
 # ---------------------------------------------------------------------------
 # series
-
-
-def test_series_coefficients(capsys):
-    code, out, _ = invoke(capsys, "series", "--which", "M", "--order", "6")
-    assert code == 0 and out.strip() == "1 1 2 6 21 80 322"
-
-
-def test_series_quotient_report(capsys):
-    code, out, _ = invoke(capsys, "series", "--quotients", "--order", "12",
-                          "--json")
-    assert code == 0
-    rows = {row["quotient"]: row for row in json.loads(out)}
-    assert rows["S/M"]["nonnegative"] is True
-    assert rows["S/Y"]["nonnegative"] is True
-    assert rows["M/Y"]["nonnegative"] is True
-    assert rows["M+/Y"]["nonnegative"] is True
-    assert rows["Y/S"]["nonnegative"] is False
-    assert rows["M/S"]["first_negative"] is not None
-    assert rows["M+/M"]["trivial"] is True
 
 
 def test_series_order_is_capped(capsys):
@@ -296,29 +181,8 @@ def test_series_order_is_capped(capsys):
     assert err.splitlines()[-1].startswith("treesym: error: order 501 outside")
 
 
-def test_series_requires_which_or_quotients(capsys):
-    code, _, _ = invoke(capsys, "series", "--order", "5")
-    assert code == 2
-
-
-# ---------------------------------------------------------------------------
-# hasse
-
-
-def test_hasse_dot_output(capsys):
-    code, out, _ = invoke(capsys, "hasse", "--family", "Y", "--n", "3")
-    assert code == 0
-    assert out.startswith("digraph") and out.count("->") == 5
-
-
 # ---------------------------------------------------------------------------
 # size cap
-
-
-def test_size_cap_enforced(capsys):
-    code, _, _ = invoke(capsys, "enumerate", "--family", "S", "--n", "9",
-                        "--count")
-    assert code == 2
 
 
 def test_size_cap_override(capsys, monkeypatch):
@@ -349,11 +213,6 @@ def test_size_cap_override_has_a_ceiling(capsys, monkeypatch, name):
         assert err.splitlines()[-1] == (
             "treesym: error: TREESYM_MAX_N must be at most %d, not %s"
             % (ceiling, raw))
-
-
-def test_bad_subcommand(capsys):
-    code, _, _ = invoke(capsys, "nope")
-    assert code == 2
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

@@ -153,6 +153,16 @@ COMMANDS = (
     # order of the trees and of the mark sets differ
     + [["enumerate", "--family", f, "--n", "6"] + extra
        for f in "YM" for extra in ([], ["--json"])]
+    # a small count, Mobius values on the diagonal and between incomparable
+    # permutations, every suite at degree 3, a JSON verdict, a short series
+    # and the quotient report at order 12
+    + [["enumerate", "--family", "M", "--n", "4", "--count"],
+       ["mobius", "--family", "S", "132", "132"],
+       ["mobius", "--family", "S", "321", "123"],
+       ["verify", "--suite", "kappa", "--n", "4", "--json"]]
+    + [["verify", "--suite", s, "--n", "3"] for s in SUITES]
+    + [["series", "--which", "M", "--order", "6"],
+       ["series", "--quotients", "--order", "12", "--json"]]
 )
 
 

@@ -8,7 +8,6 @@ import sys
 
 import pytest
 
-from treesym import cli
 from treesym import hopf_algebra as ha
 from treesym import hopf_modules as hm
 from treesym import projections as pj
@@ -17,6 +16,7 @@ from treesym import trees_core as tc
 from treesym.hopf_algebra import F, Mb, LinComb, TensorComb
 
 import oracles
+from test_must_fail import drop_first_term
 
 
 def unit_y():
@@ -362,7 +362,6 @@ def test_index_sets_match_their_oracles():
             if len(tc.perm_indecomposables(w)) == 1:
                 assert (w in hm._sections(n)[1]) == \
                     oracles.component_in_section_image(w), w
-            assert hm.in_script_s_prime(w) == oracles.in_script_s_prime(w), w
         assert hm.script_s(n) == oracles.script_s(n)
         assert hm.script_s_prime(n) == oracles.script_s_prime(n)
 
@@ -377,62 +376,7 @@ def test_series_quotient_counts_script_s_prime():
 
 
 # ---------------------------------------------------------------------------
-# each verification report can fail
-
-
-FLIPPED = tc.parse_bileveled("((..)(..));{1,2}")
-
-
-def flip_one_coefficient(coaction):
-    """``coaction`` with one coefficient of its image of ``F_FLIPPED``
-    negated, extended linearly."""
-    key, c = next(iter(coaction(F("M", FLIPPED)).terms.items()))
-
-    def flipped(a):
-        image = coaction(a)
-        return image + TensorComb(
-            image.legs, "F", {key: -2 * c * a.terms.get(FLIPPED, 0)})
-    return flipped
-
-
-def assert_report_and_suite_fail(capsys, report, suite, n=3):
-    assert not report["ok"] and report["violations"]
-    code = cli.run(["verify", "--suite", suite, "--n", str(n)])
-    out = capsys.readouterr().out
-    assert code == 1 and out.startswith("FAIL: "), out
-
-
-def drop_first_term(product):
-    """``product`` with the first term dropped from every image that has
-    more than one."""
-    def dropped(a, h):
-        image = product(a, h)
-        terms = dict(image.terms)
-        if len(terms) > 1:
-            terms.pop(next(iter(terms)))
-        return LinComb(image.family, image.flavor, terms)
-    return dropped
-
-
-def test_plus_module_report_catches_a_dropped_term(monkeypatch, capsys):
-    monkeypatch.setattr(hm, "plus_action", drop_first_term(hm.plus_action))
-    assert_report_and_suite_fail(
-        capsys, hm.plus_module_verify(3), "hopf-module-plus")
-
-
-def test_plus_module_report_catches_a_dropped_product_term(
-        monkeypatch, capsys):
-    monkeypatch.setattr(ha, "mul_F", drop_first_term(ha.mul_F))
-    assert_report_and_suite_fail(
-        capsys, hm.plus_module_verify(3), "hopf-module-plus")
-
-
-def test_plus_module_report_catches_a_flipped_coaction_coefficient(
-        monkeypatch, capsys):
-    monkeypatch.setattr(
-        hm, "plus_coaction", flip_one_coefficient(hm.plus_coaction))
-    assert_report_and_suite_fail(
-        capsys, hm.plus_module_verify(3), "hopf-module-plus")
+# the Hopf-module reports (each can fail: ``test_must_fail``)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -480,86 +424,3 @@ def test_hopf_module_reports_match_their_oracles(monkeypatch):
         assert report == oracles.plus_module_verify(n)
         failing += not report["ok"]
     assert failing
-
-
-def test_bbslash_report_catches_an_extra_coaction_term(monkeypatch, capsys):
-    closed = ha.rho_M_closed
-    extra = ha.tensor_of(Mb("M", hm.EMPTY_B), Mb("Y", tc.LEAF))
-    monkeypatch.setattr(ha, "rho_M_closed", lambda b: closed(b) + extra)
-    assert_report_and_suite_fail(
-        capsys, hm.bbslash_verify(3), "hopf-module-bbslash")
-
-
-def test_bbslash_report_catches_a_doubled_action(monkeypatch, capsys):
-    action = hm.msym_action_M
-    monkeypatch.setattr(hm, "msym_action_M", lambda *key: 2 * action(*key))
-    assert_report_and_suite_fail(
-        capsys, hm.bbslash_verify(3), "hopf-module-bbslash")
-
-
-def test_bbslash_report_catches_a_flipped_coaction_coefficient(
-        monkeypatch, capsys):
-    monkeypatch.setattr(
-        ha, "coaction_rho", flip_one_coefficient(ha.coaction_rho))
-    assert_report_and_suite_fail(
-        capsys, hm.bbslash_verify(3), "hopf-module-bbslash")
-
-
-def test_coinvariants_report_catches_a_short_index_set(monkeypatch, capsys):
-    basis = hm.b_basis
-    monkeypatch.setattr(hm, "b_basis", lambda n: basis(n)[:-1])
-    assert_report_and_suite_fail(
-        capsys, hm.coinvariants_verify(3), "coinvariants")
-
-
-def test_kappa_report_catches_a_wrong_inverse(monkeypatch, capsys):
-    inverse = hm.kappa_inverse
-    monkeypatch.setattr(hm, "kappa_inverse", lambda w: (
-        (hm.EMPTY_B, w) if len(w) == 3 else inverse(w)))
-    assert_report_and_suite_fail(capsys, hm.kappa_verify(3), "kappa")
-
-
-def test_kappa_report_catches_a_wrong_image(monkeypatch, capsys):
-    """One pair of total degree 4 mapped where another pair goes: the
-    report calls ``kappa`` itself for every pair."""
-    kappa = hm.kappa
-    first, other = hm.b_prime_basis(4)[:2]
-    monkeypatch.setattr(hm, "kappa", lambda bp, v: kappa(
-        other if bp == first else bp, v))
-    assert [n for n in range(6) if not hm.kappa_verify(n)["ok"]] == [4]
-    assert_report_and_suite_fail(capsys, hm.kappa_verify(4), "kappa", n=4)
-
-
-@pytest.fixture
-def fresh_script_sets():
-    """Empty the per-degree index sets before and after the test, so that
-    none is kept from a mutated section image."""
-    hm._script_sets.cache_clear()
-    yield
-    hm._script_sets.cache_clear()
-
-
-def test_kappa_report_catches_a_dropped_section_value(
-        monkeypatch, capsys, fresh_script_sets):
-    sections = hm._sections
-    values, image = sections(3)
-    dropped = min(image)
-    monkeypatch.setattr(hm, "_sections", lambda k: (
-        (values, image - {dropped}) if k == 3 else sections(k)))
-    failing = [n for n in range(7) if not hm.kappa_verify(n)["ok"]]
-    assert failing == [3, 6]
-    assert_report_and_suite_fail(capsys, hm.kappa_verify(3), "kappa")
-
-
-@pytest.mark.parametrize("module,name,label", [
-    (hm, "plus_coaction", "restricted"), (ha, "coaction_rho", "full")])
-def test_coinvariants_report_catches_a_flipped_coefficient(
-        monkeypatch, capsys, module, name, label):
-    monkeypatch.setattr(
-        module, name, flip_one_coefficient(getattr(module, name)))
-    failing = [report for report in map(hm.coinvariants_verify, range(1, 5))
-               if not report["ok"]]
-    assert failing and failing[0]["violations"] == [(label, 3)]
-    code = cli.run(["verify", "--suite", "coinvariants", "--n", "4"])
-    out = capsys.readouterr().out
-    assert code == 1 and out == "FAIL: ('%s', 3)\n" % label, out

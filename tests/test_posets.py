@@ -20,6 +20,8 @@ import oracles
 from oracles import (chain_sum, chain_sum_meeting_all_blocks, hall_mobius,
                      interval, is_interval_subset, leq_order,
                      m_covers_by_types, row_from_order)
+from test_must_fail import (counted_row, first_rotation_dropped,
+                            flipped_weak_value)
 
 
 # ---------------------------------------------------------------------------
@@ -287,59 +289,22 @@ def test_mobius_rows_match_listing_oracle(family, top):
         assert not rows_differ_from_listing(po.family_poset(family, n)), n
 
 
-def counted_row(drop=False, sign=-1, top=0):
-    """The crosscut walk of ``FinitePoset._crosscut``, mutated: with
-    ``drop`` the last of the given covers is left out of the walk, a set
-    with a cover added takes ``sign`` times the value of the set, and the
-    join lookup returns ``top`` for the top element, index 0."""
-
-    def crosscut(self, i, covers):
-        up, join = self.up, self._join
-        row = {i: 1}
-        for c in covers[:-1] if drop else covers:
-            above = up[c]
-            step = row.copy()
-            for j, v in row.items():
-                k = join[up[j] & above] or top
-                step[k] = step.get(k, 0) + sign * v
-            row = {j: v for j, v in step.items() if v}
-        return row
-
-    return crosscut
-
-
-@pytest.fixture
-def fresh_orders():
-    """No order built before the test, and none it built kept after it."""
-    po.family_poset.cache_clear()
-    yield
-    po.family_poset.cache_clear()
-
-
-def test_counted_row_is_the_recursion(fresh_orders, monkeypatch):
+def test_counted_row_is_the_recursion(fresh_caches, monkeypatch):
     monkeypatch.setattr(po.FinitePoset, "_crosscut", counted_row())
     assert not rows_differ_from_listing(po.family_poset("M", 4))
 
 
-@pytest.mark.parametrize("mutation,first", [
-    (dict(drop=True), 2),
-    (dict(sign=1), 2),
-    (dict(top=1), 2),
+@pytest.mark.parametrize("mutation", [
+    dict(drop=True), dict(sign=1), dict(top=1),
 ], ids=["dropped-cover", "flipped-sign", "wrong-join"])
-def test_a_wrong_row_count_shows(fresh_orders, monkeypatch, capsys,
-                                 mutation, first):
+def test_a_wrong_row_count_shows(fresh_caches, monkeypatch, mutation):
     """A cover left out of the crosscut walk, the sign of the odd sets of
     covers flipped, or the top read as another element by the join
     lookup, shows in the comparison with the listing recursion at degree
-    4, and in the Mobius comparison and its suite from the degree given."""
+    4 (and in the Mobius comparison suite: rows ``crosscut-*`` of
+    ``test_must_fail``)."""
     monkeypatch.setattr(po.FinitePoset, "_crosscut", counted_row(**mutation))
     assert rows_differ_from_listing(po.family_poset("M", 4))
-    failing = [n for n in range(first + 2)
-               if not po.fiberwise_mobius_verify(n)["ok"]]
-    assert failing and failing[0] == first, failing
-    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", str(first)])
-    out = capsys.readouterr().out
-    assert code == 1 and out.startswith("FAIL: "), out
 
 
 def test_a_cover_listed_after_its_element_is_rejected():
@@ -363,21 +328,6 @@ def test_an_order_that_is_no_lattice_is_rejected(succ):
         poset.mobius_row(last)
     with pytest.raises(ValueError, match="not a lattice"):
         poset.mobius(last, 0)
-
-
-def test_a_bileveled_order_that_is_no_lattice_is_reported(
-        fresh_orders, monkeypatch, capsys):
-    """With the first rotation of each tree dropped, the two bi-leveled
-    trees of degree 2 are incomparable: the Mobius comparison reports that
-    their order is not a lattice, and its suite fails."""
-    rows = po._rotation_rows
-    monkeypatch.setattr(po, "_rotation_rows",
-                        lambda n: [row[1:] for row in rows(n)])
-    assert po.fiberwise_mobius_verify(2)["violations"] == [
-        ("not-a-lattice", 2)]
-    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "2"])
-    out = capsys.readouterr().out
-    assert code == 1 and out == "FAIL: ('not-a-lattice', 2)\n", out
 
 
 def test_closed_weak_order_rows_match_the_recursion():
@@ -441,28 +391,6 @@ def test_set_bits_match_the_lowest_bit_loop():
         assert po._bits(mask) == oracles.bits(mask), mask.bit_length()
 
 
-@pytest.mark.parametrize("bad_fiber", [
-    # the fiber {321} with 123 added
-    ((1, 2, 3), (3, 2, 1)),
-    # all of [123, 321] but the inner element 231
-    tuple(w for w in tc.all_perms(3) if w != (2, 3, 1)),
-    # all of [123, 321] but 123: two minimal members, 132 and 213
-    tuple(w for w in tc.all_perms(3) if w != (1, 2, 3)),
-], ids=["extra-member", "missing-inner-element", "two-minima"])
-def test_interval_retract_reports_a_bad_fiber(monkeypatch, capsys,
-                                              bad_fiber):
-    top = pj.beta((3, 2, 1))
-    fiber = pj.beta_fiber
-    monkeypatch.setattr(pj, "beta_fiber",
-                        lambda b: bad_fiber if b == top else fiber(b))
-    report = po.interval_retract_verify(3)
-    assert report["violations"] == [
-        ("fiber-not-interval", tc.format_bileveled(top))]
-    code = cli.run(["verify", "--suite", "interval-retract", "--n", "3"])
-    out = capsys.readouterr().out
-    assert code == 1 and out.startswith("FAIL: "), out
-
-
 def test_weak_interval_test_matches_closure_oracle():
     """Every subset of S_3, every beta-fiber through degree 5, and every
     such fiber with one permutation added or removed."""
@@ -505,21 +433,7 @@ def test_order_suites_build_no_weak_order_closure():
         assert po.family_poset.cache_info().misses == misses + 1, n
 
 
-def test_fiberwise_mobius_reports_a_bad_row(fresh_orders, monkeypatch):
-    mposet = po.family_poset("M", 3)
-    row = dict(mposet.mobius_row(0))
-    j = min(set(range(len(mposet))) - set(row))
-    row[j] = 1
-    read = mposet.mobius_row
-    monkeypatch.setattr(mposet, "mobius_row",
-                        lambda i: row if i == 0 else read(i))
-    report = po.fiberwise_mobius_verify(3)
-    x, y = mposet.elements[0], mposet.elements[j]
-    assert report["violations"] == [
-        (tc.format_bileveled(x), tc.format_bileveled(y), 1, 0)]
-
-
-def test_mobius_comparison_computes_each_row_once(fresh_orders,
+def test_mobius_comparison_computes_each_row_once(fresh_caches,
                                                   monkeypatch):
     """Each call of the Mobius comparison, the second one too, walks the
     crosscut once per bi-leveled tree: no row is kept, and no value is
@@ -539,151 +453,27 @@ def test_mobius_comparison_computes_each_row_once(fresh_orders,
             assert sorted(calls) == list(range(len(po.family_poset("M", n))))
 
 
-def without_steps(drop):
-    """``po._m_cover_steps`` with the steps ``(r, marks, sure)`` for which
-    ``drop`` holds left out."""
-    steps = po._m_cover_steps
-
-    def mutated(ideal, parent, rotations):
-        return (step for step in steps(ideal, parent, rotations)
-                if not drop(*step))
-
-    return mutated
-
-
-@pytest.mark.parametrize("drop,first", [
-    (lambda r, marks, sure: not sure, 2),
-    (lambda r, marks, sure: r is None, 3),
-], ids=["third-kind", "mark-drop"])
-def test_a_dropped_bileveled_cover_rule_shows(fresh_orders, monkeypatch,
-                                              capsys, drop, first):
-    """The index builder and ``m_covers`` share the cover rules, so their
-    comparison cannot show a rule left out of both; the Mobius comparison
-    suite does, from the degree given."""
-    monkeypatch.setattr(po, "_m_cover_steps", without_steps(drop))
-    failing = [n for n in range(first + 2)
-               if not po.fiberwise_mobius_verify(n)["ok"]]
-    assert failing and failing[0] == first, failing
-    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", str(first)])
-    out = capsys.readouterr().out
-    assert code == 1 and out.startswith("FAIL: "), out
-
-
-def test_a_dropped_rotation_shows(fresh_orders, monkeypatch, capsys):
+def test_a_dropped_rotation_shows(fresh_caches, monkeypatch):
     """The first rotation of each tree dropped from the position-built rows
     shows in the comparison of both index builders with the covers built
-    as elements, and in the Mobius comparison suite from degree 2."""
-    rows = po._rotation_rows
+    as elements (and in the Mobius comparison suite: row
+    ``rotation-dropped``)."""
     monkeypatch.setattr(po, "_rotation_rows",
-                        lambda n: [row[1:] for row in rows(n)])
+                        first_rotation_dropped(po._rotation_rows))
     for family, covers in (("Y", po.tamari_covers), ("M", po.m_covers)):
         poset = po.family_poset(family, 2)
         assert any(js != [poset.index[c] for c in covers(x)]
                    for x, js in zip(poset.elements, poset.succ)), family
-    failing = [n for n in range(4)
-               if not po.fiberwise_mobius_verify(n)["ok"]]
-    assert failing and failing[0] == 2, failing
-    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "2"])
-    out = capsys.readouterr().out
-    assert code == 1 and out.startswith("FAIL: "), out
 
 
 def test_a_flipped_weak_order_value_shows(monkeypatch, capsys):
     """One closed-form weak-order value with its sign flipped shows in the
-    Mobius comparison, in its suite and in the ``mobius`` command."""
-    u, v = (1, 2, 3), (2, 1, 3)
-    closed = po.weak_mobius_row
-
-    def flipped(w):
-        row = closed(w)
-        if w == u:
-            row[v] = -row[v]
-        return row
-
-    monkeypatch.setattr(po, "weak_mobius_row", flipped)
-    x, y = pj.beta(u), pj.beta(v)
-    lhs = po.family_poset("M", 3).mobius(x, y)
-    report = po.fiberwise_mobius_verify(3)
-    assert report["violations"] == [
-        (tc.format_bileveled(x), tc.format_bileveled(y), lhs, lhs + 2)]
-    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "3"])
-    out = capsys.readouterr().out
-    assert code == 1 and out.startswith("FAIL: "), out
+    ``mobius`` command (and in the Mobius comparison suite: row
+    ``weak-value-flipped``)."""
+    monkeypatch.setattr(po, "weak_mobius_row",
+                        flipped_weak_value(po.weak_mobius_row))
     assert cli.run(["mobius", "--family", "S", "123", "213"]) == 0
     assert capsys.readouterr().out == "1\n"
-
-
-def test_a_flipped_block_reversal_sign_shows(monkeypatch, capsys):
-    """The sign of the table entry of ``J = {1}`` flipped, in every
-    degree's table of block reversals, shows in the Mobius comparison
-    from degree 2, and in its suite."""
-    table = po._block_reversals
-
-    def flipped(n):
-        entries = list(table(n))
-        if len(entries) > 1:
-            image, sign = entries[1]
-            entries[1] = (image, -sign)
-        return entries
-
-    monkeypatch.setattr(po, "_block_reversals", flipped)
-    failing = [n for n in range(5)
-               if not po.fiberwise_mobius_verify(n)["ok"]]
-    assert failing and failing[0] == 2, failing
-    code = cli.run(["verify", "--suite", "mobius-fibers", "--n", "2"])
-    out = capsys.readouterr().out
-    assert code == 1 and out.startswith("FAIL: "), out
-
-
-@pytest.fixture
-def fresh_fibers():
-    """No beta-fiber built before the test, and none it built kept after
-    it."""
-    pj.beta_fibers.cache_clear()
-    yield
-    pj.beta_fibers.cache_clear()
-
-
-def test_unshifted_marks_show(fresh_fibers, monkeypatch, capsys):
-    """The marks after the inserted letter 1 left where they were, in the
-    step that builds each fiber from the degree below, show as fibers that
-    are not weak-order intervals from degree 3."""
-    step = pj._beta_inserting_one
-    monkeypatch.setattr(
-        pj, "_beta_inserting_one",
-        lambda b, i: step(b, i) if i == 0 else step(b, i)._replace(
-            ideal=b.ideal))
-    failing = [n for n in range(5)
-               if not po.interval_retract_verify(n)["ok"]]
-    assert failing and failing[0] == 3, failing
-    kinds = {v[0] for v in po.interval_retract_verify(3)["violations"]}
-    assert kinds == {"fiber-not-interval"}
-    code = cli.run(["verify", "--suite", "interval-retract", "--n", "3"])
-    out = capsys.readouterr().out
-    assert code == 1 and out.startswith("FAIL: "), out
-
-
-def test_a_dropped_section_inversion_shows(monkeypatch, capsys):
-    """One pair dropped from the inversion mask of the section value
-    ``n...1``, the section of the top of the bi-leveled order, shows in
-    the check that the section preserves the covers, from degree 3."""
-    inversions = po._inversion_mask
-
-    def dropped(w):
-        mask = inversions(w)
-        if w == tuple(range(len(w), 0, -1)):
-            mask &= mask - 1
-        return mask
-
-    monkeypatch.setattr(po, "_inversion_mask", dropped)
-    failing = [n for n in range(5)
-               if not po.interval_retract_verify(n)["ok"]]
-    assert failing and failing[0] == 3, failing
-    kinds = {v[0] for v in po.interval_retract_verify(3)["violations"]}
-    assert kinds == {"section-not-order-preserving"}
-    code = cli.run(["verify", "--suite", "interval-retract", "--n", "3"])
-    out = capsys.readouterr().out
-    assert code == 1 and out.startswith("FAIL: "), out
 
 
 @pytest.mark.slow
