@@ -1,9 +1,11 @@
 """Command-line interface: usage errors and their messages, the size cap
 and its environment variable, random argument text, progress on standard
-error, and the ways a process ends.  The stdout and exit code of a fixed
+error, the ways a process ends, and relations between commands (sorted
+listings, round trips, every suite).  The stdout and exit code of a fixed
 list of commands are pinned by ``test_cli_golden``."""
 
 import argparse
+import json
 import os
 import pathlib
 import subprocess
@@ -24,7 +26,45 @@ def invoke(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
+# enumerate
+
+
+def test_enumerate_listing_sorted_and_json(capsys):
+    code, out, _ = invoke(capsys, "enumerate", "--family", "Y", "--n", "3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 5 and lines == sorted(lines)
+    code, out, _ = invoke(capsys, "enumerate", "--family", "Y", "--n", "3",
+                          "--json")
+    assert code == 0 and json.loads(out) == lines
+
+
+def test_enumerate_deterministic(capsys):
+    first = invoke(capsys, "enumerate", "--family", "S", "--n", "4")
+    second = invoke(capsys, "enumerate", "--family", "S", "--n", "4")
+    assert first == second
+
+
+# ---------------------------------------------------------------------------
 # map and mobius
+
+
+def test_map_round_trip_beta_iota(capsys):
+    code, out, _ = invoke(capsys, "map", "beta", "3421")
+    assert code == 0
+    encoded = out.strip()
+    code, out, _ = invoke(capsys, "map", "iota", encoded)
+    assert code == 0 and out.strip() == "3421"
+
+
+def test_map_rejects_malformed_element(capsys):
+    code, _, err = invoke(capsys, "map", "tau", "3x1")
+    assert code == 2
+
+
+def test_mobius_mixed_degrees_rejected(capsys):
+    code, _, _ = invoke(capsys, "mobius", "--family", "S", "12", "321")
+    assert code == 2
 
 
 def test_map_rejects_bad_node_number(capsys):
@@ -146,6 +186,16 @@ def test_value_error_is_a_usage_error(capsys, monkeypatch):
 # op
 
 
+def test_op_comul_rejects_bileveled(capsys):
+    code, _, _ = invoke(capsys, "op", "comul", "--family", "M", "(..);{1}")
+    assert code == 2
+
+
+def test_op_mul_wrong_arity(capsys):
+    code, _, _ = invoke(capsys, "op", "mul", "--family", "S", "12")
+    assert code == 2
+
+
 def test_op_mul_product_degree_is_capped(capsys, monkeypatch):
     monkeypatch.setenv("TREESYM_MAX_N", "3")
     code, out, err = invoke(
@@ -167,6 +217,12 @@ def test_verify_suite_ok(capsys):
     assert "interval-retract" in err  # progress goes to standard error
 
 
+def test_verify_all_suites_small(capsys):
+    for suite in sorted(cli.SUITES):
+        code, out, _ = invoke(capsys, "verify", "--suite", suite, "--n", "3")
+        assert code == 0, (suite, out)
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -181,8 +237,19 @@ def test_series_order_is_capped(capsys):
     assert err.splitlines()[-1].startswith("treesym: error: order 501 outside")
 
 
+def test_series_requires_which_or_quotients(capsys):
+    code, _, _ = invoke(capsys, "series", "--order", "5")
+    assert code == 2
+
+
 # ---------------------------------------------------------------------------
 # size cap
+
+
+def test_size_cap_enforced(capsys):
+    code, _, _ = invoke(capsys, "enumerate", "--family", "S", "--n", "9",
+                        "--count")
+    assert code == 2
 
 
 def test_size_cap_override(capsys, monkeypatch):
@@ -213,6 +280,11 @@ def test_size_cap_override_has_a_ceiling(capsys, monkeypatch, name):
         assert err.splitlines()[-1] == (
             "treesym: error: TREESYM_MAX_N must be at most %d, not %s"
             % (ceiling, raw))
+
+
+def test_bad_subcommand(capsys):
+    code, _, _ = invoke(capsys, "nope")
+    assert code == 2
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
