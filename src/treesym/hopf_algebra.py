@@ -27,7 +27,7 @@ integers.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 from typing import Callable, Mapping
 
@@ -263,17 +263,22 @@ def comul_F(a: LinComb) -> TensorComb:
 def coaction_rho(a: LinComb) -> TensorComb:
     """Coaction of the tree family on bi-leveled trees: split in two, keep
     the marks on the first part, forget them on the second."""
-    return split_coaction(a, lambda b: tc.splittings("M", b, 1))
+    return split_coaction(a, 0)
 
 
-def split_coaction(a: LinComb, split: Callable) -> TensorComb:
-    """The coaction through ``split``, which gives the two-part splittings
-    of one bi-leveled tree."""
+def split_coaction(a: LinComb, first: int) -> TensorComb:
+    """The coaction that cuts each bi-leveled tree at each leaf ``i`` from
+    ``first`` on, read from the tree's cut table: the left part keeps the
+    marks up to ``i``, and the right part is a plain tree."""
     _require(a, "F", families=("M",))
     out: dict = {}
     for x, c in a.terms.items():
-        for (t0, m0), (t1, _m1) in split(x):
-            keys = (BiLeveledTree(t0, m0), t1)
+        marks = sorted(x.ideal)
+        cuts = tc._tree_cuts(x.tree)
+        for i in range(first, len(cuts)):
+            t0, t1 = cuts[i]
+            keys = (BiLeveledTree(t0, frozenset(marks[:bisect_right(marks, i)])),
+                    t1)
             out[keys] = out.get(keys, 0) + c
     return TensorComb(("M", "Y"), "F", out)
 

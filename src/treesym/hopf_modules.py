@@ -78,7 +78,10 @@ def plus_coaction(a: LinComb) -> TensorComb:
     """Coaction with restricted splittings: the first part keeps its marks
     and must be nonempty, the second part forgets them.  Defined on positive
     degrees only."""
-    return ha.split_coaction(a, lambda b: tc.restricted_splittings(b, 1))
+    ha._require(a, "F", families=("M",))
+    if any(not b.tree for b in a.terms):
+        raise ValueError("the coaction is defined on positive degrees only")
+    return ha.split_coaction(a, 1)
 
 
 def plus_coaction_M_closed(b: BiLeveledTree) -> TensorComb:
@@ -198,15 +201,17 @@ def msym_action_F(a: LinComb, h: LinComb) -> LinComb:
 # the final bijection
 
 
-def _last_has_132(comps: tuple) -> bool:
-    """Does the last component contain a 132-pattern, or are there none?"""
-    return not comps or not pj.avoids_132(comps[-1])
+def _last_has_132(w: tuple, cuts: list) -> bool:
+    """Does the last component of ``w``, the piece between its last two
+    ``cuts``, contain a 132-pattern, or has ``w`` none?  The piece is read
+    as it stands: containment depends on relative order only."""
+    return len(cuts) == 1 or not pj.avoids_132(w[cuts[-2]:cuts[-1]])
 
 
 def in_script_s(w: tuple) -> bool:
     """Permutations whose last indecomposable component contains a
     132-pattern, together with the empty permutation."""
-    return _last_has_132(tc.perm_indecomposables(w))
+    return _last_has_132(w, tc._perm_cuts(w))
 
 
 @lru_cache(maxsize=None)
@@ -218,28 +223,33 @@ def _sections(k: int) -> tuple:
     return values, frozenset(u for bp, u in values.items() if bp.tree)
 
 
-def _even_initial_run(comps: tuple) -> bool:
-    """Is the maximal initial run of components lying in the section image
-    of even length?"""
+def _classify(w: tuple) -> tuple:
+    """``(big, even, first)`` for ``w``, from one scan of its cuts: is
+    ``w`` in the big index set (:func:`in_script_s`), is the maximal
+    initial run of its components that lie in the section image of even
+    length, and the length of its first component (0 when ``w`` is
+    empty).  Components are standardized only while the run lasts."""
+    n = len(w)
+    cuts = tc._perm_cuts(w)
     length = 0
-    for c in comps:
-        if c not in _sections(len(c))[1]:
+    # the piece between the cuts j < k holds the values n-k+1 .. n-j
+    for j, k in zip(cuts, cuts[1:]):
+        if tuple(a - n + k for a in w[j:k]) not in _sections(k - j)[1]:
             break
         length += 1
-    return length % 2 == 0
+    return _last_has_132(w, cuts), length % 2 == 0, cuts[1] if n else 0
 
 
 @lru_cache(maxsize=None)
 def _script_sets(n: int) -> tuple:
     """``(script_s(n), script_s_prime(n), frozenset(script_s_prime(n)))``
-    from one pass over the permutations, splitting each into its
-    components once."""
+    from one pass over the permutations, classifying each once."""
     big, restricted = [], []
     for w in tc.enumerate_family("S", n):
-        comps = tc.perm_indecomposables(w)
-        if _last_has_132(comps):
+        in_big, even, _ = _classify(w)
+        if in_big:
             big.append(w)
-            if _even_initial_run(comps):
+            if even:
                 restricted.append(w)
     return tuple(big), tuple(restricted), frozenset(restricted)
 
@@ -265,13 +275,14 @@ def kappa(bp: BiLeveledTree, v: tuple) -> tuple:
 
 
 def kappa_inverse(w: tuple):
-    comps = tc.perm_indecomposables(w)
-    if not _last_has_132(comps):
+    big, even, first = _classify(w)
+    if not big:
         raise ValueError("argument must lie in the big index set")
-    if _even_initial_run(comps):
+    if even:
         return (EMPTY_B, w)
-    # split off the first indecomposable component
-    return (pj.beta(comps[0]), w[len(comps[0]):])
+    # split off the first indecomposable component, standardized
+    n = len(w)
+    return (pj.beta(tuple(a - n + first for a in w[:first])), w[first:])
 
 
 # ---------------------------------------------------------------------------

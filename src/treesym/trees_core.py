@@ -16,7 +16,10 @@ Nodes and the gaps between leaves are numbered ``1..n`` from left to right
 
 The module also implements splitting an element along a multiset of leaves,
 grafting a forest onto the leaves of a base element, and the two-factor
-decompositions of the backslash product.  :data:`FAMILIES` holds one
+decompositions of the backslash product.  A tree is cut at each of its
+leaves once: its cut table, the ``n + 1`` pairs of left and right part,
+is kept per tree, and every splitting of a tree or a bi-leveled tree
+reads its cuts from the tables.  :data:`FAMILIES` holds one
 :class:`Family` record per tag (``"S"``, ``"Y"``, ``"M"``) with its text
 encoding, degree, empty element, generator, splitting, grafting and
 decompositions; code that handles all three families reads this table
@@ -28,6 +31,7 @@ in; text order is a sort made where text is printed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, permutations
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
@@ -351,13 +355,22 @@ def _split_tree_once(t: tuple, i: int):
     return (left, r0), r1
 
 
+@lru_cache(maxsize=None)
+def _tree_cuts(t: tuple) -> tuple:
+    """The cut table of ``t``: the pair ``_split_tree_once(t, i)`` at each
+    leaf ``i = 0..n``, built once per tree.  The left part of cut ``i``
+    holds nodes ``1..i`` and the right part nodes ``i + 1..n``."""
+    return tuple(_split_tree_once(t, i) for i in range(nodes(t) + 1))
+
+
 def split_tree_at(t: tuple, leaf_multiset: Sequence[int]) -> tuple:
-    """Split ``t`` along a weakly increasing sequence of leaf indices."""
+    """Split ``t`` along a weakly increasing sequence of leaf indices,
+    reading each cut of what is left from its table."""
     parts = []
     offset = 0
     rest = t
     for i in leaf_multiset:
-        first, rest = _split_tree_once(rest, i - offset)
+        first, rest = _tree_cuts(rest)[i - offset]
         parts.append(first)
         offset = i
     parts.append(rest)
@@ -387,15 +400,16 @@ def _split_bileveled(b: BiLeveledTree, m: int,
     """Split ``b`` along each weakly increasing choice of ``m`` leaves
     numbered ``first`` or more, in lexicographic order of the choices."""
     n = nodes(b.tree)
+    marks = sorted(b.ideal)
     for choice in combinations_with_replacement(range(first, n + 1), m):
         trees = split_tree_at(b.tree, choice)
-        bounds = list(choice) + [n]
         parts = []
-        prev = 0
-        for tree_part, bound in zip(trees, bounds):
-            marks = frozenset(p - prev for p in b.ideal if prev < p <= bound)
-            parts.append((tree_part, marks))
-            prev = bound
+        prev = lo = 0
+        # the part that ends at ``bound`` holds the marks in (prev, bound]
+        for tree_part, bound in zip(trees, choice + (n,)):
+            hi = bisect_right(marks, bound, lo)
+            parts.append((tree_part, frozenset(p - prev for p in marks[lo:hi])))
+            prev, lo = bound, hi
         yield tuple(parts)
 
 

@@ -42,7 +42,11 @@ of optional nodes through it (which the direct generation of
 :func:`treesym.trees_core.all_bileveled` replaced), the restricted
 splittings as every splitting less those with an empty first part (which
 :func:`treesym.trees_core.restricted_splittings` replaced by cutting at
-leaf 1 or later), the three kinds of covers of the paper's
+leaf 1 or later), the splittings that cut what is left of a tree anew at
+each leaf and scan the whole upper set for the marks of each part, and
+the coaction summed over the two-part splittings of each bi-leveled tree
+(both of which the cut tables of ``trees_core._tree_cuts`` replaced), the
+three kinds of covers of the paper's
 classification of the bi-leveled order (which
 :func:`treesym.posets.m_covers` replaced), the inverse of the forest
 form, and the fibers of ``tau``.  Last of all, the two Hopf-module
@@ -52,13 +56,16 @@ each function through its module attribute, so a wrapper put on one
 reaches them as it reaches the reports they check.  Then the index sets of
 the final bijection as they were before one pass classified each
 permutation: a component is tested against the section image by ``beta``
-then ``iota``, and each set filters every permutation on its own.
+then ``iota``, and each set filters every permutation on its own; and
+the classification of one permutation read from its standardized
+components, which the one cut scan of ``hopf_modules._classify``
+replaced.
 """
 
 import math
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
 from treesym import hopf_algebra as ha
@@ -488,6 +495,48 @@ def restricted_splittings(b: tc.BiLeveledTree, m: int) -> list:
             if forest[0][0]]
 
 
+def split_tree_at(t: tuple, leaf_multiset: Sequence[int]) -> tuple:
+    """Split ``t`` along a weakly increasing sequence of leaves, cutting
+    what is left by the per-leaf recursion each time."""
+    parts = []
+    offset = 0
+    rest = t
+    for i in leaf_multiset:
+        first, rest = tc._split_tree_once(rest, i - offset)
+        parts.append(first)
+        offset = i
+    return tuple(parts) + (rest,)
+
+
+def bileveled_splittings(b: tc.BiLeveledTree, m: int) -> list:
+    """Every splitting of ``b`` along ``m`` leaves; each part's marks are
+    found by scanning the whole upper set."""
+    n = tc.nodes(b.tree)
+    out = []
+    for choice in combinations_with_replacement(range(n + 1), m):
+        bounds = list(choice) + [n]
+        parts = []
+        prev = 0
+        for tree_part, bound in zip(split_tree_at(b.tree, choice), bounds):
+            marks = frozenset(p - prev for p in b.ideal if prev < p <= bound)
+            parts.append((tree_part, marks))
+            prev = bound
+        out.append(tuple(parts))
+    return out
+
+
+def split_coaction(a: LinComb, split) -> ha.TensorComb:
+    """The coaction through ``split``, which gives the two-part splittings
+    of one bi-leveled tree: the first part keeps its marks, the second
+    forgets them."""
+    out: dict = {}
+    for x, c in a.terms.items():
+        for (t0, m0), (t1, _m1) in split(x):
+            keys = (tc.BiLeveledTree(t0, m0), t1)
+            out[keys] = out.get(keys, 0) + c
+    return ha.TensorComb(("M", "Y"), "F", out)
+
+
 def _add_leftmost_node(t: tuple) -> tuple:
     if not t:
         return (tc.LEAF, tc.LEAF)
@@ -633,3 +682,18 @@ def script_s_prime(n: int) -> tuple:
     by :func:`in_script_s_prime`."""
     return tuple(
         w for w in tc.enumerate_family("S", n) if in_script_s_prime(w))
+
+
+def classify(w: tuple) -> tuple:
+    """``(big, even, first)`` of ``hopf_modules._classify`` read from the
+    standardized components: the last one contains 132 (or there are
+    none), the maximal initial run in the section image has even length,
+    and the length of the first component (0 if none)."""
+    comps = tc.perm_indecomposables(w)
+    length = 0
+    for c in comps:
+        if c not in hm._sections(len(c))[1]:
+            break
+        length += 1
+    big = not comps or not pj.avoids_132(comps[-1])
+    return big, length % 2 == 0, len(comps[0]) if comps else 0

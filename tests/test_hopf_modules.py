@@ -116,6 +116,21 @@ def test_plus_coaction_closed_form_matches_conjugation():
 # coinvariant index sets and decompositions
 
 
+def test_coactions_match_the_splittings():
+    """Both coactions, read from the cut tables, against the sums over the
+    two-part splittings of each bi-leveled tree."""
+    for n in range(8):
+        for b in tc.all_bileveled(n):
+            fb = F("M", b)
+            assert ha.coaction_rho(fb) == oracles.split_coaction(
+                fb, lambda x: tc.bileveled_splittings(x, 1)), b
+            if n:
+                assert hm.plus_coaction(fb) == oracles.split_coaction(
+                    fb, lambda x: tc.restricted_splittings(x, 1)), b
+    with pytest.raises(ValueError):
+        hm.plus_coaction(F("M", hm.EMPTY_B))
+
+
 def test_indecomposable_counts():
     assert [len(hm.b_basis(n)) for n in range(1, 7)] == \
         [1, 1, 3, 11, 44, 185]
@@ -364,6 +379,14 @@ def test_index_sets_match_their_oracles():
                     oracles.component_in_section_image(w), w
         assert hm.script_s(n) == oracles.script_s(n)
         assert hm.script_s_prime(n) == oracles.script_s_prime(n)
+
+
+def test_classify_matches_the_components():
+    """One cut scan per permutation against its standardized components,
+    the 132 test of the last and the initial run in the section image."""
+    for n in range(9):
+        for w in tc.all_perms(n):
+            assert hm._classify(w) == oracles.classify(w), w
 
 
 def test_series_quotient_counts_script_s_prime():

@@ -172,6 +172,15 @@ def least_section_value_dropped(sections):
     return lambda k: (values, image - {dropped}) if k == 3 else sections(k)
 
 
+def cut_two_read_as_one(cuts):
+    """Each cut table of a tree of two or more nodes with its cut at leaf
+    2 replaced by the cut at leaf 1."""
+    def mutated(t):
+        table = cuts(t)
+        return table[:2] + table[1:2] + table[3:] if len(table) > 2 else table
+    return mutated
+
+
 def grafted_right_to_left(graft):
     """Leaves filled from the right."""
     def mutated(parts, base):
@@ -272,6 +281,8 @@ ROWS = {
         lambda action: lambda *key: 2 * action(*key), (0, 1, 2, 3)),
     "rho-flipped": Row(
         "hopf-module-bbslash", ha, "coaction_rho", flip_one_coefficient, (3,)),
+    "rho-cut-2-read-as-1": Row(
+        "hopf-module-bbslash", tc, "_tree_cuts", cut_two_read_as_one, (2, 3)),
     # the coinvariants
     "index-set-short": Row(
         "coinvariants", hm, "b_basis",
@@ -282,6 +293,8 @@ ROWS = {
     "full-coaction-flipped": Row(
         "coinvariants", ha, "coaction_rho", flip_one_coefficient, (3,),
         through=4, violations=[("full", 3)]),
+    "coaction-cut-2-read-as-1": Row(
+        "coinvariants", tc, "_tree_cuts", cut_two_read_as_one, (2, 3)),
     # the final bijection
     "inverse-wrong": Row(
         "kappa", hm, "kappa_inverse", lambda inverse: lambda w: (
@@ -294,8 +307,8 @@ ROWS = {
         "kappa", pj, "avoids_132",
         lambda avoids: lambda w: w == (1, 3, 2) or avoids(w), (3,)),
     "first-component-read-as-last": Row(
-        "kappa", hm, "_last_has_132", lambda last: lambda comps: last(
-            comps[:1]), (4,)),
+        "kappa", hm, "_last_has_132", lambda last: lambda w, cuts: last(
+            w, cuts[:2]), (4,)),
 }
 
 

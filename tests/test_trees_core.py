@@ -3,7 +3,7 @@ representations of bi-leveled trees."""
 
 import json
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -228,6 +228,30 @@ def test_restricted_splittings_match_the_filter():
             for m in range(4):
                 assert list(tc.restricted_splittings(b, m)) \
                     == oracles.restricted_splittings(b, m), (b, m)
+
+
+def test_cut_tables_match_the_per_leaf_recursion():
+    for n in range(9):
+        for t in tc.all_trees(n):
+            cuts = tc._tree_cuts(t)
+            assert len(cuts) == n + 1, t
+            for i, cut in enumerate(cuts):
+                assert cut == tc._split_tree_once(t, i), (t, i)
+                assert tc.nodes(cut[0]) == i, (t, i)
+
+
+def test_splittings_match_the_per_leaf_cuts_and_mark_scan():
+    """Splittings read from the cut tables, with marks handed out by
+    position, against cutting anew at each leaf and scanning every mark."""
+    for n in range(7):
+        for m in range(4):
+            for t in tc.all_trees(n):
+                assert list(tc.tree_splittings(t, m)) == [
+                    oracles.split_tree_at(t, choice) for choice in
+                    combinations_with_replacement(range(n + 1), m)], (t, m)
+            for b in tc.all_bileveled(n):
+                assert list(tc.bileveled_splittings(b, m)) \
+                    == oracles.bileveled_splittings(b, m), (b, m)
 
 
 def test_perm_graft_display():
