@@ -23,6 +23,14 @@ The exhaustive size cap defaults to 8 and may be overridden with the
 bounds the degree of every input and of a product.  ``series --order`` is
 at most :data:`MAX_ORDER`.
 
+The grammar is one table, :data:`GRAMMAR`: each command's help, handler,
+positionals and options.  :func:`run` parses a command in the table's
+plain form by reading the table directly; only help (``-h``), a usage
+error, or a form the table leaves out (an abbreviated flag, ``--n=3``,
+``--``, a value starting with ``-``) builds the argparse parser, which is
+made from the same table.  ``argparse`` is imported only then, and every
+usage error is printed by it.
+
 :func:`main`, the console script, flushes standard output and standard
 error and then ends the process by ``os._exit``, skipping the
 interpreter's teardown.  Library callers, who keep their process, use
@@ -31,11 +39,11 @@ interpreter's teardown.  Library callers, who keep their process, use
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import hopf_algebra as ha
 from . import hopf_modules as hm
@@ -75,17 +83,23 @@ def _note(text: str) -> None:
             pass
 
 
-def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
+def _usage_error(message: str) -> None:
+    """End the command as a usage error: the usage line and ``message``
+    on standard error, and exit code 2, by the argparse parser."""
+    _build_parser().error(message)
+
+
+def _check_size(n: int) -> None:
     raw = os.environ.get("TREESYM_MAX_N")
     try:
         cap = DEFAULT_MAX_N if raw is None else int(raw)
     except ValueError:
-        parser.error("TREESYM_MAX_N must be an integer, not %r" % raw)
+        _usage_error("TREESYM_MAX_N must be an integer, not %r" % raw)
     if cap > MAX_N_CEILING:
-        parser.error("TREESYM_MAX_N must be at most %d, not %d"
+        _usage_error("TREESYM_MAX_N must be at most %d, not %d"
                      % (MAX_N_CEILING, cap))
     if n < 0 or n > cap:
-        parser.error(
+        _usage_error(
             "size %d outside supported range 0..%d "
             "(override with TREESYM_MAX_N)" % (n, cap))
 
@@ -94,8 +108,8 @@ def _check_size(n: int, parser: argparse.ArgumentParser) -> None:
 # subcommand handlers
 
 
-def _cmd_enumerate(args, parser) -> int:
-    _check_size(args.n, parser)
+def _cmd_enumerate(args) -> int:
+    _check_size(args.n)
     elements = tc.enumerate_family(args.family, args.n)
     if args.count:
         print(_json(len(elements)) if args.json else len(elements))
@@ -120,32 +134,32 @@ MAP_TABLE = {
 }
 
 
-def _parse(family: str, text: str, parser: argparse.ArgumentParser):
+def _parse(family: str, text: str):
     """One element of ``family``: a usage error when it is malformed or its
     degree is above the size cap."""
     # The tree parser recurses once per '(', so its depth is capped first.
-    _check_size(text.count("("), parser)
+    _check_size(text.count("("))
     fam = tc.FAMILIES[family]
     try:
         x = fam.parse(text)
     except tc.ParseError as exc:
-        parser.error(str(exc))
-    _check_size(fam.degree(x), parser)
+        _usage_error(str(exc))
+    _check_size(fam.degree(x))
     return x
 
 
-def _cmd_map(args, parser) -> int:
+def _cmd_map(args) -> int:
     src, dst, fn = MAP_TABLE[args.name]
-    result = tc.FAMILIES[dst].format(fn(_parse(src, args.element, parser)))
+    result = tc.FAMILIES[dst].format(fn(_parse(src, args.element)))
     print(_json(result) if args.json else result)
     return 0
 
 
-def _cmd_mobius(args, parser) -> int:
-    x, y = (_parse(args.family, text, parser) for text in (args.x, args.y))
+def _cmd_mobius(args) -> int:
+    x, y = (_parse(args.family, text) for text in (args.x, args.y))
     degree = tc.FAMILIES[args.family].degree
     if degree(x) != degree(y):
-        parser.error("both elements must have the same degree")
+        _usage_error("both elements must have the same degree")
     value = po.mobius(args.family, x, y)
     print(_json(value) if args.json else value)
     return 0
@@ -174,16 +188,16 @@ OPS = {
 }
 
 
-def _cmd_op(args, parser) -> int:
+def _cmd_op(args) -> int:
     family = args.family
     arity, families, off_family, in_F, in_M = OPS[args.operation]
-    elements = [_parse(family, text, parser) for text in args.elements]
+    elements = [_parse(family, text) for text in args.elements]
     if len(elements) != arity:
-        parser.error("%s needs %s" % (
+        _usage_error("%s needs %s" % (
             args.operation, ("one element", "two elements")[arity - 1]))
     if family not in families:
-        parser.error(off_family)
-    _check_size(sum(map(tc.FAMILIES[family].degree, elements)), parser)
+        _usage_error(off_family)
+    _check_size(sum(map(tc.FAMILIES[family].degree, elements)))
     result = (in_F if args.basis == "F" else in_M)(family, *elements)
     _print_comb(result, args.json)
     return 0
@@ -211,8 +225,8 @@ SUITES = {
 }
 
 
-def _cmd_verify(args, parser) -> int:
-    _check_size(args.n, parser)
+def _cmd_verify(args) -> int:
+    _check_size(args.n)
     check, first, claim = SUITES[args.suite]
     for k in range(first, args.n + 1):
         _note("%s: degree %d" % (args.suite, k))
@@ -228,10 +242,12 @@ def _cmd_verify(args, parser) -> int:
     return 0
 
 
-def _cmd_series(args, parser) -> int:
+def _cmd_series(args) -> int:
     if not 0 <= args.order <= MAX_ORDER:
-        parser.error("order %d outside supported range 0..%d"
+        _usage_error("order %d outside supported range 0..%d"
                      % (args.order, MAX_ORDER))
+    if (args.which is None) != args.quotients:
+        _usage_error("provide --which or --quotients")
     if args.quotients:
         report = sorted(se.quotient_sign_report(args.order).items())
         if args.json:
@@ -252,8 +268,6 @@ def _cmd_series(args, parser) -> int:
                     "nonnegative" if info["nonnegative"] else "mixed-sign",
                     info["first_negative"]))
         return 0
-    if not args.which:
-        parser.error("provide --which or --quotients")
     coeffs = se.series(args.which, args.order).coeffs
     if args.json:
         print(_json(list(coeffs)))
@@ -262,8 +276,8 @@ def _cmd_series(args, parser) -> int:
     return 0
 
 
-def _cmd_hasse(args, parser) -> int:
-    _check_size(args.n, parser)
+def _cmd_hasse(args) -> int:
+    _check_size(args.n)
     print(po.hasse_dot(args.family, args.n))
     return 0
 
@@ -272,79 +286,151 @@ def _cmd_hasse(args, parser) -> int:
 # argument parsing
 
 
+# A positional is (dest, choices or None, nargs): nargs is 1, or "+" for
+# one contiguous run of tokens.  An option is (flag, dest, kind, required,
+# default): kind is a tuple of choices, int, or bool for a flag that takes
+# no value (argparse's store_true).  A command lists its arguments in the
+# order its help and argparse's "required" message show them.
+_FAMILY = ("--family", "family", ("S", "M", "Y"), True, None)
+_DEGREE = ("--n", "n", int, True, None)
+_JSON = ("--json", "json", bool, False, False)
+
+GRAMMAR = {
+    # name: (help, handler, arguments)
+    "enumerate": ("list or count one graded piece", _cmd_enumerate, (
+        _FAMILY, _DEGREE, ("--count", "count", bool, False, False), _JSON)),
+    "map": ("apply a projection map or section", _cmd_map, (
+        ("name", tuple(sorted(MAP_TABLE)), 1), ("element", None, 1), _JSON)),
+    "mobius": ("one exact Mobius value", _cmd_mobius, (
+        _FAMILY, ("x", None, 1), ("y", None, 1), _JSON)),
+    "op": ("products, coproducts, coactions", _cmd_op, (
+        ("operation", tuple(OPS), 1), _FAMILY,
+        ("--basis", "basis", ("F", "M"), False, "F"),
+        ("elements", None, "+"), _JSON)),
+    "verify": ("exhaustive verification suites", _cmd_verify, (
+        ("--suite", "suite", tuple(sorted(SUITES)), True, None), _DEGREE,
+        _JSON)),
+    "series": ("enumerating series", _cmd_series, (
+        ("--which", "which", se.SERIES_NAMES, False, None),
+        ("--order", "order", int, True, None),
+        ("--quotients", "quotients", bool, False, False), _JSON)),
+    "hasse": ("DOT export of a cover relation", _cmd_hasse, (
+        _FAMILY, _DEGREE)),
+}
+
+
+def _parse_args(argv):
+    """The arguments of a command in the plain form of :data:`GRAMMAR`,
+    with the attributes argparse would set; ``None`` for any other form.
+
+    The plain form: an exact command name, then each option at most once
+    under its exact flag, a value not starting with ``-`` after each
+    option that takes one, every required option, and the positionals in
+    order, a ``"+"`` one as one contiguous run.  Any other token starting
+    with ``-`` (``-h``, ``--``, ``--n=3``, an abbreviated flag, a negative
+    number) and every malformed command are left to argparse.
+    """
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    _, handler, arguments = GRAMMAR[argv[0]]
+    values = {"command": argv[0], "handler": handler}
+    options = {}
+    positionals = []
+    for argument in arguments:
+        if argument[0].startswith("-"):
+            options[argument[0]] = argument
+            values[argument[1]] = argument[4]
+        else:
+            positionals.append(argument)
+    runs = [[]]  # the positional tokens, one list per run between options
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            runs[-1].append(token)
+            continue
+        option = options.pop(token, None)
+        if option is None:
+            return None
+        _, dest, kind, _, _ = option
+        if kind is bool:
+            values[dest] = True
+        else:
+            value = next(tokens, "-")  # a missing value is declined too
+            if value.startswith("-"):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif value not in kind:
+                return None
+            values[dest] = value
+        runs.append([])
+    if any(option[3] for option in options.values()):
+        return None
+    positionals = iter(positionals)
+    for run in runs:
+        # argparse fills as many positionals as a run holds, in order
+        while run:
+            argument = next(positionals, None)
+            if argument is None:
+                return None
+            dest, choices, nargs = argument
+            if nargs == "+":
+                values[dest], run = run, []
+            else:
+                values[dest] = run.pop(0)
+                if choices is not None and values[dest] not in choices:
+                    return None
+    if next(positionals, None) is not None:
+        return None
+    return SimpleNamespace(**values)
+
+
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built on the first :func:`run` and
-    reused by every later one."""
+def _build_parser():
+    """The argparse parser of :data:`GRAMMAR`, built on the first command
+    that needs help or a usage message and reused by every later one."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="treesym",
         description="Exact combinatorics of permutations, bi-leveled trees, "
                     "and binary trees.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list or count one graded piece")
-    p.add_argument("--family", choices=("S", "M", "Y"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("map", help="apply a projection map or section")
-    p.add_argument("name", choices=sorted(MAP_TABLE))
-    p.add_argument("element")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_map)
-
-    p = sub.add_parser("mobius", help="one exact Mobius value")
-    p.add_argument("--family", choices=("S", "M", "Y"), required=True)
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_mobius)
-
-    p = sub.add_parser("op", help="products, coproducts, coactions")
-    p.add_argument("operation", choices=tuple(OPS))
-    p.add_argument("--family", choices=("S", "M", "Y"), required=True)
-    p.add_argument("--basis", choices=("F", "M"), default="F")
-    p.add_argument("elements", nargs="+")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_op)
-
-    p = sub.add_parser("verify", help="exhaustive verification suites")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("series", help="enumerating series")
-    p.add_argument("--which", choices=se.SERIES_NAMES)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--quotients", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser("hasse", help="DOT export of a cover relation")
-    p.add_argument("--family", choices=("S", "M", "Y"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_hasse)
-
+    for name, (text, handler, arguments) in GRAMMAR.items():
+        p = sub.add_parser(name, help=text)
+        for argument in arguments:
+            if not argument[0].startswith("-"):
+                dest, choices, nargs = argument
+                p.add_argument(dest, choices=choices,
+                               nargs=None if nargs == 1 else nargs)
+            elif argument[2] is bool:
+                p.add_argument(argument[0], dest=argument[1],
+                               action="store_true")
+            else:
+                flag, dest, kind, required, default = argument
+                p.add_argument(
+                    flag, dest=dest, required=required, default=default,
+                    type=int if kind is int else None,
+                    choices=None if kind is int else kind)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv=None) -> int:
     """Run one command, ``argv`` or else ``sys.argv[1:]``, and return its
     exit code; the entry point for callers that keep their process."""
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.handler(args, parser)
+        args = _parse_args(argv) or _build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:  # includes tc.ParseError
-        _note("%s: error: %s" % (parser.prog, exc))
+        _note("treesym: error: %s" % exc)
         return 2
 
 

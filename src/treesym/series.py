@@ -10,9 +10,9 @@ which quotients among the four series are coefficientwise nonnegative.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+from operator import mul
 
 __all__ = [
     "TruncatedSeries", "series", "catalan", "a_number", "b_sequence",
@@ -131,14 +131,20 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
+_A_NUMBERS = [1]  # a_number(0), a_number(1), ..., as far as asked so far
+
+
 def a_number(n: int) -> int:
     """Number of bi-leveled trees with ``n`` nodes, by the recurrence
-    splitting at the leftmost node's hanging piece."""
-    if n == 0:
-        return 1
-    return catalan(n - 1) + sum(
-        a_number(i) * a_number(n - i) for i in range(1, n))
+    splitting at the leftmost node's hanging piece, run forward from the
+    values below ``n``."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a = _A_NUMBERS
+    while len(a) <= n:
+        inner = a[1:]
+        a.append(catalan(len(a) - 1) + sum(map(mul, inner, reversed(inner))))
+    return a[n]
 
 
 SERIES = {

@@ -59,12 +59,15 @@ permutation: a component is tested against the section image by ``beta``
 then ``iota``, and each set filters every permutation on its own; and
 the classification of one permutation read from its standardized
 components, which the one cut scan of ``hopf_modules._classify``
+replaced.  Finally, the count of bi-leveled trees by its recurrence
+through a memo, which the forward loop of :func:`treesym.series.a_number`
 replaced.
 """
 
 import math
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
@@ -697,3 +700,14 @@ def classify(w: tuple) -> tuple:
         length += 1
     big = not comps or not pj.avoids_132(comps[-1])
     return big, length % 2 == 0, len(comps[0]) if comps else 0
+
+
+@lru_cache(maxsize=None)
+def a_number(n: int) -> int:
+    """Number of bi-leveled trees with ``n`` nodes, by the recurrence
+    splitting at the leftmost node's hanging piece.  It recurses n deep on
+    a cold memo, so ask for the degrees in increasing order."""
+    if n == 0:
+        return 1
+    return math.comb(2 * n - 2, n - 1) // n + sum(
+        a_number(i) * a_number(n - i) for i in range(1, n))

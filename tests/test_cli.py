@@ -1,10 +1,13 @@
-"""Command-line interface: usage errors and their messages, the size cap
-and its environment variable, random argument text, progress on standard
-error, the ways a process ends, and relations between commands (sorted
-listings, round trips, every suite).  The stdout and exit code of a fixed
-list of commands are pinned by ``test_cli_golden``."""
+"""Command-line interface: the grammar table's parse against argparse,
+usage errors and their messages, the size cap and its environment
+variable, random argument text, progress on standard error, the ways a
+process ends, and relations between commands (sorted listings, round
+trips, every suite).  The stdout and exit code of a fixed list of commands
+are pinned by ``test_cli_golden``."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -14,6 +17,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import test_cli_golden
 from treesym import cli
 from treesym import series as se
 from treesym import trees_core as tc
@@ -23,6 +27,142 @@ def invoke(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# the grammar table and argparse
+
+
+def argparse_values(argv):
+    """The attributes argparse sets for ``argv``, or ``None`` where it
+    rejects ``argv`` or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def assert_table_parse_agrees(argv):
+    """The table's parse of ``argv`` is declined or is argparse's, and it
+    is declined wherever argparse rejects ``argv``."""
+    fast = cli._parse_args(argv)
+    if fast is not None:
+        assert vars(fast) == argparse_values(argv), argv
+    return fast
+
+
+IRREGULAR = [
+    [], ["nope"], ["-h"], ["verify", "-h"], ["enumerate"],
+    ["enumerate", "--n=3", "--family", "S"],
+    ["enumerate", "--fam", "S", "--n", "3"],
+    ["enumerate", "--family", "S", "--n", "3", "--n", "4"],
+    ["enumerate", "--family", "S", "--count", "--n", "3", "--count"],
+    ["enumerate", "--family", "S", "--n", "-0"],
+    ["enumerate", "--family", "S", "--n", ""],
+    ["enumerate", "--family", "", "--n", "3"],
+    ["enumerate", "--family", "X", "--n", "3"],
+    ["enumerate", "--family", "S", "--n", "3.0"],
+    ["enumerate", "--family", "S", "--n", "+3"],
+    ["enumerate", "--family", "S", "--n", " 3"],
+    ["enumerate", "--family", "S"],
+    ["enumerate", "--family", "S", "--n"],
+    ["enumerate", "--family", "--n", "3"],
+    ["enumerate", "--family", "S", "--n", "3", "extra"],
+    ["map", "tau", "--", "1"], ["map", "--", "tau", "-1"],
+    ["map", "tau", "-1"], ["map", "tau"], ["map", "zz", "1"],
+    ["map", "tau", "1", "--family", "S"],
+    ["map", "tau", "--json", "3421"], ["map", "--json", "tau", "3421"],
+    ["mobius", "12", "--family", "S", "21"],
+    ["mobius", "--json", "12", "--family", "S", "21", "--json"],
+    ["mobius", "--family", "S", "12", "21", "12"],
+    ["op", "mul", "1", "--family", "S", "1"],
+    ["op", "mul", "--family", "S", "1", "--json", "2"],
+    ["op", "mul", "--family", "S", "1", "2", "3"],
+    ["op", "--family", "S", "mul", "1", "2"],
+    ["op", "div", "--family", "S", "1"],
+    ["op", "mul", "--family", "S", "--basis", "X", "1"],
+    ["verify", "--suite", "nope", "--n", "3"],
+    ["verify", "--suite", "kappa", "--max-degree", "2"],
+    ["series", "--which", "S"],
+    ["series", "--which", "M", "--quotients", "--order", "5"],
+    ["hasse", "--family", "S", "--n", "3", "--json"],
+]
+
+
+def test_table_parse_agrees_with_argparse():
+    """On the irregular forms and on every golden command; the table
+    parses every golden command but those that argparse rejects and the
+    one with a negative number, which it leaves to argparse."""
+    for argv in IRREGULAR:
+        assert_table_parse_agrees(argv)
+    declined = [argv for argv in map(list, test_cli_golden.COMMANDS)
+                if assert_table_parse_agrees(argv) is None]
+    assert declined == [["series", "--which", "S", "--order", "-1"],
+                        ["nope"]]
+
+
+def table_vocabulary():
+    """Every command name, flag and choice of the grammar table, with
+    integers and junk."""
+    words = {"", "x", "0", "3", "12", "-1", "-0", "-", "--", "-h",
+             "--help", "--n=3", "--fam"}
+    for name, (_, _, arguments) in cli.GRAMMAR.items():
+        words.add(name)
+        for argument in arguments:
+            if argument[0].startswith("-"):
+                words.add(argument[0])
+                choices = argument[2]
+            else:
+                choices = argument[1]
+            if isinstance(choices, tuple):
+                words.update(choices)
+    return sorted(words)
+
+
+VOCABULARY = table_vocabulary()
+
+
+@st.composite
+def near_commands(draw):
+    """A command of the table with now and then an argument left out, a
+    value drawn from the vocabulary instead of its choices, the arguments
+    in any order, and vocabulary words put in."""
+    name = draw(st.sampled_from(sorted(cli.GRAMMAR)))
+
+    def pick(values):
+        if not draw(st.integers(0, 5)):
+            values = VOCABULARY
+        return draw(st.sampled_from(values))
+
+    chunks = []
+    for argument in cli.GRAMMAR[name][2]:
+        if not draw(st.integers(0, 5)):
+            continue
+        if argument[0].startswith("-"):
+            flag, _, kind, _, _ = argument
+            if kind is bool:
+                chunks.append([flag])
+            else:
+                chunks.append([flag, pick(
+                    ("-1", "0", "2", "3") if kind is int else kind)])
+        else:
+            _, choices, nargs = argument
+            count = 1 if nargs == 1 else draw(st.integers(1, 3))
+            chunks.append([pick(choices or ("12", "(..)"))
+                           for _ in range(count)])
+    argv = [name] + sum(draw(st.permutations(chunks)), [])
+    for _ in range(max(0, draw(st.integers(-3, 2)))):
+        argv.insert(draw(st.integers(0, len(argv))), pick(VOCABULARY))
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(near_commands(), st.lists(
+    st.sampled_from(VOCABULARY), max_size=8)))
+def test_table_parse_agrees_with_argparse_on_drawn_tokens(argv):
+    assert_table_parse_agrees(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +378,10 @@ def test_series_order_is_capped(capsys):
 
 
 def test_series_requires_which_or_quotients(capsys):
-    code, _, _ = invoke(capsys, "series", "--order", "5")
-    assert code == 2
+    for argv in (("series", "--order", "5"),
+                 ("series", "--which", "M", "--quotients", "--order", "5")):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2 and out == "", argv
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +508,20 @@ def test_main_exits_2_on_a_usage_error():
     assert lines[-1].startswith("treesym enumerate: error: argument --family")
 
 
+def test_argparse_only_for_help_and_usage_errors():
+    """A well-formed command is parsed by the grammar table, with no
+    argparse parser made; ``-h`` goes to argparse, which prints the
+    command's help and exits 0."""
+    script = ("import sys; from treesym.cli import run; code = run(); "
+              "print(code, 'argparse' in sys.modules)")
+    done = spawn_main("enumerate", "--family", "Y", "--n", "3", "--count",
+                      script=script)
+    assert (done.returncode, done.stdout) == (0, b"5\n0 False\n")
+    done = spawn_main("verify", "-h")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"usage: treesym verify")
+
+
 def test_main_exits_1_on_a_counterexample():
     script = ("from treesym import cli, hopf_modules as hm; "
               "hm.kappa_verify = lambda n: {'n': n, 'ok': n < 2, "
@@ -429,11 +585,13 @@ def test_import_loads_no_json_or_fractions():
 
 def test_import_loads_no_introspection_modules():
     """Importing the CLI pulls in neither ``dataclasses`` nor ``inspect``
-    (with ``ast``, ``dis`` and ``tokenize``), which would add several
-    milliseconds to every command's start."""
+    (with ``ast``, ``dis`` and ``tokenize``), nor ``argparse`` with
+    ``gettext``, which would add several milliseconds to every command's
+    start."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     script = ("import sys, treesym.cli; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+              "print(sorted({'dataclasses', 'inspect', 'argparse', "
+              "'gettext'} & set(sys.modules)))")
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))

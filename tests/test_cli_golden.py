@@ -163,6 +163,8 @@ COMMANDS = (
     + [["verify", "--suite", s, "--n", "3"] for s in SUITES]
     + [["series", "--which", "M", "--order", "6"],
        ["series", "--quotients", "--order", "12", "--json"]]
+    # --which and --quotients together are a usage error
+    + [["series", "--which", "M", "--quotients", "--order", "5"]]
 )
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from treesym import cli
 from treesym import hopf_modules as hm
 from treesym import series as se
 from treesym import trees_core as tc
@@ -86,9 +88,12 @@ def test_known_initial_coefficients():
 
 
 def test_bileveled_count_recurrence():
-    for n in range(1, 13):
-        assert se.a_number(n) == se.catalan(n - 1) + sum(
-            se.a_number(i) * se.a_number(n - i) for i in range(1, n))
+    """The forward loop gives the values of the recurrence through its
+    memo, up to the largest ``series --order``."""
+    for n in range(cli.MAX_ORDER + 1):
+        assert se.a_number(n) == oracles.a_number(n)
+    with pytest.raises(ValueError):
+        se.a_number(-1)
 
 
 def test_b_sequence_closed_formula_matches_generation():
