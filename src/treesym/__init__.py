@@ -6,8 +6,8 @@ the Tamari order), the projection maps between them with their
 order-preserving sections, exact Mobius functions, the graded product /
 coproduct / coaction structures on the spanned vector spaces, the module and
 comodule structures relating them, coinvariant computations, and exact
-truncated enumerating series.  All arithmetic is exact (integers and
-rationals); everything is verified by exhaustive computation in the tests.
+truncated enumerating series.  All arithmetic is exact integer arithmetic;
+everything is verified by exhaustive computation in the tests.
 """
 
 from . import trees_core, posets, projections

@@ -268,7 +268,7 @@ def _cmd_series(args) -> int:
                     "nonnegative" if info["nonnegative"] else "mixed-sign",
                     info["first_negative"]))
         return 0
-    coeffs = se.series(args.which, args.order).coeffs
+    coeffs = se.series(args.which, args.order)
     if args.json:
         print(_json(list(coeffs)))
     else:

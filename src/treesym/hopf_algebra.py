@@ -9,13 +9,15 @@ along the family's order.  This module implements:
   along a multiset of leaves, graft the pieces onto the right factor);
 * the coproduct on ``S`` and ``Y`` (two-part splittings);
 * the coaction of ``Y`` on ``M`` and the comodule map of ``S`` on ``M``;
-* linear extensions of the projection maps;
+* the linear extensions of ``tau`` and ``beta``;
 * basis changes ``to_M`` / ``to_F`` and the closed forms for the second
   basis: products on ``S`` and ``Y`` (:data:`M_PRODUCTS`) read from
   shuffles, the second through the first along ``tau``; coproducts as sums
   over the two-factor backslash decompositions of
   :data:`trees_core.FAMILIES`; and the coaction with its single exceptional
-  term.
+  term;
+* tensors: the outer product of combinations, one linear map applied per
+  leg, and the leg-by-leg product of two tensors.
 
 A vector is a :class:`LinComb`: a family tag, a basis flavor (``"F"`` or
 ``"M"``) and a map from elements of that family to coefficients.  A
@@ -38,15 +40,15 @@ from .trees_core import BiLeveledTree
 
 __all__ = [
     "LinComb", "TensorComb",
-    "F", "Mb", "unit", "COPRODUCTS", "M_PRODUCTS",
+    "F", "Mb", "COPRODUCTS", "M_PRODUCTS",
     "mul_F", "mul_M", "perm_product_M", "tree_product_M",
     "comul_F", "coaction_rho", "split_coaction",
     "ssym_comodule_on_msym",
-    "lin_tau", "lin_beta", "lin_phi",
+    "lin_tau", "lin_beta",
     "to_M", "to_F",
     "comul_M_closed", "rho_M_closed",
     "tensor_of", "tensor_apply", "tensor_mul",
-    "format_lincomb", "format_tensor",
+    "format_lincomb",
 ]
 
 
@@ -75,9 +77,6 @@ class _Comb:
     def __hash__(self):
         return hash((self.legs, self.flavor, frozenset(self.terms.items())))
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -103,9 +102,6 @@ class _Comb:
         if isinstance(c, int):
             return self.scale(c)
         return NotImplemented
-
-    def __str__(self) -> str:
-        return format_lincomb(self)
 
     def leg_items(self) -> list:
         """The terms as ``(tuple of elements, coefficient)`` pairs, one
@@ -163,11 +159,6 @@ def Mb(family: str, element) -> LinComb:
     return LinComb(family, "M", {element: 1})
 
 
-def unit(family: str, flavor: str = "F") -> LinComb:
-    """The degree-0 basis vector (both flavors agree there)."""
-    return LinComb(family, flavor, {tc.FAMILIES[family].empty: 1})
-
-
 # ---------------------------------------------------------------------------
 # display
 
@@ -198,9 +189,6 @@ def format_lincomb(a: LinComb) -> str:
             out = "-"
         out += ("" if abs(c) == 1 else "%d*" % abs(c)) + text
     return out or "0"
-
-
-format_tensor = format_lincomb
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +296,6 @@ def lin_tau(a: LinComb) -> LinComb:
 def lin_beta(a: LinComb) -> LinComb:
     _require(a, "F", families=("S",))
     return a.map_elements("M", pj.beta)
-
-
-def lin_phi(a: LinComb) -> LinComb:
-    _require(a, "F", families=("M",))
-    return a.map_elements("Y", pj.phi)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ The three partial orders, their Mobius functions, and interval-retract checks.
   parent (a rotation); the order is the transitive closure;
 * marked trees: ``(s; S) <= (t; T)`` iff ``s <= t`` for trees and ``S >= T``;
   a cover makes at most one rotation and drops at most one mark (the rules
-  that decide them are in :func:`m_covers`).
+  that decide them are in ``_m_cover_steps``).
 
 :class:`FinitePoset` is built from the elements of a finite poset and, for
 each, the list of the indices of its covers, and builds its order relation,
@@ -41,9 +41,9 @@ from . import trees_core as tc
 
 __all__ = [
     "FinitePoset", "ORDERS", "family_poset", "inversion_set", "weak_leq",
-    "weak_covers", "weak_mobius_row", "is_weak_interval", "tamari_covers",
-    "m_covers", "mobius_row_of", "mobius", "interval_retract_verify",
-    "fiberwise_mobius_verify", "hasse_dot",
+    "weak_covers", "weak_mobius_row", "is_weak_interval", "mobius_row_of",
+    "mobius", "interval_retract_verify", "fiberwise_mobius_verify",
+    "hasse_dot",
 ]
 
 
@@ -291,28 +291,6 @@ def is_weak_interval(perms: Iterable[tuple]) -> bool:
     return True
 
 
-def _rotations(t: tuple, offset: int = 0) -> list:
-    """Each rotation of ``t`` as ``(t2, p, c)``: node ``p`` moved over its
-    left child ``c`` (in-order numbers, shifted by ``offset``) gives
-    ``t2``."""
-    if not t:
-        return []
-    left, right = t
-    root = offset + tc.nodes(left) + 1
-    out = []
-    if left:
-        a, b = left
-        out.append(((a, (b, right)), root, offset + tc.nodes(a) + 1))
-    out += [((l2, right), p, c) for l2, p, c in _rotations(left, offset)]
-    out += [((left, r2), p, c) for r2, p, c in _rotations(right, root)]
-    return out
-
-
-def tamari_covers(t: tuple) -> tuple:
-    """All single rotations moving a left child to the right branch."""
-    return tuple(t2 for t2, _, _ in _rotations(t))
-
-
 @lru_cache(maxsize=None)
 def family_poset(family: str, n: int) -> FinitePoset:
     """The order on one graded piece, built from its covers."""
@@ -323,8 +301,9 @@ def family_poset(family: str, n: int) -> FinitePoset:
 def _rotation_rows(n: int) -> list:
     """The rotations of each tree of degree ``n``, the trees in the order
     of :func:`tc.all_trees`, as triples ``(j, p, c)``: moving node ``p``
-    over its left child ``c`` gives ``all_trees(n)[j]``.  The triples come
-    in the order of :func:`_rotations`.
+    over its left child ``c`` gives ``all_trees(n)[j]``.  A tree's triples
+    come in this order: the rotation at its root, then those inside its
+    left subtree, then those inside its right subtree.
 
     No tree is built or hashed.  In that order a tree ``(L, R)`` of degree
     ``m`` with ``|L| = k`` sits at ``off[m][k] + pos(L) * Cat(m - 1 - k) +
@@ -372,10 +351,26 @@ def _weak_succ(perms: Sequence) -> list:
 
 
 def _m_cover_steps(ideal: frozenset, parent: tuple, rotations: list):
-    """The covers of ``(t, ideal)`` by the rules of :func:`m_covers`, from
-    the parent table and the rotations ``(r, p, c)`` of ``t``: each as
-    ``(r, marks, sure)``, over ``t`` itself when ``r`` is None and else over
-    the rotation ``r``.  One of the third kind has ``sure`` false, and is a
+    """The covers of ``(t, ideal)``, from the parent table and the
+    rotations ``(r, p, c)`` of ``t``: each as ``(r, marks, sure)``, over
+    ``t`` itself when ``r`` is None and else over the rotation ``r``.
+
+    A cover of ``b = (t, I)`` makes at most one rotation ``t -> t'`` and
+    drops at most one mark ``v``.  ``(t, I - v)`` and ``(t', I)`` are covers
+    when admissible; ``(t', I - v)`` is one when admissible and neither of
+    those is, as the interval up to it lies in ``{t, t'} x {I, I - v}``.
+
+    The first two kinds are decided by local rules.  ``(t, I - v)`` is
+    admissible iff ``v`` is not node 1 and no child of ``v`` is marked:
+    only the children of ``v`` lose a marked parent.  Rotating node ``p``
+    over its left child ``c`` changes the parents of ``p``, of ``c`` and of
+    ``c``'s right child only; ``c`` takes ``p``'s old parent and the right
+    child of ``c`` takes ``p``, both marked whenever the moved node is, so
+    only ``p``'s new parent ``c`` can break up-closure.  And ``p`` becomes
+    the right child of ``c``, which must stay unmarked when ``c`` is node 1
+    (a marked ``c`` has a marked parent ``p``).  So ``(t', I)`` is
+    admissible iff ``c`` is not node 1 and not (``p`` in ``I`` and ``c``
+    not in ``I``).  One of the third kind has ``sure`` false, and is a
     cover only when ``marks`` is admissible on its tree."""
     # the marks with a marked child (the root is its own parent)
     held = {parent[u] for u in ideal if parent[u] != u}
@@ -393,37 +388,13 @@ def _m_cover_steps(ideal: frozenset, parent: tuple, rotations: list):
                 yield r, marks, False
 
 
-def m_covers(b: tc.BiLeveledTree) -> list:
-    """The covers of ``b = (t, I)``, each making at most one rotation
-    ``t -> t'`` and dropping at most one mark ``v``.  ``(t, I - v)`` and
-    ``(t', I)`` are covers when admissible; ``(t', I - v)`` is one when
-    admissible and neither of those is, as the interval up to it lies in
-    ``{t, t'} x {I, I - v}``.
-
-    The first two kinds are decided by local rules.  ``(t, I - v)`` is
-    admissible iff ``v`` is not node 1 and no child of ``v`` is marked:
-    only the children of ``v`` lose a marked parent.  Rotating node ``p``
-    over its left child ``c`` changes the parents of ``p``, of ``c`` and of
-    ``c``'s right child only; ``c`` takes ``p``'s old parent and the right
-    child of ``c`` takes ``p``, both marked whenever the moved node is, so
-    only ``p``'s new parent ``c`` can break up-closure.  And ``p`` becomes
-    the right child of ``c``, which must stay unmarked when ``c`` is node 1
-    (a marked ``c`` has a marked parent ``p``).  So ``(t', I)`` is
-    admissible iff ``c`` is not node 1 and not (``p`` in ``I`` and ``c``
-    not in ``I``).  The third kind keeps a full admissibility test."""
-    t = b.tree
-    steps = _m_cover_steps(b.ideal, tc.node_parents(t), _rotations(t))
-    return [tc.BiLeveledTree(t if t2 is None else t2, marks)
-            for t2, marks, sure in steps
-            if sure or tc.is_admissible_ideal(t2, marks)]
-
-
 def _m_succ(elements: Sequence) -> list:
-    """:func:`m_covers` of each of a degree's bi-leveled trees, given in
-    canonical order, as index lists.  In that order the elements over one
-    tree form a block, and the blocks come in the order of
-    :func:`tc.all_trees`, which is that of :func:`_rotation_rows`, so a
-    cover is found in its tree's block by its mark set."""
+    """The covers of each of a degree's bi-leveled trees, given in
+    canonical order, by the rules of :func:`_m_cover_steps`, as index
+    lists.  In that order the elements over one tree form a block, and the
+    blocks come in the order of :func:`tc.all_trees`, which is that of
+    :func:`_rotation_rows`, so a cover is found in its tree's block by its
+    mark set."""
     trees, blocks = [], []
     for k, b in enumerate(elements):
         if not trees or b.tree != trees[-1]:

@@ -16,7 +16,8 @@ Nodes and the gaps between leaves are numbered ``1..n`` from left to right
 
 The module also implements splitting an element along a multiset of leaves,
 grafting a forest onto the leaves of a base element, and the two-factor
-decompositions of the backslash product.  A tree is cut at each of its
+decompositions of the backslash product, one at each cut between the
+indecomposable factors of an element.  A tree is cut at each of its
 leaves once: its cut table, the ``n + 1`` pairs of left and right part,
 is kept per tree, and every splitting of a tree or a bi-leveled tree
 reads its cuts from the tables.  :data:`FAMILIES` holds one
@@ -38,8 +39,8 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "LEAF", "BiLeveledTree", "DecoratedForest", "ParseError", "Family",
-    "FAMILIES", "nodes", "leaves", "backslash", "tree_indecomposables",
-    "perm_indecomposables", "node_parents", "leftmost_branch",
+    "FAMILIES", "nodes", "leaves", "backslash", "node_parents",
+    "leftmost_branch",
     "parse_tree", "format_tree", "parse_perm", "format_perm",
     "parse_bileveled", "format_bileveled", "standardize", "all_trees",
     "all_perms", "all_bileveled", "is_admissible_ideal", "splittings",
@@ -103,19 +104,6 @@ def backslash(t1: tuple, t2: tuple) -> tuple:
     return (t1[0], backslash(t1[1], t2))
 
 
-def tree_indecomposables(t: tuple) -> tuple:
-    """The unique maximal decomposition of ``t`` under ``backslash``.
-
-    A tree is indecomposable when its root node is its rightmost node,
-    i.e. its right subtree is empty.
-    """
-    out = []
-    while t:
-        out.append((t[0], LEAF))
-        t = t[1]
-    return tuple(out)
-
-
 def _perm_cuts(w: tuple) -> list:
     """The lengths ``k`` of the prefixes of ``w`` that hold its ``k``
     largest values, ``0`` and ``len(w)`` included: the cuts of
@@ -129,16 +117,6 @@ def _perm_cuts(w: tuple) -> list:
         if low == n - k + 1:
             cuts.append(k)
     return cuts
-
-
-def perm_indecomposables(w: tuple) -> tuple:
-    """Factors of ``w = u1 \\ u2 \\ ... \\ ur`` with each factor indecomposable:
-    the pieces between consecutive cuts, each standardized."""
-    n = len(w)
-    cuts = _perm_cuts(w)
-    # the piece between the cuts j < k holds the values n-k+1 .. n-j
-    return tuple(tuple(a - n + k for a in w[j:k])
-                 for j, k in zip(cuts, cuts[1:]))
 
 
 @lru_cache(maxsize=None)

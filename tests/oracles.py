@@ -46,22 +46,28 @@ leaf 1 or later), the splittings that cut what is left of a tree anew at
 each leaf and scan the whole upper set for the marks of each part, and
 the coaction summed over the two-part splittings of each bi-leveled tree
 (both of which the cut tables of ``trees_core._tree_cuts`` replaced), the
-three kinds of covers of the paper's
-classification of the bi-leveled order (which
-:func:`treesym.posets.m_covers` replaced), the inverse of the forest
-form, and the fibers of ``tau``.  Last of all, the two Hopf-module
-reports as they were before they kept each single-element image for the
-length of the call: they recompute every image for every pair, and call
-each function through its module attribute, so a wrapper put on one
-reaches them as it reaches the reports they check.  Then the index sets of
-the final bijection as they were before one pass classified each
-permutation: a component is tested against the section image by ``beta``
-then ``iota``, and each set filters every permutation on its own; and
-the classification of one permutation read from its standardized
+three kinds of covers of the paper's classification of the bi-leveled
+order (which the local rules of ``posets._m_cover_steps`` replaced), the
+inverse of the forest form, and the fibers of ``tau``.  Last of all, the
+two Hopf-module reports as they were before they kept each single-element
+image for the length of the call: they recompute every image for every
+pair, and call each function through its module attribute, so a wrapper
+put on one reaches them as it reaches the reports they check.  Then the
+index sets of the final bijection as they were before one pass classified
+each permutation: a component is tested against the section image by
+``beta`` then ``iota``, and each set filters every permutation on its own;
+and the classification of one permutation read from its standardized
 components, which the one cut scan of ``hopf_modules._classify``
-replaced.  Finally, the count of bi-leveled trees by its recurrence
-through a memo, which the forward loop of :func:`treesym.series.a_number`
-replaced.
+replaced.  Finally, the count of bi-leveled trees by its recurrence through
+a memo, which the forward loop of :func:`treesym.series.a_number`
+replaced.  At the end of the file come the references that only the tests
+read, which the package no longer holds: the Tamari covers of one tree
+built as trees, the reference for the position-built rotation rows of the
+Tamari and bi-leveled orders; the indecomposable factors of a tree; the
+closed formula for the counts ``B_n`` of indecomposable bi-leveled trees;
+the degree-0 basis vector; and the product, composition and shift of
+truncated series, kept as coefficient tuples as :mod:`treesym.series`
+keeps them.
 """
 
 import math
@@ -75,6 +81,7 @@ from treesym import hopf_algebra as ha
 from treesym import hopf_modules as hm
 from treesym import posets as po
 from treesym import projections as pj
+from treesym import series as se
 from treesym import trees_core as tc
 from treesym.hopf_algebra import LinComb, F, Mb
 from treesym.hopf_modules import plus_coaction
@@ -591,10 +598,10 @@ def m_covers_by_types(b: tc.BiLeveledTree) -> dict:
     # type (i): a rotation inside exactly one component of the forest form
     # (the marked upper tree or one lower piece); the mark count is fixed
     t0, forest = tc.forest_form(b)
-    for t02 in po.tamari_covers(t0):
+    for t02 in tamari_covers(t0):
         add(ideal_form(t02, forest), "i")
     for i, piece in enumerate(forest):
-        for piece2 in po.tamari_covers(piece):
+        for piece2 in tamari_covers(piece):
             add(ideal_form(t0, forest[:i] + (piece2,) + forest[i + 1:]),
                 "i")
 
@@ -667,7 +674,7 @@ def in_script_s_prime(w: tuple) -> bool:
     """Members of the big index set whose maximal initial run of components
     passing :func:`component_in_section_image` has even length."""
     length = 0
-    for c in tc.perm_indecomposables(w):
+    for c in perm_indecomposables(w):
         if not component_in_section_image(c):
             break
         length += 1
@@ -692,7 +699,7 @@ def classify(w: tuple) -> tuple:
     standardized components: the last one contains 132 (or there are
     none), the maximal initial run in the section image has even length,
     and the length of the first component (0 if none)."""
-    comps = tc.perm_indecomposables(w)
+    comps = perm_indecomposables(w)
     length = 0
     for c in comps:
         if c not in hm._sections(len(c))[1]:
@@ -711,3 +718,84 @@ def a_number(n: int) -> int:
         return 1
     return math.comb(2 * n - 2, n - 1) // n + sum(
         a_number(i) * a_number(n - i) for i in range(1, n))
+
+
+def tamari_covers(t: tuple) -> tuple:
+    """The Tamari covers of ``t``, each a node moved over its left child:
+    the rotation at the root first, then those inside the left subtree,
+    then those inside the right subtree."""
+    if not t:
+        return ()
+    left, right = t
+    out = []
+    if left:
+        a, b = left
+        out.append((a, (b, right)))
+    out += [(l2, right) for l2 in tamari_covers(left)]
+    out += [(left, r2) for r2 in tamari_covers(right)]
+    return tuple(out)
+
+
+def tree_indecomposables(t: tuple) -> tuple:
+    """The unique maximal decomposition of ``t`` under ``backslash``.
+
+    A tree is indecomposable when its root node is its rightmost node,
+    i.e. its right subtree is empty.
+    """
+    out = []
+    while t:
+        out.append((t[0], tc.LEAF))
+        t = t[1]
+    return tuple(out)
+
+
+def b_sequence(order: int) -> tuple:
+    """``B_1 .. B_order``: counts of indecomposable bi-leveled trees.
+
+    Computed by the closed summation formula: an integer sum divided once
+    by ``n - 1``, with an integrality assertion on every value.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    out = []
+    for n in range(1, order + 1):
+        if n == 1:
+            out.append(1)
+            continue
+        total = sum(k * math.comb(2 * n - k - 3, n - k - 1) * se.catalan(k)
+                    for k in range(n))
+        value, remainder = divmod(total, n - 1)
+        if remainder:
+            raise ArithmeticError("non-integer value in the B sequence")
+        out.append(value)
+    return tuple(out)
+
+
+def unit(family: str) -> LinComb:
+    """The degree-0 fundamental basis vector."""
+    return F(family, tc.FAMILIES[family].empty)
+
+
+def product(a: tuple, b: tuple) -> tuple:
+    """The product of two truncated series, to the shorter order."""
+    return tuple(sum(a[k] * b[n - k] for k in range(n + 1))
+                 for n in range(min(len(a), len(b))))
+
+
+def compose(outer: tuple, inner: tuple) -> tuple:
+    """``outer(inner)``, to the shorter order, for an ``inner`` with no
+    constant term."""
+    if inner[0]:
+        raise ValueError("composition needs a zero constant term")
+    order = min(len(outer), len(inner))
+    out = (0,) * order
+    power = (1,) + (0,) * (order - 1)
+    for c in outer[:order]:
+        out = tuple(x + c * p for x, p in zip(out, power))
+        power = product(power, inner)
+    return out
+
+
+def shift(a: tuple) -> tuple:
+    """``q`` times a truncated series, to the same order."""
+    return (0,) + a[:-1]

@@ -217,8 +217,8 @@ ROWS = {
     "crosscut-wrong-join": Row(
         "mobius-fibers", po.FinitePoset, "_crosscut",
         lambda _: counted_row(top=1), (2,)),
-    # the index builder and ``m_covers`` share the cover rules, so their
-    # comparison cannot show a rule left out of both; the suite does
+    # a cover rule left out of ``_m_cover_steps`` shows against the paper's
+    # classification of the covers in the tests; the suite shows it too
     "cover-rule-third-kind": Row(
         "mobius-fibers", po, "_m_cover_steps",
         without_steps(lambda r, marks, sure: not sure), (2,)),
