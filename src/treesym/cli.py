@@ -165,13 +165,6 @@ def _cmd_mobius(args) -> int:
     return 0
 
 
-def _print_comb(comb, as_json: bool) -> None:
-    if as_json:
-        print(_json(ha._formatted_terms(comb)))
-    else:
-        print(ha.format_lincomb(comb))
-
-
 OPS = {
     # name: (number of elements, the families it is defined on, the usage
     # error on any other, the operation on elements in the F and in the M
@@ -199,7 +192,8 @@ def _cmd_op(args) -> int:
         _usage_error(off_family)
     _check_size(sum(map(tc.FAMILIES[family].degree, elements)))
     result = (in_F if args.basis == "F" else in_M)(family, *elements)
-    _print_comb(result, args.json)
+    print(_json(ha._formatted_terms(result)) if args.json
+          else ha.format_lincomb(result))
     return 0
 
 

@@ -147,7 +147,7 @@ def bbslash(bp: BiLeveledTree, t: tuple) -> BiLeveledTree:
         raise ValueError("left factor must be in the coinvariant index set")
     if not bp.tree:
         return pj.beta_max(t)
-    return tc.tree_backslash_bileveled(bp, t)
+    return BiLeveledTree(tc.backslash(bp.tree, t), bp.ideal)
 
 
 def bbslash_decompose(c: BiLeveledTree):

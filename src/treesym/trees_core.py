@@ -39,14 +39,14 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "LEAF", "BiLeveledTree", "DecoratedForest", "ParseError", "Family",
-    "FAMILIES", "nodes", "leaves", "backslash", "node_parents",
+    "FAMILIES", "nodes", "backslash", "node_parents",
     "leftmost_branch",
     "parse_tree", "format_tree", "parse_perm", "format_perm",
     "parse_bileveled", "format_bileveled", "standardize", "all_trees",
     "all_perms", "all_bileveled", "is_admissible_ideal", "splittings",
     "perm_splittings", "tree_splittings", "bileveled_splittings",
     "restricted_splittings", "graft", "graft_trees", "graft_perms",
-    "graft_bileveled", "forest_form", "tree_backslash_bileveled",
+    "graft_bileveled", "forest_form",
     "enumerate_family", "tree_backslash_decompositions",
     "perm_backslash_decompositions", "bileveled_backslash_decompositions",
 ]
@@ -91,10 +91,6 @@ def nodes(t: tuple) -> int:
     if not t:
         return 0
     return 1 + nodes(t[0]) + nodes(t[1])
-
-
-def leaves(t: tuple) -> int:
-    return nodes(t) + 1
 
 
 def backslash(t1: tuple, t2: tuple) -> tuple:
@@ -415,7 +411,7 @@ def restricted_splittings(b: BiLeveledTree, m: int) -> Iterator[DecoratedForest]
 
 def graft_trees(forest: Sequence[tuple], base: tuple) -> tuple:
     """Attach the root of ``forest[i]`` to the ``i``-th leaf of ``base``."""
-    if len(forest) != leaves(base):
+    if len(forest) != nodes(base) + 1:
         raise ValueError("forest size must equal number of leaves of base")
     return _graft_onto(iter(forest), base)
 
@@ -585,10 +581,3 @@ def forest_form(b: BiLeveledTree):
     if hanging[0]:
         raise ValueError("inadmissible upper set: piece under the leftmost node")
     return _drop_leftmost_node(upper), tuple(hanging[1:])
-
-
-def tree_backslash_bileveled(b: BiLeveledTree, s: tuple) -> BiLeveledTree:
-    """Graft ``s`` onto the rightmost leaf of ``b``, keeping ``b``'s upper set."""
-    if not b.tree:
-        raise ValueError("left factor must be nonempty")
-    return BiLeveledTree(backslash(b.tree, s), b.ideal)

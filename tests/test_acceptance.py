@@ -1,46 +1,17 @@
-"""End-to-end acceptance gate: one test per headline guarantee, each
-exhaustive at desk scale with exact arithmetic."""
+"""End-to-end acceptance gate: each headline law, checked once,
+exhaustively at desk scale with exact arithmetic.  The suite reports at
+fixed degrees are golden records (``cli_golden.json``); cardinalities,
+displays, validation and fast paths against their oracles are checked in
+the module files."""
 
 from treesym import hopf_algebra as ha
 from treesym import hopf_modules as hm
-from treesym import posets as po
 from treesym import projections as pj
 from treesym import series as se
 from treesym import trees_core as tc
 from treesym.hopf_algebra import F, Mb, LinComb
 
 from oracles import compose, shift, unit
-
-
-def test_01_cardinalities():
-    facts = [1, 1, 2, 6, 24, 120]
-    cats = [1, 1, 2, 5, 14, 42]
-    bis = [1, 1, 2, 6, 21, 80]
-    for n in range(6):
-        assert len(tc.enumerate_family("S", n)) == facts[n]
-        assert len(tc.enumerate_family("Y", n)) == cats[n]
-        assert len(tc.enumerate_family("M", n)) == bis[n]
-
-
-def test_02_mobius_comparison_across_fibers():
-    for n in range(6):
-        report = po.fiberwise_mobius_verify(n)
-        assert report["ok"], report["violations"][:3]
-
-
-def test_03_interval_retract_and_section():
-    for n in range(7):
-        report = po.interval_retract_verify(n)
-        assert report["ok"], report["violations"][:3]
-    # a known six-element degree-7 fiber
-    words = {tc.parse_perm(s) for s in
-             ["3471526", "3571426", "3671425",
-              "3472516", "3572416", "3672415"]}
-    b = pj.beta(tc.parse_perm("3471526"))
-    assert set(pj.beta_fiber(b)) == words
-    # a known 11-letter section value
-    w = tc.parse_perm("7,8,6,11,4,5,9,10,2,3,1")
-    assert pj.iota(pj.beta(w)) == w
 
 
 def test_04_hopf_axioms():
@@ -144,26 +115,12 @@ def test_06_second_basis_closed_forms():
             for w in pj.beta_fiber(b):
                 total = total + ha.to_F(Mb("S", w))
             assert ha.to_M(ha.lin_beta(total)) == Mb("M", b)
-    # three frozen closed-coaction renderings
-    shows = {
-        (1, 4, 3, 2): "M[M:((..)(.(..)));{1,2,3,4}] (x) 1",
-        (2, 4, 3, 1): ("M[M:((..)(.(..)));{1,2,3}] (x) 1"
-                       " + M[M:((..)(..));{1,2,3}] (x) M[Y:(..)]"),
-        (3, 4, 2, 1): ("M[M:((..)(.(..)));{1,2}] (x) 1"
-                       " + M[M:((..)(..));{1,2}] (x) M[Y:(..)]"
-                       " + M[M:((..).);{1,2}] (x) M[Y:(.(..))]"
-                       " + 1 (x) M[Y:((..)(.(..)))]"),
-    }
-    for w, text in shows.items():
-        assert ha.format_lincomb(ha.rho_M_closed(pj.beta(w))) == text
 
 
 def test_07_hopf_module_structures():
-    # restricted structure, total degree <= 5
-    for n in range(1, 6):
-        report = hm.plus_module_verify(n)
-        assert report["ok"], report["violations"][:3]
-    # transported structure on the full space, total degree <= 5
+    # the transported structure on the full space, total degree <= 4; the
+    # restricted one is checked by its report against its oracle
+    # (test_hopf_modules)
     for n1 in range(0, 4):
         for n2 in range(0, 5 - n1):
             for c in tc.enumerate_family("M", n1):
@@ -173,32 +130,12 @@ def test_07_hopf_module_structures():
                         ha.tensor_mul(
                             ha.coaction_rho(fc), ha.comul_F(ft),
                             hm.msym_action_F, ha.mul_F)
-    # three frozen renderings
-    act = hm.plus_action(F("M", pj.beta((2, 1))), F("Y", pj.tau((2, 1))))
-    assert ha.format_lincomb(act) == (
-        "F[M:((.(..))(..));{1,3,4}] + F[M:((..)((..).));{1,2,4}]"
-        " + F[M:((..)(.(..)));{1,2,3}]")
-    coact = hm.plus_coaction(F("M", pj.beta((3, 2, 4, 1))))
-    assert ha.format_lincomb(coact) == (
-        "F[M:((.(..))(..));{1,3}] (x) 1"
-        " + F[M:((.(..)).);{1,3}] (x) F[Y:(..)]"
-        " + F[M:(.(..));{1}] (x) F[Y:(.(..))]"
-        " + F[M:(..);{1}] (x) F[Y:((..)(..))]")
-    signed = hm.msym_action_F(
-        F("M", pj.beta((1,))), F("Y", tc.parse_tree("((..).)")))
-    assert ha.format_lincomb(signed) == (
-        "F[M:(((..).).);{1,2,3}] + F[M:((.(..)).);{1,3}]"
-        " - F[M:((..)(..));{1,2,3}] + 2*F[M:((..)(..));{1,2}]")
 
 
 def test_08_coinvariants():
-    b_counts = [1, 1, 3, 11, 44]
-    cats = [1, 1, 2, 5, 14]
-    for n in range(1, 6):
+    for n in range(6):
         report = hm.coinvariants_verify(n)
         assert report["ok"], report["violations"]
-        assert len(hm.b_basis(n)) == b_counts[n - 1]
-        assert len(hm.b_prime_basis(n)) == b_counts[n - 1] - cats[n - 1]
         # the stated bases really are coinvariant
         for b in hm.b_basis(n):
             vec = ha.to_F(Mb("M", b))

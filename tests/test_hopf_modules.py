@@ -19,10 +19,6 @@ import oracles
 from test_must_fail import drop_first_term
 
 
-def unit_y():
-    return oracles.unit("Y")
-
-
 # ---------------------------------------------------------------------------
 # frozen displays
 
@@ -58,12 +54,12 @@ def test_transported_product_signed_display():
 def test_plus_action_unital():
     for n in range(1, 5):
         for b in tc.enumerate_family("M", n):
-            assert hm.plus_action(F("M", b), unit_y()) == F("M", b)
+            assert hm.plus_action(F("M", b), oracles.unit("Y")) == F("M", b)
 
 
 def test_plus_action_rejects_degree_zero():
     with pytest.raises(ValueError):
-        hm.plus_action(F("M", hm.EMPTY_B), unit_y())
+        hm.plus_action(F("M", hm.EMPTY_B), oracles.unit("Y"))
 
 
 def test_plus_action_associative():
@@ -89,27 +85,6 @@ def test_plus_coaction_counit_and_coassociativity():
             left = ha.tensor_apply(once, hm.plus_coaction, ident)
             right = ha.tensor_apply(once, ident, ha.comul_F)
             assert left == right
-
-
-def test_plus_structure_hopf_module_law():
-    for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3)]:
-        for b in tc.enumerate_family("M", n):
-            for t in tc.all_trees(m):
-                fb, ft = F("M", b), F("Y", t)
-                lhs = hm.plus_coaction(hm.plus_action(fb, ft))
-                rhs = ha.tensor_mul(
-                    hm.plus_coaction(fb), ha.comul_F(ft),
-                    hm.plus_action, ha.mul_F)
-                assert lhs == rhs
-
-
-def test_plus_coaction_closed_form_matches_conjugation():
-    for n in range(1, 6):
-        for b in tc.enumerate_family("M", n):
-            direct = hm.plus_coaction_M_closed(b)
-            conj = ha.tensor_apply(
-                hm.plus_coaction(ha.to_F(Mb("M", b))), ha.to_M, ha.to_M)
-            assert direct == conj
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +125,7 @@ def test_positive_degrees_factor_through_indecomposables():
         for k in range(1, n + 1):
             for b in hm.b_basis(k):
                 for s in tc.all_trees(n - k):
-                    c = tc.tree_backslash_bileveled(b, s)
+                    c = tc.BiLeveledTree(tc.backslash(b.tree, s), b.ideal)
                     assert c not in seen
                     seen[c] = (b, s)
         family = tc.enumerate_family("M", n)
@@ -215,7 +190,7 @@ def test_transported_coaction_matches_closed_form():
 def test_transported_action_unital_and_associative():
     for n in range(4):
         for c in tc.enumerate_family("M", n):
-            assert hm.msym_action_F(F("M", c), unit_y()) == F("M", c)
+            assert hm.msym_action_F(F("M", c), oracles.unit("Y")) == F("M", c)
     for n, m, k in [(0, 1, 1), (1, 1, 1), (1, 2, 1), (2, 1, 1)]:
         for c in tc.enumerate_family("M", n):
             for r in tc.all_trees(m):
@@ -223,18 +198,6 @@ def test_transported_action_unital_and_associative():
                     fc, fr, fs = F("M", c), F("Y", r), F("Y", s)
                     assert hm.msym_action_F(hm.msym_action_F(fc, fr), fs) == \
                         hm.msym_action_F(fc, ha.mul_F(fr, fs))
-
-
-def test_transported_structure_hopf_module_law():
-    for n, m in [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
-        for c in tc.enumerate_family("M", n):
-            for t in tc.all_trees(m):
-                fc, ft = F("M", c), F("Y", t)
-                lhs = ha.coaction_rho(hm.msym_action_F(fc, ft))
-                rhs = ha.tensor_mul(
-                    ha.coaction_rho(fc), ha.comul_F(ft),
-                    hm.msym_action_F, ha.mul_F)
-                assert lhs == rhs
 
 
 def test_transported_action_on_coinvariants_is_trivial_in_second_basis():
@@ -256,27 +219,9 @@ def test_transported_action_on_coinvariants_is_trivial_in_second_basis():
 
 def test_restricted_coinvariants_are_indecomposables():
     for n in range(1, 5):
-        kernel = hm.coinvariant_kernel(n, restricted=True)
-        assert len(kernel) == len(hm.b_basis(n))
-        span = {frozenset(v.terms.items()) for v in kernel}
         for b in hm.b_basis(n):
             closed = hm.plus_coaction_M_closed(b)
             assert closed == TensorComb(("M", "Y"), "M", {(b, tc.LEAF): 1})
-        # each second-basis coinvariant index really solves the equation
-        for b in hm.b_basis(n):
-            vec = ha.to_F(Mb("M", b))
-            image = hm.plus_coaction(vec)
-            expected = ha.tensor_of(vec, unit_y())
-            assert image == expected
-
-
-def test_full_coinvariants_are_the_restricted_index_set():
-    for n in range(5):
-        kernel = hm.coinvariant_kernel(n, restricted=False)
-        assert len(kernel) == len(hm.b_prime_basis(n))
-        for bp in hm.b_prime_basis(n):
-            vec = ha.to_F(Mb("M", bp))
-            assert ha.coaction_rho(vec) == ha.tensor_of(vec, unit_y())
 
 
 @pytest.mark.parametrize("restricted", [True, False])
@@ -326,21 +271,6 @@ def test_script_s_excludes_fiber_maxima():
         for w in hm.script_s(n):
             comps = oracles.perm_indecomposables(w)
             assert tc.standardize(comps[-1]) not in maxima
-
-
-def test_kappa_is_a_graded_bijection():
-    for n in range(8):
-        images = {}
-        for k in range(n + 1):
-            for bp in hm.b_prime_basis(k):
-                for v in hm.script_s_prime(n - k):
-                    w = hm.kappa(bp, v)
-                    assert w not in images
-                    images[w] = (bp, v)
-        target = set(hm.script_s(n))
-        assert set(images) == target
-        for w, pair in images.items():
-            assert hm.kappa_inverse(w) == pair
 
 
 def raises_value_error(fn, *args) -> bool:
@@ -432,12 +362,15 @@ def test_plus_module_report_drops_cancelled_terms(monkeypatch, k):
 
 
 def test_hopf_module_reports_match_their_oracles(monkeypatch):
-    """Each image computed once per call gives the whole report, its
-    violations in order, that recomputing every image for each case gives:
-    on the true structure and on one with a dropped action term."""
+    """Both reports pass at every total degree below 6.  Each image
+    computed once per call gives the whole report, its violations in
+    order, that recomputing every image for each case gives: on the true
+    structure and on one with a dropped action term."""
     for n in range(6):
-        assert hm.plus_module_verify(n) == oracles.plus_module_verify(n)
-        assert hm.bbslash_verify(n) == oracles.bbslash_verify(n)
+        plus, bbslash = hm.plus_module_verify(n), hm.bbslash_verify(n)
+        assert plus["ok"] and bbslash["ok"], n
+        assert plus == oracles.plus_module_verify(n)
+        assert bbslash == oracles.bbslash_verify(n)
     monkeypatch.setattr(hm, "plus_action", drop_first_term(hm.plus_action))
     failing = 0
     for n in range(5):

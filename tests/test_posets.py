@@ -198,13 +198,7 @@ def test_chain_sum_is_one_on_intervals():
 
 
 # ---------------------------------------------------------------------------
-# interval retract and the Mobius comparison
-
-
-def test_interval_retract_through_degree_five():
-    for n in range(6):
-        report = po.interval_retract_verify(n)
-        assert report["ok"], report["violations"][:3]
+# the chain argument behind the Mobius comparison
 
 
 def test_fibers_factor_into_blocks():
@@ -218,12 +212,6 @@ def test_fibers_factor_into_blocks():
             sub = leq_order(fiber, po.weak_leq)
             # one-block partition: the whole fiber
             assert chain_sum_meeting_all_blocks(sub, [set(fiber)]) == 1
-
-
-def test_fiberwise_mobius_comparison():
-    for n in range(5):
-        report = po.fiberwise_mobius_verify(n)
-        assert report["ok"], report["violations"][:3]
 
 
 # ---------------------------------------------------------------------------

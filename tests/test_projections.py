@@ -147,11 +147,6 @@ def test_iota_characterized_by_pinned_patterns():
             assert hits == [pj.iota(b)]
 
 
-def test_interval_retract_report():
-    report = po.interval_retract_verify(5)
-    assert report["ok"]
-
-
 def test_beta_max_is_fiber_top():
     for n in range(1, 6):
         for t in tc.all_trees(n):

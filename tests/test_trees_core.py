@@ -344,7 +344,7 @@ def test_perm_cut_scan_matches_the_set_comparisons():
 
 
 REFOLD = {"S": perm_backslash, "Y": tc.backslash,
-          "M": tc.tree_backslash_bileveled}
+          "M": lambda b, s: tc.BiLeveledTree(tc.backslash(b.tree, s), b.ideal)}
 
 
 @pytest.mark.parametrize("family", "SYM")
@@ -360,6 +360,7 @@ def test_decompositions_refold_from_first_to_last_cut(family):
             assert all(REFOLD[family](u, v) == x for u, v in pairs)
             assert len(set(pairs)) == len(pairs)
             if family == "M":
+                assert all(u.tree for u, _ in pairs)
                 assert pairs[-1:] == (((x, tc.LEAF),) if n else ())
             else:
                 parts = {"S": oracles.perm_indecomposables,
