@@ -310,7 +310,9 @@ def _rotation_rows(n: int) -> list:
     pos(R)``, where ``off[m][k]`` counts the trees of degree ``m`` with a
     smaller left subtree.  The rows of a degree are built from those of the
     two subtrees, plus the rotation at the root: ``((A, B), R)`` becomes
-    ``(A, (B, R))``.
+    ``(A, (B, R))``.  It stays arithmetic: recursing over the rotated trees
+    themselves, found by a dict, gave the same rows but slower builds at
+    degrees 1..7 (Y 2 -> 5 ms, M 10 -> 15 ms, ``queries`` 6 % slower).
     """
     cat = [len(tc.all_trees(m)) for m in range(n + 1)]
     off = [list(accumulate((cat[k] * cat[m - 1 - k] for k in range(m)),

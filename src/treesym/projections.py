@@ -55,33 +55,21 @@ def phi(b: BiLeveledTree) -> tuple:
 @lru_cache(maxsize=None)
 def min_perm(t: tuple) -> tuple:
     """Weak-order minimum of the ``tau`` fiber (231-avoiding)."""
-    return _extreme_perm(t, minimum=True)
+    if not t:
+        return ()
+    low = min_perm(t[0])
+    return (low + (tc.nodes(t),)
+            + tuple(a + len(low) for a in min_perm(t[1])))
 
 
 @lru_cache(maxsize=None)
 def max_perm(t: tuple) -> tuple:
     """Weak-order maximum of the ``tau`` fiber (132-avoiding)."""
-    return _extreme_perm(t, minimum=False)
-
-
-def _extreme_perm(t: tuple, *, minimum: bool) -> tuple:
-    """Label ``t`` with 1..n: the root gets n; the left subtree gets the
-    smallest (minimum) or largest (maximum) remaining values."""
-    def fill(sub: tuple, values: tuple) -> tuple:
-        if not sub:
-            return ()
-        left, right = sub
-        nl = tc.nodes(left)
-        rest = values[:-1]
-        if minimum:
-            left_vals, right_vals = rest[:nl], rest[nl:]
-        else:
-            split = len(rest) - nl
-            right_vals, left_vals = rest[:split], rest[split:]
-        return fill(left, left_vals) + (values[-1],) + fill(right, right_vals)
-
-    n = tc.nodes(t)
-    return fill(t, tuple(range(1, n + 1)))
+    if not t:
+        return ()
+    high = max_perm(t[1])
+    return (tuple(a + len(high) for a in max_perm(t[0]))
+            + (tc.nodes(t),) + high)
 
 
 def beta_max(t: tuple) -> BiLeveledTree:

@@ -99,7 +99,6 @@ def quotient_sign_report(order: int) -> dict:
             "coeffs": q,
             "nonnegative": first_negative is None,
             "first_negative": first_negative,
-            "expected_nonnegative": (top, bottom) in NONNEGATIVE_QUOTIENTS,
             "trivial": (top, bottom) in TRIVIAL_QUOTIENTS,
         }
     return report

@@ -19,15 +19,16 @@ grafting a forest onto the leaves of a base element, and the two-factor
 decompositions of the backslash product, one at each cut between the
 indecomposable factors of an element.  A tree is cut at each of its
 leaves once: its cut table, the ``n + 1`` pairs of left and right part,
-is kept per tree, and every splitting of a tree or a bi-leveled tree
-reads its cuts from the tables.  :data:`FAMILIES` holds one
-:class:`Family` record per tag (``"S"``, ``"Y"``, ``"M"``) with its text
-encoding, degree, empty element, generator, splitting, grafting and
-decompositions; code that handles all three families reads this table
-instead of guessing the family from the shape of a value (the empty
-permutation and the empty tree are both ``()``).  Each family has one
-canonical order, the order its generator yields the elements of a degree
-in; text order is a sort made where text is printed.
+is kept per tree and built from the tables of its two subtrees, so the
+parts of its cuts are shared with theirs, and every splitting of a tree
+or a bi-leveled tree reads its cuts from the tables.  :data:`FAMILIES`
+holds one :class:`Family` record per tag (``"S"``, ``"Y"``, ``"M"``)
+with its text encoding, degree, empty element, generator, splitting,
+grafting and decompositions; code that handles all three families reads
+this table instead of guessing the family from the shape of a value (the
+empty permutation and the empty tree are both ``()``).  Each family has
+one canonical order, the order its generator yields the elements of a
+degree in; text order is a sort made where text is printed.
 """
 
 from __future__ import annotations
@@ -138,12 +139,9 @@ def node_parents(t: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def leftmost_branch(t: tuple) -> frozenset:
     """Nodes on the path from the leftmost leaf to the root (in-order)."""
-    path = []
-    sub = t
-    while sub:
-        path.append(nodes(sub[0]) + 1)
-        sub = sub[0]
-    return frozenset(path)
+    if not t:
+        return frozenset()
+    return leftmost_branch(t[0]) | {nodes(t[0]) + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +314,18 @@ def enumerate_family(family: str, n: int) -> tuple:
 # splitting
 
 
-def _split_tree_once(t: tuple, i: int):
-    """Sever ``t`` along the path from leaf ``i`` to the root."""
-    if not t:
-        return LEAF, LEAF
-    left, right = t
-    nl = nodes(left)
-    if i <= nl:
-        l0, l1 = _split_tree_once(left, i)
-        return l0, (l1, right)
-    r0, r1 = _split_tree_once(right, i - nl - 1)
-    return (left, r0), r1
-
-
 @lru_cache(maxsize=None)
 def _tree_cuts(t: tuple) -> tuple:
-    """The cut table of ``t``: the pair ``_split_tree_once(t, i)`` at each
-    leaf ``i = 0..n``, built once per tree.  The left part of cut ``i``
-    holds nodes ``1..i`` and the right part nodes ``i + 1..n``."""
-    return tuple(_split_tree_once(t, i) for i in range(nodes(t) + 1))
+    """The cut table of ``t``: at each leaf ``i = 0..n``, the trees of nodes
+    ``1..i`` and ``i + 1..n``, left and right of the path from leaf ``i``
+    to the root.  Built from the subtrees' tables: a cut in ``L`` puts the
+    root and ``R`` on the right, a cut in ``R`` puts ``L`` and the root on
+    the left."""
+    if not t:
+        return ((LEAF, LEAF),)
+    left, right = t
+    return (tuple((a, (b, right)) for a, b in _tree_cuts(left))
+            + tuple(((left, c), d) for c, d in _tree_cuts(right)))
 
 
 def split_tree_at(t: tuple, leaf_multiset: Sequence[int]) -> tuple:

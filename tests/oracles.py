@@ -42,17 +42,21 @@ of optional nodes through it (which the direct generation of
 :func:`treesym.trees_core.all_bileveled` replaced), the restricted
 splittings as every splitting less those with an empty first part (which
 :func:`treesym.trees_core.restricted_splittings` replaced by cutting at
-leaf 1 or later), the splittings that cut what is left of a tree anew at
-each leaf and scan the whole upper set for the marks of each part, and
-the coaction summed over the two-part splittings of each bi-leveled tree
-(both of which the cut tables of ``trees_core._tree_cuts`` replaced), the
-three kinds of covers of the paper's classification of the bi-leveled
-order (which the local rules of ``posets._m_cover_steps`` replaced), the
-inverse of the forest form, and the fibers of ``tau``.  Last of all, the
-two Hopf-module reports as they were before they kept each single-element
-image for the length of the call: they recompute every image for every
-pair, and call each function through its module attribute, so a wrapper
-put on one reaches them as it reaches the reports they check.  Then the
+leaf 1 or later), the cut of a tree at one leaf by a recursion that
+copies the path from that leaf to the root (the reference for the cut
+tables of ``trees_core._tree_cuts``, which build each tree's table from
+its subtrees' tables and share their parts), the splittings that cut
+what is left of a tree anew at each leaf by it and scan the whole upper
+set for the marks of each part, and the coaction summed over the
+two-part splittings of each bi-leveled tree (both of which the cut
+tables replaced), the three kinds of covers of the paper's
+classification of the bi-leveled order (which the local rules of
+``posets._m_cover_steps`` replaced), the inverse of the forest form, and
+the fibers of ``tau``.  Last of all, the two Hopf-module reports as they
+were before they kept each single-element image for the length of the
+call: they recompute every image for every pair, and call each function
+through its module attribute, so a wrapper put on one reaches them as it
+reaches the reports they check.  Then the
 index sets of the final bijection as they were before one pass classified
 each permutation: a component is tested against the section image by
 ``beta`` then ``iota``, and each set filters every permutation on its own;
@@ -505,6 +509,20 @@ def restricted_splittings(b: tc.BiLeveledTree, m: int) -> list:
             if forest[0][0]]
 
 
+def split_tree_once(t: tuple, i: int):
+    """Sever ``t`` along the path from leaf ``i`` to the root, copying the
+    path: the reference for the cut tables of ``trees_core._tree_cuts``."""
+    if not t:
+        return tc.LEAF, tc.LEAF
+    left, right = t
+    nl = tc.nodes(left)
+    if i <= nl:
+        l0, l1 = split_tree_once(left, i)
+        return l0, (l1, right)
+    r0, r1 = split_tree_once(right, i - nl - 1)
+    return (left, r0), r1
+
+
 def split_tree_at(t: tuple, leaf_multiset: Sequence[int]) -> tuple:
     """Split ``t`` along a weakly increasing sequence of leaves, cutting
     what is left by the per-leaf recursion each time."""
@@ -512,7 +530,7 @@ def split_tree_at(t: tuple, leaf_multiset: Sequence[int]) -> tuple:
     offset = 0
     rest = t
     for i in leaf_multiset:
-        first, rest = tc._split_tree_once(rest, i - offset)
+        first, rest = split_tree_once(rest, i - offset)
         parts.append(first)
         offset = i
     return tuple(parts) + (rest,)

@@ -408,16 +408,37 @@ def test_size_cap_override_must_be_an_integer(capsys, monkeypatch):
     assert code == 2 and out == "" and "TREESYM_MAX_N" in err
 
 
-@pytest.mark.parametrize("name", ["min", "max"])
+# commands that recurse over their tree once per level or more: the fiber
+# extremes, the section, and the cut tables.  Each with whether it reads a
+# bi-leveled tree (a comb with its leftmost branch marked), and the text
+# that separates the pieces of its output: the letters of a permutation
+# of 1..n, or the n + 1 terms of a cut at each leaf
+CEILING_COMMANDS = {
+    "min": (("map", "min"), False, ","),
+    "max": (("map", "max"), False, ","),
+    "iota": (("map", "iota"), True, ","),
+    "comul": (("op", "comul", "--family", "Y"), False, " + "),
+    "rho": (("op", "rho", "--family", "M"), True, " + "),
+}
+
+
+@pytest.mark.parametrize("name", list(CEILING_COMMANDS))
 def test_size_cap_override_has_a_ceiling(capsys, monkeypatch, name):
+    command, marked, sep = CEILING_COMMANDS[name]
     ceiling = cli.MAX_N_CEILING
     monkeypatch.setenv("TREESYM_MAX_N", str(ceiling))
     left_comb = "(" * ceiling + "." + ".)" * ceiling
-    code, out, _ = invoke(capsys, "map", name, left_comb)
-    assert code == 0 and len(out.split(",")) == ceiling
+    right_comb = "(." * ceiling + "." + ")" * ceiling
+    pieces = ceiling + (sep == " + ")
+    for comb, branch in ((left_comb, range(1, ceiling + 1)),
+                         (right_comb, [1])):
+        text = comb + ";{%s}" % ",".join(map(str, branch)) if marked else comb
+        code, out, err = invoke(capsys, *command, text)
+        assert code == 0 and "Traceback" not in err, (name, comb[:2], err)
+        assert len(out.split(sep)) == pieces, (name, comb[:2])
     for raw in (str(ceiling + 1), "2000"):
         monkeypatch.setenv("TREESYM_MAX_N", raw)
-        code, out, err = invoke(capsys, "map", name, DEEP_TREE)
+        code, out, err = invoke(capsys, *command, DEEP_TREE)
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == (
             "treesym: error: TREESYM_MAX_N must be at most %d, not %s"

@@ -267,9 +267,8 @@ ROWS = {
         "hopf-module-plus", tc, "restricted_splittings",
         lambda splittings: lambda b, m: tc._split_bileveled(b, m, 0)
         if m > 1 else splittings(b, m), (3,)),
-    "split-leaf-2-as-1": Row(
-        "hopf-module-plus", tc, "_split_tree_once",
-        lambda split: lambda t, i: split(t, 1 if i == 2 else i), (2,)),
+    "plus-cut-2-read-as-1": Row(
+        "hopf-module-plus", tc, "_tree_cuts", cut_two_read_as_one, (2,)),
     "graft-right-to-left": Row(
         "hopf-module-plus", tc, "_graft_onto", grafted_right_to_left, (3,)),
     # the transported structure

@@ -126,8 +126,6 @@ def test_quotient_sign_report():
     assert not any(bottom == "M+" for _top, bottom in report)
     assert len(report) == 9
     for pair, info in report.items():
-        assert info["expected_nonnegative"] == \
-            (pair in se.NONNEGATIVE_QUOTIENTS), pair
         assert info["nonnegative"] == (info["first_negative"] is None), pair
     # the one trivial pair is determined by M = 1 + M+ and stays nonnegative
     assert report[("M+", "M")]["trivial"]

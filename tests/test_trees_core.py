@@ -236,7 +236,7 @@ def test_cut_tables_match_the_per_leaf_recursion():
             cuts = tc._tree_cuts(t)
             assert len(cuts) == n + 1, t
             for i, cut in enumerate(cuts):
-                assert cut == tc._split_tree_once(t, i), (t, i)
+                assert cut == oracles.split_tree_once(t, i), (t, i)
                 assert tc.nodes(cut[0]) == i, (t, i)
 
 
