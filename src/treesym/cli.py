@@ -19,7 +19,7 @@ Output is deterministic; progress for long verifications goes to standard
 error, which carries diagnostics only: a write that fails there is
 dropped, and the verdict and exit code stand.
 The exhaustive size cap defaults to 8 and may be overridden with the
-``TREESYM_MAX_N`` environment variable, up to :data:`MAX_N_CEILING`; it
+``TREESYM_MAX_N`` environment variable, from 0 to :data:`MAX_N_CEILING`; it
 bounds the degree of every input and of a product.  ``series --order`` is
 at most :data:`MAX_ORDER`.
 
@@ -95,6 +95,8 @@ def _check_size(n: int) -> None:
         cap = DEFAULT_MAX_N if raw is None else int(raw)
     except ValueError:
         _usage_error("TREESYM_MAX_N must be an integer, not %r" % raw)
+    if cap < 0:
+        _usage_error("TREESYM_MAX_N must be at least 0, not %d" % cap)
     if cap > MAX_N_CEILING:
         _usage_error("TREESYM_MAX_N must be at most %d, not %d"
                      % (MAX_N_CEILING, cap))

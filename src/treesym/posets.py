@@ -6,8 +6,8 @@ The three partial orders, their Mobius functions, and interval-retract checks.
 * trees: covers move a child node from the left to the right branch of its
   parent (a rotation); the order is the transitive closure;
 * marked trees: ``(s; S) <= (t; T)`` iff ``s <= t`` for trees and ``S >= T``;
-  a cover makes at most one rotation and drops at most one mark (the rules
-  that decide them are in ``_m_cover_steps``).
+  a cover makes at most one rotation and drops at most one mark, and is
+  admissible iff its mark set is in its tree's block of elements.
 
 :class:`FinitePoset` is built from the elements of a finite poset and, for
 each, the list of the indices of its covers, and builds its order relation,
@@ -17,8 +17,9 @@ comes after its covers.  :data:`ORDERS` gives each family tag the builder
 of those index lists for a graded piece and, where one is known, its
 closed-form Mobius row.  The Tamari and bi-leveled builders build no
 cover as an element: a tree's rotations are found by position in the
-canonical order, and a bi-leveled cover by its mark set in its tree's
-block of elements.  :func:`hasse_dot` sorts by text where it prints.
+canonical order, and a bi-leveled cover of every kind by its mark set
+in its tree's block of elements.  :func:`hasse_dot` sorts by text where
+it prints.
 Mobius rows with no closed form are computed by Rota's crosscut theorem,
 on orders checked to be lattices, where they are read, and not kept.
 :func:`mobius_row_of` reads a Mobius row by element, in closed form where
@@ -300,10 +301,10 @@ def family_poset(family: str, n: int) -> FinitePoset:
 
 def _rotation_rows(n: int) -> list:
     """The rotations of each tree of degree ``n``, the trees in the order
-    of :func:`tc.all_trees`, as triples ``(j, p, c)``: moving node ``p``
-    over its left child ``c`` gives ``all_trees(n)[j]``.  A tree's triples
-    come in this order: the rotation at its root, then those inside its
-    left subtree, then those inside its right subtree.
+    of :func:`tc.all_trees`, as the indices of the rotated trees in that
+    order: a tree's row is its list of Tamari covers.  A tree's rotations
+    come in this order: the one at its root, then those inside its left
+    subtree, then those inside its right subtree.
 
     No tree is built or hashed.  In that order a tree ``(L, R)`` of degree
     ``m`` with ``|L| = k`` sits at ``off[m][k] + pos(L) * Cat(m - 1 - k) +
@@ -324,25 +325,22 @@ def _rotation_rows(n: int) -> list:
     for m in range(1, n + 1):
         rows.append([])
         for i, (k, lpos, rpos) in enumerate(splits[m]):
-            root, width = k + 1, cat[m - 1 - k]
+            width = cat[m - 1 - k]
             row = []
             if k:
                 ka, apos, bpos = splits[k][lpos]
                 # (A, (B, R)), where (B, R) has degree m - 1 - ka
                 br = off[m - 1 - ka][k - 1 - ka] + bpos * width + rpos
-                row.append((off[m][ka] + apos * cat[m - 1 - ka] + br,
-                            root, ka + 1))
-                row += [(off[m][k] + lpos2 * width + rpos, p, c)
-                        for lpos2, p, c in rows[k][lpos]]
-            row += [(i - rpos + rpos2, p + root, c + root)
-                    for rpos2, p, c in rows[m - 1 - k][rpos]]
+                row.append(off[m][ka] + apos * cat[m - 1 - ka] + br)
+                row += [off[m][k] + lpos2 * width + rpos
+                        for lpos2 in rows[k][lpos]]
+            row += [i - rpos + rpos2 for rpos2 in rows[m - 1 - k][rpos]]
             rows[m].append(row)
     return rows[n]
 
 
 def _tamari_succ(trees: Sequence) -> list:
-    return [[j for j, _, _ in row]
-            for row in _rotation_rows(tc.nodes(trees[0]))]
+    return _rotation_rows(tc.nodes(trees[0]))
 
 
 def _weak_succ(perms: Sequence) -> list:
@@ -352,68 +350,55 @@ def _weak_succ(perms: Sequence) -> list:
     return [[index[v] for v in weak_covers(w)] for w in perms]
 
 
-def _m_cover_steps(ideal: frozenset, parent: tuple, rotations: list):
-    """The covers of ``(t, ideal)``, from the parent table and the
-    rotations ``(r, p, c)`` of ``t``: each as ``(r, marks, sure)``, over
-    ``t`` itself when ``r`` is None and else over the rotation ``r``.
+def _m_cover_steps(ideal: frozenset, block: dict, blocks: list,
+                   rotations: list):
+    """The covers of ``(t, ideal)`` as ``(index, kind)``, from the block of
+    ``t``, the blocks of every tree and the rotations of ``t``: a block
+    maps each mark set admissible on its tree to its element's index.
 
-    A cover of ``b = (t, I)`` makes at most one rotation ``t -> t'`` and
-    drops at most one mark ``v``.  ``(t, I - v)`` and ``(t', I)`` are covers
-    when admissible; ``(t', I - v)`` is one when admissible and neither of
-    those is, as the interval up to it lies in ``{t, t'} x {I, I - v}``.
-
-    The first two kinds are decided by local rules.  ``(t, I - v)`` is
-    admissible iff ``v`` is not node 1 and no child of ``v`` is marked:
-    only the children of ``v`` lose a marked parent.  Rotating node ``p``
-    over its left child ``c`` changes the parents of ``p``, of ``c`` and of
-    ``c``'s right child only; ``c`` takes ``p``'s old parent and the right
-    child of ``c`` takes ``p``, both marked whenever the moved node is, so
-    only ``p``'s new parent ``c`` can break up-closure.  And ``p`` becomes
-    the right child of ``c``, which must stay unmarked when ``c`` is node 1
-    (a marked ``c`` has a marked parent ``p``).  So ``(t', I)`` is
-    admissible iff ``c`` is not node 1 and not (``p`` in ``I`` and ``c``
-    not in ``I``).  One of the third kind has ``sure`` false, and is a
-    cover only when ``marks`` is admissible on its tree."""
-    # the marks with a marked child (the root is its own parent)
-    held = {parent[u] for u in ideal if parent[u] != u}
+    A cover of ``(t, I)`` makes at most one rotation ``t -> t'`` and drops
+    at most one mark ``v``.  Kind 1, ``(t, I - v)``, and kind 2,
+    ``(t', I)``, are covers when admissible; kind 3, ``(t', I - v)``, is
+    one when admissible and neither of those is, as the interval up to it
+    lies in ``{t, t'} x {I, I - v}``.  Each is decided by looking its mark
+    set up in its tree's block."""
     blocked = []  # I - v for the marks v that cannot be dropped alone
     for v in ideal:
-        if v in held:
-            blocked.append(ideal - {v})
-        elif v != 1:
-            yield None, ideal - {v}, True
-    for r, p, c in rotations:
-        if c != 1 and (c in ideal or p not in ideal):
-            yield r, ideal, True
+        marks = ideal - {v}
+        j = block.get(marks)
+        if j is None:
+            blocked.append(marks)
+        else:
+            yield j, 1
+    for r in rotations:
+        rotated = blocks[r]
+        j = rotated.get(ideal)
+        if j is not None:
+            yield j, 2
         else:
             for marks in blocked:
-                yield r, marks, False
+                j = rotated.get(marks)
+                if j is not None:
+                    yield j, 3
 
 
 def _m_succ(elements: Sequence) -> list:
     """The covers of each of a degree's bi-leveled trees, given in
-    canonical order, by the rules of :func:`_m_cover_steps`, as index
-    lists.  In that order the elements over one tree form a block, and the
-    blocks come in the order of :func:`tc.all_trees`, which is that of
-    :func:`_rotation_rows`, so a cover is found in its tree's block by its
-    mark set."""
-    trees, blocks = [], []
+    canonical order, by :func:`_m_cover_steps`, as index lists.  In that
+    order the elements over one tree form a block, and the blocks come in
+    the order of :func:`tc.all_trees`, which is that of
+    :func:`_rotation_rows`; a mark set is admissible on a tree iff it is
+    in its block."""
+    blocks, tree = [], None
     for k, b in enumerate(elements):
-        if not trees or b.tree != trees[-1]:
-            trees.append(b.tree)
+        if b.tree != tree:
+            tree = b.tree
             blocks.append({})
         blocks[-1][b.ideal] = k
-    succ = []
-    for t, block, rotations in zip(trees, blocks,
-                                   _rotation_rows(tc.nodes(trees[0]))):
-        parent = tc.node_parents(t)
-        for ideal in block:
-            # a mark set is admissible on a tree iff it is in its block
-            succ.append([(block if r is None else blocks[r])[marks]
-                         for r, marks, sure
-                         in _m_cover_steps(ideal, parent, rotations)
-                         if sure or marks in blocks[r]])
-    return succ
+    return [[j for j, _ in _m_cover_steps(ideal, block, blocks, rotations)]
+            for block, rotations in zip(
+                blocks, _rotation_rows(tc.nodes(elements[0].tree)))
+            for ideal in block]
 
 
 ORDERS = {

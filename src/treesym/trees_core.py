@@ -116,7 +116,6 @@ def _perm_cuts(w: tuple) -> list:
     return cuts
 
 
-@lru_cache(maxsize=None)
 def node_parents(t: tuple) -> tuple:
     """The parent of each node, indexed by node (index 0 unused); the root
     is its own parent."""
@@ -181,19 +180,21 @@ def format_perm(w: tuple) -> str:
     return ",".join(str(a) for a in w)
 
 
+def _decimal(part: str) -> int | None:
+    """The number ``part`` writes in ASCII digits, perhaps after a minus
+    sign and with whitespace around, or None: ``int`` alone would also read
+    other digits, a plus sign and underscores."""
+    digits = part.strip().removeprefix("-")
+    return int(part) if digits.isascii() and digits.isdigit() else None
+
+
 def parse_perm(text: str) -> tuple:
     text = text.strip()
     if text == "":
         return ()
-    if "," in text:
-        try:
-            w = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad permutation {text!r}", 0) from exc
-    else:
-        if not text.isdigit():
-            raise ParseError(f"bad permutation {text!r}", 0)
-        w = tuple(int(ch) for ch in text)
+    w = tuple(map(_decimal, text.split(",") if "," in text else text))
+    if None in w:
+        raise ParseError(f"bad permutation {text!r}", 0)
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ParseError(f"not a permutation of 1..{len(w)}: {text!r}", 0)
     return w
@@ -216,11 +217,9 @@ def parse_bileveled(text: str) -> BiLeveledTree:
     if not (ideal_part.startswith("{") and ideal_part.endswith("}")):
         raise ParseError("expected '{i,...}' after ';'", len(tree_part) + 1)
     body = ideal_part[1:-1].strip()
-    try:
-        ideal = frozenset(int(s) for s in body.split(",") if body)
-    except ValueError:
-        raise ParseError(f"bad node number in {text!r}",
-                         len(tree_part) + 1) from None
+    ideal = frozenset(map(_decimal, body.split(",")) if body else ())
+    if None in ideal:
+        raise ParseError(f"bad node number in {text!r}", len(tree_part) + 1)
     b = BiLeveledTree(t, ideal)
     if not is_admissible_ideal(t, ideal):
         raise ParseError(f"inadmissible node set in {text!r}", 0)

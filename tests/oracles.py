@@ -50,7 +50,7 @@ what is left of a tree anew at each leaf by it and scan the whole upper
 set for the marks of each part, and the coaction summed over the
 two-part splittings of each bi-leveled tree (both of which the cut
 tables replaced), the three kinds of covers of the paper's
-classification of the bi-leveled order (which the local rules of
+classification of the bi-leveled order (which the block lookups of
 ``posets._m_cover_steps`` replaced), the inverse of the forest form, and
 the fibers of ``tau``.  Last of all, the two Hopf-module reports as they
 were before they kept each single-element image for the length of the

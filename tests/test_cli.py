@@ -402,10 +402,12 @@ def test_size_cap_override(capsys, monkeypatch):
 
 
 def test_size_cap_override_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TREESYM_MAX_N", "abc")
-    code, out, err = invoke(capsys, "enumerate", "--family", "Y", "--n", "3",
-                            "--count")
-    assert code == 2 and out == "" and "TREESYM_MAX_N" in err
+    for raw in ("abc", "-1"):
+        monkeypatch.setenv("TREESYM_MAX_N", raw)
+        code, out, err = invoke(capsys, "enumerate", "--family", "Y", "--n",
+                                "3", "--count")
+        assert code == 2 and out == "", raw
+        assert "treesym: error: TREESYM_MAX_N must be" in err, raw
 
 
 # commands that recurse over their tree once per level or more: the fiber

@@ -114,6 +114,37 @@ def test_m_covers_match_typed_generator():
                 assert len(kinds) == 1, (b, c, kinds)
 
 
+def test_cover_steps_are_of_the_kind_they_name(fresh_caches, monkeypatch):
+    """Each step ``(j, kind)`` of ``po._m_cover_steps`` over every element of
+    degree 6 or less: kind 1 keeps the tree and drops one mark, kind 2
+    rotates the tree and keeps the marks, and kind 3 rotates the tree and
+    drops one mark, as the must-fail rows that leave a kind out assume."""
+    steps = po._m_cover_steps
+    seen = []
+
+    def recorded(ideal, block, blocks, rotations):
+        for j, kind in steps(ideal, block, blocks, rotations):
+            seen.append((block[ideal], j, kind))
+            yield j, kind
+
+    monkeypatch.setattr(po, "_m_cover_steps", recorded)
+    kinds = set()
+    for n in range(7):
+        seen.clear()
+        elements = po.family_poset("M", n).elements
+        for i, j, kind in seen:
+            b, c = elements[i], elements[j]
+            assert c.ideal <= b.ideal, (b, c)
+            dropped = len(b.ideal - c.ideal)
+            if kind == 1:
+                assert c.tree == b.tree and dropped == 1, (b, c)
+            else:
+                assert c.tree in tamari_covers(b.tree), (b, c, kind)
+                assert dropped == kind - 2, (b, c, kind)
+            kinds.add(kind)
+    assert kinds == {1, 2, 3}
+
+
 def test_fiber_extremes_not_order_preserving():
     """Degree-4 witnesses: comparable bi-leveled trees whose
     fiber maxima (respectively minima) are incomparable, so the projection

@@ -62,10 +62,25 @@ def test_malformed_tree_rejected(bad):
         tc.parse_tree(bad)
 
 
-@pytest.mark.parametrize("bad", ["121", "13", "0", "1,2,2"])
+@pytest.mark.parametrize("bad", ["121", "13", "0", "1,2,2", "\u00b2",
+                                 "\u0661\u0662", "+1,2", "1,2_0"])
 def test_malformed_perm_rejected(bad):
     with pytest.raises(tc.ParseError):
         tc.parse_perm(bad)
+
+
+@pytest.mark.parametrize("bad", ["(..);{+1}", "(..);{\u0661}",
+                                 "((..).);{1,0_2}", "(..);{1,}",
+                                 "(..);{1 1}"])
+def test_malformed_marks_rejected(bad):
+    """A mark is a number in ASCII digits: ``int`` alone would read these."""
+    with pytest.raises(tc.ParseError):
+        tc.parse_bileveled(bad)
+
+
+def test_whitespace_around_numbers_is_accepted():
+    assert tc.parse_perm(" 2, 1 ,3 ") == (2, 1, 3)
+    assert tc.parse_bileveled("((..).);{ 1 , 2 }").ideal == {1, 2}
 
 
 def test_inadmissible_mark_set_rejected():
