@@ -247,13 +247,22 @@ def _cmd_series(args) -> int:
     if args.quotients:
         report = sorted(se.quotient_sign_report(args.order).items())
         if args.json:
+            series = {name: se.series(name, args.order)
+                      for name in se.SERIES_NAMES}
+
+            def coeffs(pair, info):
+                # the report read a mixed-sign quotient only through its
+                # first negative coefficient; JSON prints all of them
+                if info["nonnegative"]:
+                    return info["coeffs"]
+                return se.quotient(*(series[name] for name in pair))
             print(_json([
                 {
                     "quotient": "%s/%s" % pair,
                     "nonnegative": info["nonnegative"],
                     "first_negative": info["first_negative"],
                     "trivial": info["trivial"],
-                    "coeffs": [str(c) for c in info["coeffs"]],
+                    "coeffs": [str(c) for c in coeffs(pair, info)],
                 }
                 for pair, info in report
             ]))

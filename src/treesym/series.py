@@ -5,18 +5,22 @@ bi-leveled trees (``M``, with positive part ``M+``), and binary trees
 (``Y``).  A truncated series is the tuple of its integer coefficients.  The
 module gives the four series, the one exact division the sign report needs
 (by a series with constant term 1), and the sign report classifying which
-quotients among the four series are coefficientwise nonnegative.
+quotients among the four series are coefficientwise nonnegative.  The
+division yields its coefficients one at a time, and the report reads each
+quotient only as far as its verdict needs: a mixed-sign quotient through its
+first negative coefficient, a nonnegative one to the end.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 __all__ = [
-    "series", "quotient", "catalan", "a_number", "quotient_sign_report",
-    "NONNEGATIVE_QUOTIENTS", "SERIES_NAMES",
+    "series", "quotient", "quotient_terms", "catalan", "a_number",
+    "quotient_sign_report", "NONNEGATIVE_QUOTIENTS", "QUOTIENTS",
+    "SERIES_NAMES",
 ]
 
 NONNEGATIVE_QUOTIENTS = (("S", "M"), ("S", "Y"), ("M+", "Y"), ("M", "Y"))
@@ -28,8 +32,19 @@ M+/M = 1 - 1/M is determined by M alone (and is computationally
 nonnegative to high order)."""
 
 
+_CATALANS = [1]  # catalan(0), catalan(1), ..., as far as asked so far
+
+
 def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
+    """The ``n``-th Catalan number, by ``C(k + 1) = C(k) (4k + 2) / (k + 2)``
+    run forward from the values below ``n``."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    c = _CATALANS
+    while len(c) <= n:
+        k = len(c) - 1
+        c.append(c[k] * (4 * k + 2) // (k + 2))
+    return c[n]
 
 
 _A_NUMBERS = [1]  # a_number(0), a_number(1), ..., as far as asked so far
@@ -68,35 +83,55 @@ def series(which: str, order: int) -> tuple:
     return tuple(map(SERIES[which], range(order + 1)))
 
 
-def quotient(num: tuple, den: tuple) -> tuple:
-    """``num / den`` to the shorter order, for a ``den`` with constant term
-    1: each coefficient is an integer, read off ``num = quotient * den``."""
+def quotient_terms(num: tuple, den: tuple):
+    """The coefficients of ``num / den`` to the shorter order, one at a
+    time, for a ``den`` with constant term 1: each is an integer, read off
+    ``num = quotient * den``.  The constant term is checked at the call."""
     if den[0] != 1:
         raise ValueError("the denominator's constant term must be 1")
-    out = []
-    for n in range(min(len(num), len(den))):
-        out.append(num[n] - sum(map(mul, out, den[n:0:-1])))
-    return tuple(out)
+
+    def terms():
+        out = []
+        for n in range(min(len(num), len(den))):
+            out.append(num[n] - sum(map(mul, out, den[n:0:-1])))
+            yield out[-1]
+    return terms()
+
+
+def quotient(num: tuple, den: tuple) -> tuple:
+    """``num / den`` to the shorter order (see :func:`quotient_terms`)."""
+    return tuple(quotient_terms(num, den))
+
+
+QUOTIENTS = tuple((top, bottom)
+                  for top, bottom in permutations(SERIES_NAMES, 2)
+                  if SERIES[bottom](0) == 1)
+"""The ordered pairs the sign report divides.  M+ has no constant term, so
+its reciprocal quotients are not power series and it is never a
+denominator."""
 
 
 def quotient_sign_report(order: int) -> dict:
-    """Signs of all ordered quotients among the four series.
+    """Signs of the quotients in :data:`QUOTIENTS` through ``order``.
 
-    Maps each pair ``(numerator, denominator)`` to a dict with the quotient
-    coefficients, whether they are all nonnegative through ``order``, and
-    the first negative index if any.
+    Maps each pair ``(numerator, denominator)`` to a dict: whether its
+    coefficients are all nonnegative through ``order``, the first negative
+    index if any, whether the pair is trivial, and under ``"coeffs"`` the
+    coefficients the report read.  Those are all of them for a nonnegative
+    quotient, and only those through the first negative one for a
+    mixed-sign quotient: no later coefficient changes its verdict.
     """
     cache = {name: series(name, order) for name in SERIES_NAMES}
     report = {}
-    for top, bottom in permutations(SERIES_NAMES, 2):
-        if cache[bottom][0] == 0:
-            # M+ has no constant term; its reciprocal quotients are not
-            # power series, so they are skipped.
-            continue
-        q = quotient(cache[top], cache[bottom])
-        first_negative = next((n for n, c in enumerate(q) if c < 0), None)
+    for top, bottom in QUOTIENTS:
+        read = []
+        for c in quotient_terms(cache[top], cache[bottom]):
+            read.append(c)
+            if c < 0:
+                break
+        first_negative = len(read) - 1 if read[-1] < 0 else None
         report[(top, bottom)] = {
-            "coeffs": q,
+            "coeffs": tuple(read),
             "nonnegative": first_negative is None,
             "first_negative": first_negative,
             "trivial": (top, bottom) in TRIVIAL_QUOTIENTS,

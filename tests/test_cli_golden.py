@@ -165,6 +165,10 @@ COMMANDS = (
        ["series", "--quotients", "--order", "12", "--json"]]
     # --which and --quotients together are a usage error
     + [["series", "--which", "M", "--quotients", "--order", "5"]]
+    # the benchmark's quotient report, and a JSON report long enough that
+    # every mixed-sign quotient has coefficients past its first negative one
+    + [["series", "--quotients", "--order", "300"],
+       ["series", "--quotients", "--order", "40", "--json"]]
 )
 
 

@@ -1,6 +1,8 @@
 """The enumerating series, their exact quotients, and the identities
 between them, cross-checked against exhaustive generation."""
 
+from math import comb
+
 import pytest
 
 import oracles
@@ -24,9 +26,13 @@ def test_quotient_times_denominator_round_trips():
 
 
 def test_quotient_needs_constant_term_one():
+    """Both the tuple and the coefficient iterator refuse at the call,
+    before any coefficient is asked for."""
     for constant in (0, 2):
         with pytest.raises(ValueError):
             se.quotient(se.series("S", 4), (constant, 1, 0, 0, 0))
+        with pytest.raises(ValueError):
+            se.quotient_terms(se.series("S", 4), (constant, 1, 0, 0, 0))
 
 
 def test_composition_needs_zero_constant_term():
@@ -35,7 +41,15 @@ def test_composition_needs_zero_constant_term():
 
 
 def test_exact_quotients_keep_integer_coefficients():
-    for info in se.quotient_sign_report(N).values():
+    """Every coefficient of every reported quotient is an int, and the
+    report's ``"coeffs"`` are the ones it read: the whole quotient if it is
+    nonnegative, else its start through the first negative coefficient."""
+    report = se.quotient_sign_report(N)
+    for (top, bottom), info in report.items():
+        q = se.quotient(se.series(top, N), se.series(bottom, N))
+        assert all(type(c) is int for c in q)
+        read = len(q) if info["nonnegative"] else info["first_negative"] + 1
+        assert info["coeffs"] == q[:read]
         assert all(type(c) is int for c in info["coeffs"])
 
 
@@ -57,6 +71,15 @@ def test_known_initial_coefficients():
     assert se.series("Y", 5) == (1, 1, 2, 5, 14, 42)
     assert se.series("M", 7) == (1, 1, 2, 6, 21, 80, 322, 1348)
     assert se.series("S", 5) == (1, 1, 2, 6, 24, 120)
+
+
+def test_catalan_recurrence_matches_binomial_formula():
+    """The forward loop gives ``binom(2n, n) / (n + 1)`` up to the largest
+    ``series --order``."""
+    for n in range(cli.MAX_ORDER + 1):
+        assert se.catalan(n) == comb(2 * n, n) // (n + 1)
+    with pytest.raises(ValueError):
+        se.catalan(-1)
 
 
 def test_bileveled_count_recurrence():
@@ -130,3 +153,56 @@ def test_quotient_sign_report():
     # the one trivial pair is determined by M = 1 + M+ and stays nonnegative
     assert report[("M+", "M")]["trivial"]
     assert report[("M+", "M")]["nonnegative"]
+
+
+def _signs_off_the_quotient(top, bottom, order):
+    """``(nonnegative, first_negative)`` read off the whole quotient."""
+    q = se.quotient(se.series(top, order), se.series(bottom, order))
+    first_negative = next((n for n, c in enumerate(q) if c < 0), None)
+    return first_negative is None, first_negative
+
+
+def _report_signs(order):
+    return {pair: (info["nonnegative"], info["first_negative"])
+            for pair, info in se.quotient_sign_report(order).items()}
+
+
+def test_sign_report_stops_where_the_whole_quotient_says():
+    """The report reads a quotient only through its first negative
+    coefficient; its verdict is the one the whole quotient gives, at every
+    order from 0 to 60 and at the benchmark's order 300."""
+    for order in list(range(61)) + [300]:
+        report = _report_signs(order)
+        assert sorted(report) == sorted(se.QUOTIENTS)
+        for pair in se.QUOTIENTS:
+            assert report[pair] == _signs_off_the_quotient(*pair, order), \
+                (pair, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 12, 60])
+def test_sign_report_finds_a_negative_last_coefficient(monkeypatch, order):
+    """A numerator whose quotient by Y is nonnegative except for its last
+    coefficient: the report reads to the end and names index ``order``."""
+    y = se.series("Y", order)
+    num = product((1,) * order + (-1,), y)
+    monkeypatch.setitem(se.SERIES, "M+", num.__getitem__)
+    info = se.quotient_sign_report(order)[("M+", "Y")]
+    assert info["first_negative"] == order
+    assert not info["nonnegative"]
+    assert info["coeffs"] == (1,) * order + (-1,)
+    for pair in (("M+", "M"), ("M+", "S"), ("M+", "Y")):
+        assert _report_signs(order)[pair] == \
+            _signs_off_the_quotient(*pair, order), pair
+
+
+@pytest.mark.parametrize("order", [0, 1, 12, 60])
+def test_sign_report_finds_a_negative_first_coefficient(monkeypatch, order):
+    """A numerator with constant term -1: every quotient of it is negative
+    at index 0, and the report reads nothing further."""
+    monkeypatch.setitem(se.SERIES, "M+", lambda n: -1 if n == 0 else 0)
+    report = se.quotient_sign_report(order)
+    for pair in (("M+", "M"), ("M+", "S"), ("M+", "Y")):
+        assert report[pair]["first_negative"] == 0, pair
+        assert not report[pair]["nonnegative"]
+        assert report[pair]["coeffs"] == (-1,)
+        assert _signs_off_the_quotient(*pair, order) == (False, 0)
