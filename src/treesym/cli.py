@@ -12,7 +12,8 @@ degree (``posets.*_verify`` or ``hopf_modules.*_verify``, returning
 ``{"n", "ok", "violations"}``), the first degree it runs at, and the claim
 its OK line states; ``verify --n N`` runs it at every degree up to ``N``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
+Exit codes: 0 success, 1 verification failure, 2 usage error or a
+command that runs out of memory,
 :data:`EXIT_BROKEN_PIPE` when standard output is closed early, and
 :data:`EXIT_IO_ERROR` when any other write to standard output fails.
 Output is deterministic; progress for long verifications goes to standard
@@ -436,6 +437,11 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:  # includes tc.ParseError
         _note("treesym: error: %s" % exc)
+        return 2
+    except MemoryError:
+        # a raised TREESYM_MAX_N lets a command ask for more memory than
+        # the process may hold
+        _note("treesym: error: out of memory")
         return 2
 
 

@@ -39,7 +39,7 @@ __all__ = [
     "b_basis", "b_prime_basis", "b_decompose",
     "bbslash", "bbslash_decompose",
     "msym_action_M", "msym_coaction_M",
-    "in_script_s", "script_s", "script_s_prime",
+    "in_script_s", "script_s_prime",
     "kappa", "kappa_inverse",
     "coinvariant_kernel", "EMPTY_B",
     "plus_module_verify", "bbslash_verify", "coinvariants_verify",
@@ -228,13 +228,16 @@ def _classify(w: tuple) -> tuple:
     ``w`` in the big index set (:func:`in_script_s`), is the maximal
     initial run of its components that lie in the section image of even
     length, and the length of its first component (0 when ``w`` is
-    empty).  Components are standardized only while the run lasts."""
+    empty).  Components are standardized only while the run lasts, and
+    the last one not at all: it already holds the values 1 .. its
+    length."""
     n = len(w)
     cuts = tc._perm_cuts(w)
     length = 0
     # the piece between the cuts j < k holds the values n-k+1 .. n-j
     for j, k in zip(cuts, cuts[1:]):
-        if tuple(a - n + k for a in w[j:k]) not in _sections(k - j)[1]:
+        piece = w[j:] if k == n else tuple(a - n + k for a in w[j:k])
+        if piece not in _sections(k - j)[1]:
             break
         length += 1
     return _last_has_132(w, cuts), length % 2 == 0, cuts[1] if n else 0
@@ -242,46 +245,50 @@ def _classify(w: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _script_sets(n: int) -> tuple:
-    """``(script_s(n), script_s_prime(n), frozenset(script_s_prime(n)))``
-    from one pass over the permutations, classifying each once."""
-    big, restricted = [], []
+    """``(script_s_prime(n), classes)`` from one pass over the
+    permutations, classifying each once.  ``classes`` is the class table
+    of degree ``n``: it maps each member ``w`` of the big index set, in
+    the generator's order, to ``2 * first + even`` of :func:`_classify`,
+    a small int that costs the table nothing beyond its slot."""
+    restricted, classes = [], {}
     for w in tc.enumerate_family("S", n):
-        in_big, even, _ = _classify(w)
-        if in_big:
-            big.append(w)
+        big, even, first = _classify(w)
+        if big:
+            classes[w] = 2 * first + even
             if even:
                 restricted.append(w)
-    return tuple(big), tuple(restricted), frozenset(restricted)
-
-
-def script_s(n: int) -> tuple:
-    return _script_sets(n)[0]
+    return tuple(restricted), classes
 
 
 def script_s_prime(n: int) -> tuple:
-    return _script_sets(n)[1]
+    return _script_sets(n)[0]
 
 
 def kappa(bp: BiLeveledTree, v: tuple) -> tuple:
     """The graded bijection: prepend the section value of ``bp``.  Both
     arguments are looked up in the tables of their degrees, which the
-    first call at a degree builds."""
+    first call at a degree builds; only ``verify`` reaches this
+    function."""
     u = _sections(tc.nodes(bp.tree))[0].get(bp)
     if u is None:
         raise ValueError("left argument must be a coinvariant index")
-    if v not in _script_sets(len(v))[2]:
+    if not _script_sets(len(v))[1].get(v, 0) & 1:
         raise ValueError("right argument must lie in the restricted set")
     return tuple(a + len(v) for a in u) + v
 
 
 def kappa_inverse(w: tuple):
-    big, even, first = _classify(w)
-    if not big:
+    """The inverse of :func:`kappa` on the big index set.  The class of
+    ``w`` is read from the class table of its degree, which the first
+    call at a degree builds, as :func:`kappa` does; only ``verify``
+    reaches this function."""
+    code = _script_sets(len(w))[1].get(w)
+    if code is None:
         raise ValueError("argument must lie in the big index set")
-    if even:
+    if code & 1:
         return (EMPTY_B, w)
     # split off the first indecomposable component, standardized
-    n = len(w)
+    n, first = len(w), code >> 1
     return (pj.beta(tuple(a - n + first for a in w[:first])), w[first:])
 
 
@@ -504,8 +511,9 @@ def coinvariants_verify(n: int) -> dict:
 
 def kappa_verify(n: int) -> dict:
     """Check that ``kappa`` maps the pairs of total degree ``n`` one to one
-    onto the big index set, and that ``kappa_inverse`` undoes it."""
-    target = set(script_s(n))
+    onto the big index set, the members of the degree's class table, and
+    that ``kappa_inverse`` undoes it."""
+    target = _script_sets(n)[1]
     built: dict = {}
     violations = []
     for j in range(n + 1):
@@ -516,7 +524,8 @@ def kappa_verify(n: int) -> dict:
                     violations.append(tc.format_perm(u))
                 else:
                     built[u] = (bp, v)
-    violations += [tc.format_perm(u) for u in sorted(target - set(built))]
+    violations += [tc.format_perm(u)
+                   for u in sorted(target.keys() - built.keys())]
     for u, pair in built.items():
         if kappa_inverse(u) != pair:
             violations.append(tc.format_perm(u))

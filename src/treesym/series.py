@@ -53,13 +53,18 @@ _A_NUMBERS = [1]  # a_number(0), a_number(1), ..., as far as asked so far
 def a_number(n: int) -> int:
     """Number of bi-leveled trees with ``n`` nodes, by the recurrence
     splitting at the leftmost node's hanging piece, run forward from the
-    values below ``n``."""
+    values below ``n``.  The sum of ``a(i) a(k - i)`` over ``0 < i < k``
+    is symmetric: twice its terms with ``i < k / 2``, plus the middle
+    square when ``k`` is even."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     a = _A_NUMBERS
     while len(a) <= n:
-        inner = a[1:]
-        a.append(catalan(len(a) - 1) + sum(map(mul, inner, reversed(inner))))
+        k = len(a)
+        h = (k - 1) // 2
+        pairs = sum(map(mul, a[1:h + 1], a[k - 1:k - h - 1:-1]))
+        middle = a[k // 2] ** 2 if k % 2 == 0 else 0
+        a.append(catalan(k - 1) + 2 * pairs + middle)
     return a[n]
 
 

@@ -59,19 +59,20 @@ through its module attribute, so a wrapper put on one reaches them as it
 reaches the reports they check.  Then the
 index sets of the final bijection as they were before one pass classified
 each permutation: a component is tested against the section image by
-``beta`` then ``iota``, and each set filters every permutation on its own;
-and the classification of one permutation read from its standardized
-components, which the one cut scan of ``hopf_modules._classify``
-replaced.  Finally, the count of bi-leveled trees by its recurrence through
-a memo, which the forward loop of :func:`treesym.series.a_number`
-replaced.  At the end of the file come the references that only the tests
-read, which the package no longer holds: the Tamari covers of one tree
-built as trees, the reference for the position-built rotation rows of the
-Tamari and bi-leveled orders; the indecomposable factors of a tree; the
-closed formula for the counts ``B_n`` of indecomposable bi-leveled trees;
-the degree-0 basis vector; and the product, composition and shift of
-truncated series, kept as coefficient tuples as :mod:`treesym.series`
-keeps them.
+``beta`` then ``iota``, and each set filters every permutation on its own
+(the package keeps the big set only as the members of its class table);
+and the big index set and the classification of one permutation read from
+the standardized components, which the one cut scan of
+``hopf_modules._classify`` replaced.  Finally, the count of bi-leveled
+trees by its recurrence through a memo, which the forward loop of
+:func:`treesym.series.a_number` replaced.  At the end of the file come
+the references that only the tests read, which the package no longer
+holds: the Tamari covers of one tree built as trees, the reference for the
+position-built rotation rows of the Tamari and bi-leveled orders; the
+indecomposable factors of a tree; the closed formula for the counts
+``B_n`` of indecomposable bi-leveled trees; the degree-0 basis vector; and
+the product, composition and shift of truncated series, kept as
+coefficient tuples as :mod:`treesym.series` keeps them.
 """
 
 import math
@@ -712,19 +713,25 @@ def script_s_prime(n: int) -> tuple:
         w for w in tc.enumerate_family("S", n) if in_script_s_prime(w))
 
 
+def in_script_s(w: tuple) -> bool:
+    """The big index set read from the standardized components: the last
+    one contains 132, or there are none."""
+    comps = perm_indecomposables(w)
+    return not comps or not pj.avoids_132(comps[-1])
+
+
 def classify(w: tuple) -> tuple:
     """``(big, even, first)`` of ``hopf_modules._classify`` read from the
-    standardized components: the last one contains 132 (or there are
-    none), the maximal initial run in the section image has even length,
-    and the length of the first component (0 if none)."""
+    standardized components: :func:`in_script_s`, the maximal initial run
+    in the section image has even length, and the length of the first
+    component (0 if none)."""
     comps = perm_indecomposables(w)
     length = 0
     for c in comps:
         if c not in hm._sections(len(c))[1]:
             break
         length += 1
-    big = not comps or not pj.avoids_132(comps[-1])
-    return big, length % 2 == 0, len(comps[0]) if comps else 0
+    return in_script_s(w), length % 2 == 0, len(comps[0]) if comps else 0
 
 
 @lru_cache(maxsize=None)

@@ -555,6 +555,23 @@ def test_main_exits_1_on_a_counterexample():
     assert done.stdout == b"FAIL: ('patched', 2)\n"
 
 
+def test_out_of_memory_is_one_error_line():
+    """A raised cap lets ``mobius`` on Y build the closure of a whole
+    degree; where that needs more memory than the process may hold, the
+    command ends with one error line and exit 2, with no traceback.  The
+    child alone gets a 200 MB address-space limit, which the degree-11
+    left comb exceeds in about half a second."""
+    comb = "."
+    for _ in range(11):
+        comb = "(%s.)" % comb
+    script = ("import os, resource; os.environ['TREESYM_MAX_N'] = '11'; "
+              "resource.setrlimit(resource.RLIMIT_AS, (200 << 20,) * 2); "
+              + CLI_MAIN)
+    done = spawn_main("mobius", "--family", "Y", comb, comb, script=script)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"treesym: error: out of memory\n"
+
+
 @pytest.mark.parametrize("redirect,script", [
     ("2>&-", CLI_MAIN), ("", "import os; os.close(2); " + CLI_MAIN)])
 def test_closed_stderr_keeps_the_verdict(redirect, script):

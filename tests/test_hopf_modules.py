@@ -259,7 +259,7 @@ def test_coinvariants_suite_runs_without_sympy():
 
 
 def test_script_s_counts():
-    assert [len(hm.script_s(n)) for n in range(7)] == \
+    assert [len(oracles.script_s(n)) for n in range(7)] == \
         [1, 0, 0, 1, 9, 67, 498]
     assert [len(hm.script_s_prime(n)) for n in range(7)] == \
         [1, 0, 0, 0, 3, 37, 355]
@@ -268,7 +268,7 @@ def test_script_s_counts():
 def test_script_s_excludes_fiber_maxima():
     for n in range(1, 6):
         maxima = {pj.max_perm(t) for t in tc.all_trees(n)}
-        for w in hm.script_s(n):
+        for w in oracles.script_s(n):
             comps = oracles.perm_indecomposables(w)
             assert tc.standardize(comps[-1]) not in maxima
 
@@ -297,17 +297,31 @@ def test_kappa_membership_validation():
         for bp in tc.all_bileveled(n):
             assert raises_value_error(hm.kappa, bp, ()) == \
                 (not hm.is_b_prime(bp)), bp
+    # the inverse raises exactly outside the big index set, and splits
+    # each member as its standardized components say
+    for n in range(7):
+        for w in tc.all_perms(n):
+            big, even, first = oracles.classify(w)
+            assert big == hm.in_script_s(w), w
+            if not big:
+                assert raises_value_error(hm.kappa_inverse, w), w
+            elif even:
+                assert hm.kappa_inverse(w) == (hm.EMPTY_B, w), w
+            else:
+                assert hm.kappa_inverse(w) == (
+                    pj.beta(tc.standardize(w[:first])), w[first:]), w
 
 
 def test_index_sets_match_their_oracles():
-    """The section image read from its per-degree set, and both index sets
-    from one pass, against ``beta`` then ``iota`` and the filtered scans."""
+    """The section image read from its per-degree set, and the restricted
+    index set and the class table's members from one pass, against
+    ``beta`` then ``iota`` and the filtered scans."""
     for n in range(8):
         for w in tc.all_perms(n):
             if len(oracles.perm_indecomposables(w)) == 1:
                 assert (w in hm._sections(n)[1]) == \
                     oracles.component_in_section_image(w), w
-        assert hm.script_s(n) == oracles.script_s(n)
+        assert tuple(hm._script_sets(n)[1]) == oracles.script_s(n)
         assert hm.script_s_prime(n) == oracles.script_s_prime(n)
 
 

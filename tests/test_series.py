@@ -136,7 +136,7 @@ def test_positive_part_over_trees_counts_all_indecomposables():
 
 def test_permutations_over_trees_counts_big_index_set():
     q = se.quotient(se.series("S", 6), se.series("Y", 6))
-    assert q == tuple(len(hm.script_s(n)) for n in range(7))
+    assert q == tuple(len(oracles.script_s(n)) for n in range(7))
 
 
 # ---------------------------------------------------------------------------
