@@ -16,10 +16,11 @@ nonnegativity of one quotient of enumerating series.
 
 The ``*_verify`` functions check these structures in one total degree each
 and return a report ``{"n", "ok", "violations"}``; the ``verify`` suites of
-the command line run them degree by degree.  The two Hopf-module reports
-keep the image of each basis element as its plain map of term and
-coefficient, add both sides of each law into such maps, and compare these
-without their zero coefficients.
+the command line run them degree by degree.  The coinvariant report reads
+each index set off an exact elimination, as the columns without a pivot.
+The two Hopf-module reports keep the image of each basis element as its
+plain map of term and coefficient, add both sides of each law into such
+maps, and compare these without their zero coefficients.
 """
 
 from __future__ import annotations
@@ -293,43 +294,20 @@ def kappa_inverse(w: tuple):
 
 
 # ---------------------------------------------------------------------------
-# exact coinvariant solves
+# exact coinvariant index sets
 
 
 def coinvariant_kernel(n: int, restricted: bool) -> list:
-    """Basis of the coinvariants in degree ``n``, by an exact kernel solve.
-
-    Solves ``coaction(x) = x (x) 1`` over the rationals in the fundamental
-    basis, using the restricted coaction when ``restricted`` is true.  The
-    columns are the bi-leveled trees of degree ``n`` in canonical order,
-    the generator's.  Each free column of the reduced row echelon form
-    gives one vector, in increasing column order: 1 at the free column and
-    minus the pivot rows' entries there, scaled to integers by the lcm of
-    their denominators.  Each such entry ``-a/b`` (``b`` the positive pivot
-    entry) has denominator ``b // gcd(a, b)`` in lowest terms, so the
-    vector is built in integers.
-    Returns a list of fundamental-basis combinations with integer entries.
-    """
+    """The index set of the coinvariants in degree ``n``: the bi-leveled
+    trees at the free columns of the exact elimination of ``coaction(x) =
+    x (x) 1`` (the restricted coaction when ``restricted``), in canonical
+    order, the generator's.  A free column, one without a pivot, is the
+    last term of a coinvariant, and no pivot column is one; so there is one
+    free column per dimension."""
     if restricted and n == 0:
         return []
     basis, pivots = _coinvariant_echelon(n, restricted)
-    pivots_by_free: dict = {}
-    for p, row in pivots.items():
-        for c in row:
-            if c != p:
-                pivots_by_free.setdefault(c, []).append(p)
-    out = []
-    for f in range(len(basis)):
-        if f in pivots:
-            continue
-        column = [(p, pivots[p][f], pivots[p][p])
-                  for p in pivots_by_free.get(f, ())]
-        denom = math.lcm(1, *(b // math.gcd(a, b) for _p, a, b in column))
-        vec = {f: denom}
-        for p, a, b in column:
-            vec[p] = -a * denom // b
-        out.append(LinComb("M", "F", {basis[i]: vec[i] for i in sorted(vec)}))
-    return out
+    return [b for j, b in enumerate(basis) if j not in pivots]
 
 
 def _coinvariant_echelon(n: int, restricted: bool) -> tuple:
@@ -351,11 +329,11 @@ def _coinvariant_echelon(n: int, restricted: bool) -> tuple:
 
 
 def _echelon(rows) -> dict:
-    """The reduced row echelon form of sparse integer rows ``{column:
-    value}``, each row scaled to coprime integers: ``{pivot column: row}``
-    with a positive entry at the pivot and none at any other pivot column.
-    Only integer row operations are used; dividing each row by its pivot
-    entry gives the form over the rationals."""
+    """A row echelon form of sparse integer rows ``{column: value}``, by
+    one forward pass of integer row operations: ``{pivot column: row}``,
+    each row's pivot its least column, its entry there positive and its
+    entries coprime.  Rows that reduce to zero are dropped; the form is not
+    reduced, so a row may have entries at later pivot columns."""
     pivots: dict = {}
     for row in rows:
         row = {c: x for c, x in row.items() if x}
@@ -365,13 +343,6 @@ def _echelon(rows) -> dict:
                 pivots[lead] = _primitive(row, row[lead])
                 break
             row = _eliminate(row, pivots[lead], lead)
-    # a pivot row right of ``p`` is already reduced, so clearing its column
-    # from row ``p`` brings in no other pivot column
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        for c in [c for c in row if c != p and c in pivots]:
-            row = _eliminate(row, pivots[c], c)
-        pivots[p] = row
     return pivots
 
 
@@ -498,13 +469,16 @@ def bbslash_verify(n: int) -> dict:
 
 
 def coinvariants_verify(n: int) -> dict:
-    """Check that the coinvariants in degree ``n``, solved exactly, have
-    the dimensions of the stated index sets, for the restricted and the
-    full coaction."""
+    """Check that the coinvariants in degree ``n``, solved exactly, are
+    indexed member by member by the stated index sets, for the restricted
+    and the full coaction.  The stated vector ``to_F(M_b)`` is ``F_b`` plus
+    terms above ``b``, which come first in canonical order, so where these
+    vectors span the coinvariants their last terms ``b`` are the free
+    columns of :func:`coinvariant_kernel`."""
     violations = []
-    if len(coinvariant_kernel(n, restricted=True)) != len(b_basis(n)):
+    if coinvariant_kernel(n, restricted=True) != list(b_basis(n)):
         violations.append(("restricted", n))
-    if len(coinvariant_kernel(n, restricted=False)) != len(b_prime_basis(n)):
+    if coinvariant_kernel(n, restricted=False) != list(b_prime_basis(n)):
         violations.append(("full", n))
     return {"n": n, "ok": not violations, "violations": violations}
 

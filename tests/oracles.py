@@ -21,9 +21,10 @@ The chain-counting oracles for Mobius values work on any
 independently of the sparse Mobius rows they check.
 :func:`sympy_coinvariant_kernel` is the coinvariant solve by sympy's
 ``nullspace``, against which the plain-Python elimination is checked;
-:func:`fraction_coinvariant_kernel` reads the vectors off that
-elimination's echelon form over the rationals, which the integer vectors
-of :func:`treesym.hopf_modules.coinvariant_kernel` replaced.
+:func:`fraction_coinvariant_kernel` back-substitutes over the rationals
+from that elimination's forward echelon form, one vector per free column,
+where :func:`treesym.hopf_modules.coinvariant_kernel` returns only the
+trees at the free columns, the last terms of these vectors.
 Then come, written as they were, the rules that faster code replaced:
 the backslash decompositions that the table
 :data:`treesym.trees_core.FAMILIES` replaced; the second-basis product
@@ -252,14 +253,15 @@ def sympy_coinvariant_kernel(n: int, restricted: bool) -> list:
 
     Solves ``coaction(x) = x (x) 1`` over the rationals in the fundamental
     basis, using the restricted coaction when ``restricted`` is true.
-    Returns a list of fundamental-basis combinations with integer entries.
+    Returns a list of fundamental-basis combinations with rational entries,
+    one per free column of the reduced row echelon form, in increasing
+    column order: 1 at that column and 0 at every other free column.
     """
-    from sympy import Matrix, lcm
+    from sympy import Matrix
 
     basis = list(tc.enumerate_family("M", n))
     if restricted and n == 0:
         return []
-    index = {b: i for i, b in enumerate(basis)}
     rows: dict = {}
     for j, b in enumerate(basis):
         image = plus_coaction(F("M", b)) if restricted \
@@ -274,20 +276,18 @@ def sympy_coinvariant_kernel(n: int, restricted: bool) -> list:
     kernel = mat.nullspace() if mat.rows else [
         Matrix([1 if i == j else 0 for i in range(len(basis))])
         for j in range(len(basis))]
-    out = []
-    for vec in kernel:
-        denom = lcm([e.q for e in vec])
-        ints = [int(e * denom) for e in vec]
-        out.append(LinComb("M", "F", {
-            basis[i]: v for i, v in enumerate(ints) if v}))
-    return out
+    return [LinComb("M", "F", {basis[i]: Fraction(int(e.p), int(e.q))
+                               for i, e in enumerate(vec) if e})
+            for vec in kernel]
 
 
 def fraction_coinvariant_kernel(n: int, restricted: bool) -> list:
-    """The vectors of :func:`treesym.hopf_modules.coinvariant_kernel`,
-    built over the rationals: for each free column ``f``, 1 at ``f`` and
-    ``-row[f] / row[p]`` at the pivot ``p`` of each pivot row, all scaled
-    by the lcm of their denominators."""
+    """The coinvariant vectors of degree ``n`` over the rationals, from the
+    forward echelon form of :func:`treesym.hopf_modules._coinvariant_echelon`:
+    for each free column ``f``, in increasing order, 1 at ``f``, 0 at every
+    other free column, and at each pivot ``p`` below ``f``, last pivot
+    first, the value that makes row ``p`` vanish.  A row whose pivot is
+    above ``f`` has no entry at or below ``f``, so it vanishes already."""
     if restricted and n == 0:
         return []
     basis, pivots = hm._coinvariant_echelon(n, restricted)
@@ -296,12 +296,12 @@ def fraction_coinvariant_kernel(n: int, restricted: bool) -> list:
         if f in pivots:
             continue
         vec = {f: Fraction(1)}
-        for p, row in pivots.items():
-            if f in row:
-                vec[p] = Fraction(-row[f], row[p])
-        denom = math.lcm(*(v.denominator for v in vec.values()))
-        out.append(LinComb("M", "F", {basis[i]: int(vec[i] * denom)
-                                      for i in sorted(vec)}))
+        for p in sorted((p for p in pivots if p < f), reverse=True):
+            row = pivots[p]
+            total = sum(x * vec[c] for c, x in row.items() if c in vec)
+            if total:
+                vec[p] = -total / row[p]
+        out.append(LinComb("M", "F", {basis[i]: vec[i] for i in sorted(vec)}))
     return out
 
 

@@ -72,6 +72,7 @@ def test_traced_results_keep_their_shapes():
         assert type(result.terms) is dict and result.terms, name
     kernel = hm.coinvariant_kernel(3, restricted=True)
     assert type(kernel) is list and kernel
+    assert len(kernel) == len(hm.b_basis(3))
 
 
 def test_map_table_holds_triples():

@@ -226,19 +226,32 @@ def test_restricted_coinvariants_are_indecomposables():
 
 @pytest.mark.parametrize("restricted", [True, False])
 def test_coinvariant_kernel_equals_the_sympy_solve(restricted):
+    """The back-substituted vectors are sympy's, and the kernel's trees are
+    the last terms of sympy's vectors in canonical order."""
     pytest.importorskip("sympy")
-    from oracles import sympy_coinvariant_kernel
+    from oracles import fraction_coinvariant_kernel, sympy_coinvariant_kernel
     for n in range(6):
+        solved = sympy_coinvariant_kernel(n, restricted)
+        assert fraction_coinvariant_kernel(n, restricted) == solved
+        index = {b: i for i, b in enumerate(tc.enumerate_family("M", n))}
         assert hm.coinvariant_kernel(n, restricted) == \
-            sympy_coinvariant_kernel(n, restricted)
+            [max(vec.terms, key=index.get) for vec in solved]
 
 
 @pytest.mark.parametrize("restricted", [True, False])
 def test_coinvariant_kernel_equals_the_rational_vectors(restricted):
+    """One back-substituted coinvariant per free column: 1 there and 0 at
+    the other free columns."""
     from oracles import fraction_coinvariant_kernel
+    coaction = hm.plus_coaction if restricted else ha.coaction_rho
     for n in range(7):
-        assert hm.coinvariant_kernel(n, restricted) == \
-            fraction_coinvariant_kernel(n, restricted)
+        kernel = hm.coinvariant_kernel(n, restricted)
+        vectors = fraction_coinvariant_kernel(n, restricted)
+        assert len(vectors) == len(kernel)
+        for f, vec in zip(kernel, vectors):
+            assert [vec.terms.get(b, 0) for b in kernel] == \
+                [int(b == f) for b in kernel]
+            assert coaction(vec) == ha.tensor_of(vec, F("Y", tc.LEAF))
 
 
 def test_coinvariants_suite_runs_without_sympy():

@@ -171,6 +171,30 @@ def least_section_value_dropped(sections):
     return lambda k: (values, image - {dropped}) if k == 3 else sections(k)
 
 
+def last_member_swapped(basis):
+    """The index set with its last member replaced by the last bi-leveled
+    tree of its degree outside it, kept in canonical order."""
+    def swapped(n):
+        members, trees = basis(n), tc.enumerate_family("M", n)
+        others = [b for b in trees if b not in members]
+        if not members or not others:
+            return members
+        kept = {*members[:-1], others[-1]}
+        return tuple(b for b in trees if b in kept)
+    return swapped
+
+
+def last_entry_ignored(eliminate):
+    """Each row reduced against its pivot row without the pivot row's last
+    column, where it has a column besides the pivot."""
+    def mutated(row, prow, col):
+        if len(prow) > 1:
+            last = max(prow)
+            prow = {c: x for c, x in prow.items() if c != last}
+        return eliminate(row, prow, col)
+    return mutated
+
+
 def cut_two_read_as_one(cuts):
     """Each cut table of a tree of two or more nodes with its cut at leaf
     2 replaced by the cut at leaf 1."""
@@ -293,6 +317,15 @@ ROWS = {
         through=4, violations=[("full", 3)]),
     "coaction-cut-2-read-as-1": Row(
         "coinvariants", tc, "_tree_cuts", cut_two_read_as_one, (2, 3)),
+    "index-member-swapped": Row(
+        "coinvariants", hm, "b_basis", last_member_swapped, (2, 3),
+        violations=[("restricted", 2)]),
+    "prime-index-member-swapped": Row(
+        "coinvariants", hm, "b_prime_basis", last_member_swapped, (3, 4),
+        violations=[("full", 3)]),
+    "pivot-row-last-entry-ignored": Row(
+        "coinvariants", hm, "_eliminate", last_entry_ignored, (3, 4),
+        violations=[("restricted", 3), ("full", 3)]),
     # the final bijection
     "inverse-wrong": Row(
         "kappa", hm, "kappa_inverse", lambda inverse: lambda w: (
