@@ -7,10 +7,12 @@ Mobius value), ``op`` (products, coproducts, coactions in either basis),
 counterexample), ``series`` (enumerating series and the quotient sign
 report), and ``hasse`` (DOT export of a cover relation).
 
-Each verify suite is one row of :data:`SUITES`: a report function for one
-degree (``posets.*_verify`` or ``hopf_modules.*_verify``, returning
-``{"n", "ok", "violations"}``), the first degree it runs at, and the claim
-its OK line states; ``verify --n N`` runs it at every degree up to ``N``.
+Each verify suite is one row of :data:`SUITES`: a checker, which builds
+the report function of one run (``posets.*_verify`` or
+``hopf_modules.*_verify`` for one degree, returning ``{"n", "ok",
+"violations"}``), the first degree it runs at, and the claim its OK line
+states; ``verify --n N`` builds the report function once and runs it at
+every degree up to ``N``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or a
 command that runs out of memory,
@@ -43,7 +45,7 @@ from __future__ import annotations
 import errno
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 from . import hopf_algebra as ha
@@ -205,26 +207,30 @@ def _cmd_op(args) -> int:
 
 
 SUITES = {
-    # name: (report for one degree, first degree, claim of the OK line);
-    # each lambda looks its report up when it runs, so that a wrapper put
-    # on the module attribute after import is called
-    "mobius-fibers": (lambda k: po.fiberwise_mobius_verify(k), 0,
+    # name: (checker, first degree, claim of the OK line); the checker
+    # builds the report function of one run, looking the report up as it
+    # does, so that a wrapper put on the module attribute after import is
+    # called; the Hopf-module reports share their images across the run
+    "mobius-fibers": (lambda: po.fiberwise_mobius_verify, 0,
                       "Mobius values agree across fibers"),
-    "interval-retract": (lambda k: po.interval_retract_verify(k), 0,
+    "interval-retract": (lambda: po.interval_retract_verify, 0,
                          "interval retract verified"),
-    "hopf-module-plus": (lambda k: hm.plus_module_verify(k), 1,
-                         "restricted Hopf-module law"),
-    "hopf-module-bbslash": (lambda k: hm.bbslash_verify(k), 0,
-                            "transported structure consistent"),
-    "coinvariants": (lambda k: hm.coinvariants_verify(k), 1,
+    "hopf-module-plus": (lambda: partial(
+        hm.plus_module_verify, images=hm.LawImages()), 1,
+        "restricted Hopf-module law"),
+    "hopf-module-bbslash": (lambda: partial(
+        hm.bbslash_verify, images=hm.LawImages()), 0,
+        "transported structure consistent"),
+    "coinvariants": (lambda: hm.coinvariants_verify, 1,
                      "coinvariant dimensions match"),
-    "kappa": (lambda k: hm.kappa_verify(k), 0, "bijection verified"),
+    "kappa": (lambda: hm.kappa_verify, 0, "bijection verified"),
 }
 
 
 def _cmd_verify(args) -> int:
     _check_size(args.n)
-    check, first, claim = SUITES[args.suite]
+    checker, first, claim = SUITES[args.suite]
+    check = checker()
     for k in range(first, args.n + 1):
         _note("%s: degree %d" % (args.suite, k))
         report = check(k)

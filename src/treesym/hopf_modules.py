@@ -18,9 +18,13 @@ The ``*_verify`` functions check these structures in one total degree each
 and return a report ``{"n", "ok", "violations"}``; the ``verify`` suites of
 the command line run them degree by degree.  The coinvariant report reads
 each index set off an exact elimination, as the columns without a pivot.
-The two Hopf-module reports keep the image of each basis element as its
-plain map of term and coefficient, add both sides of each law into such
-maps, and compare these without their zero coefficients.
+The two Hopf-module reports read the image of each basis element from a
+:class:`LawImages`, which numbers the elements of each family and keeps
+each image as a map of term number and coefficient; they add both sides
+of each law into such maps and compare these without their zero
+coefficients.  A ``verify`` run passes one such object to each of its
+degrees, so an image of a lower degree is computed once per run, and
+drops it when the run ends.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ __all__ = [
     "in_script_s", "script_s_prime",
     "kappa", "kappa_inverse",
     "coinvariant_kernel", "EMPTY_B",
-    "plus_module_verify", "bbslash_verify", "coinvariants_verify",
+    "LawImages", "plus_module_verify", "bbslash_verify",
+    "coinvariants_verify",
     "kappa_verify",
 ]
 
@@ -374,19 +379,71 @@ def _primitive(row: dict, sign: int) -> dict:
 # verification reports, one total degree each
 
 
+class _Numbers(dict):
+    """The numbers of the elements of one family: ``numbers[x]`` gives
+    ``x`` the next number on its first read, and ``numbers.elements[i]``
+    is the element numbered ``i``."""
+
+    def __init__(self):
+        super().__init__()
+        self.elements = []
+
+    def __missing__(self, x):
+        i = self[x] = len(self.elements)
+        self.elements.append(x)
+        return i
+
+
 class _Images(dict):
     """The images of basis elements under ``image``, each as its map of
-    term and coefficient: ``images[key]`` calls ``image(key)`` on the first
-    read of ``key`` and keeps the terms of the result until the key is
-    deleted; ``image`` looks its module attributes up when it runs."""
+    term number and coefficient: ``images[key]`` calls ``image(key)`` on
+    the first read of ``key`` and keeps what it returns; ``image`` looks
+    its module attributes up when it runs."""
 
     def __init__(self, image):
         super().__init__()
         self.image = image
 
     def __missing__(self, key):
-        terms = self[key] = self.image(key).terms
-        return terms
+        image = self[key] = self.image(key)
+        return image
+
+
+def _numbered(comb, *numbers) -> dict:
+    """The terms of a linear (one ``numbers``) or two-leg tensor (two)
+    combination, each element replaced by its number."""
+    if len(numbers) == 1:
+        (first,) = numbers
+        return {first[x]: c for x, c in comb.terms.items()}
+    first, second = numbers
+    return {(first[x], second[y]): c for (x, y), c in comb.terms.items()}
+
+
+class LawImages:
+    """The images that the two Hopf-module reports read, kept for the
+    degrees of one run.  Bi-leveled trees are numbered in ``M`` and trees
+    in ``Y``, each on its first use; an image is a dict from term numbers
+    (a pair of numbers for a tensor) to coefficients, so the laws add and
+    compare ints and pairs of ints, and hash no tree after it is numbered.
+    ``action[b, t]``, ``coaction[b]``, ``product[s, t]``, ``coproduct[t]``,
+    ``to_F_M[b]`` and ``to_F_Y[t]`` are keyed by numbers too; each is
+    computed on its first read through the module attribute of its map.
+    Nothing is kept beyond the object: a run builds one and drops it at
+    its end."""
+
+    def __init__(self):
+        M, Y = self.M, self.Y = _Numbers(), _Numbers()
+        m, y = M.elements, Y.elements
+        self.action = _Images(lambda bt: _numbered(
+            plus_action(F("M", m[bt[0]]), F("Y", y[bt[1]])), M))
+        self.coaction = _Images(
+            lambda b: _numbered(plus_coaction(F("M", m[b])), M, Y))
+        self.product = _Images(lambda st: _numbered(
+            ha.mul_F(F("Y", y[st[0]]), F("Y", y[st[1]])), Y))
+        self.coproduct = _Images(
+            lambda t: _numbered(ha.comul_F(F("Y", y[t])), Y, Y))
+        self.to_F_M = _Images(lambda b: _numbered(ha.to_F(Mb("M", m[b])), M))
+        self.to_F_Y = _Images(lambda t: _numbered(ha.to_F(Mb("Y", y[t])), Y))
 
 
 def _nonzero(sums: dict) -> dict:
@@ -394,71 +451,76 @@ def _nonzero(sums: dict) -> dict:
     return {k: c for k, c in sums.items() if c}
 
 
-def plus_module_verify(n: int) -> dict:
+def plus_module_verify(n: int, images: LawImages | None = None) -> dict:
     """Check the restricted Hopf-module law on every pair of a bi-leveled
     tree of positive degree and a tree, of total degree ``n``: the
     coaction of the action is the action and product, leg by leg, of the
     coaction and the coproduct.  Each image of one basis element (action,
-    coaction, product, coproduct) is computed once per call and kept as
-    its map of term and coefficient; each side is summed from these maps
-    into a dict of tensor key and coefficient, and the two dicts are
-    compared without their zero coefficients."""
-    action = _Images(lambda bt: plus_action(F("M", bt[0]), F("Y", bt[1])))
-    coaction = _Images(lambda c: plus_coaction(F("M", c)))
-    product = _Images(lambda xy: ha.mul_F(F("Y", xy[0]), F("Y", xy[1])))
-    coproduct = _Images(lambda t: ha.comul_F(F("Y", t)))
+    coaction, product, coproduct) is read from ``images``, which a run
+    passes to each of its degrees and which is fresh by default; each
+    side is summed from these images into a dict of tensor key (a pair of
+    numbers) and coefficient, and the two dicts are compared without
+    their zero coefficients."""
+    images = LawImages() if images is None else images
+    M, Y = images.M, images.Y
+    action, coaction = images.action, images.coaction
+    product, coproduct = images.product, images.coproduct
     violations = []
     for n1 in range(1, n + 1):
+        trees = [(t, Y[t]) for t in tc.all_trees(n - n1)]
         for b in tc.all_bileveled(n1):
-            for t in tc.all_trees(n - n1):
+            i = M[b]
+            split = coaction[i].items()
+            for t, j in trees:
                 lhs: dict = {}
-                for c, k in action[b, t].items():
+                for c, k in action[i, j].items():
                     for keys, u in coaction[c].items():
                         lhs[keys] = lhs.get(keys, 0) + k * u
                 rhs: dict = {}
-                for (b0, b1), u in coaction[b].items():
-                    for (t0, t1), v in coproduct[t].items():
+                for (b0, b1), u in split:
+                    for (t0, t1), v in coproduct[j].items():
                         uv = u * v
                         for x, a in action[b0, t0].items():
                             for y, p in product[b1, t1].items():
                                 keys = (x, y)
                                 rhs[keys] = rhs.get(keys, 0) + uv * a * p
-                # a right side reads an action of total degree n only at
-                # its own pair (both second legs empty), so no later pair
-                # reads this one
-                del action[b, t]
                 if _nonzero(lhs) != _nonzero(rhs):
                     violations.append(
                         (tc.format_bileveled(b), tc.format_tree(t)))
     return {"n": n, "ok": not violations, "violations": violations}
 
 
-def bbslash_verify(n: int) -> dict:
+def bbslash_verify(n: int, images: LawImages | None = None) -> dict:
     """Check the transported structure on each bi-leveled tree ``b`` of
     degree ``n``, keyed by ``bbslash_decompose(b)``: the empty tree acts as
     the unit; the transported coaction is the closed form
     ``rho_M_closed(b)``; and that closed form, rewritten in the fundamental
     basis, is ``coaction_rho`` of ``b``'s fundamental expansion. A
     violation is the encoding of ``b``.  Each ``to_F`` of one second-basis
-    vector and each ``coaction_rho`` of one fundamental vector is computed
-    once per call and kept as its map of term and coefficient; both sides
-    of the last comparison are summed from these maps into dicts of tensor
-    key and coefficient, compared without their zero coefficients."""
-    to_F = _Images(lambda fx: ha.to_F(Mb(*fx)))
-    rho = _Images(lambda c: ha.coaction_rho(F("M", c)))
+    vector is read from ``images``, which a run passes to each of its
+    degrees and which is fresh by default; each ``coaction_rho`` of one
+    fundamental vector, all of degree ``n``, is computed once per call.
+    Both sides of the last comparison are summed from these images into
+    dicts of tensor key (a pair of numbers) and coefficient, compared
+    without their zero coefficients."""
+    images = LawImages() if images is None else images
+    M, Y = images.M, images.Y
+    to_F_M, to_F_Y = images.to_F_M, images.to_F_Y
+    rho = _Images(lambda c: _numbered(
+        ha.coaction_rho(F("M", M.elements[c])), M, Y))
     violations = []
     for b in tc.all_bileveled(n):
         bp, t = bbslash_decompose(b)
         closed = ha.rho_M_closed(b)
         lhs: dict = {}
         for (x, y), c in closed.terms.items():
-            right = to_F["Y", y].items()
-            for x1, a in to_F["M", x].items():
+            right = to_F_Y[Y[y]].items()
+            for x1, a in to_F_M[M[x]].items():
                 for y1, p in right:
                     keys = (x1, y1)
                     lhs[keys] = lhs.get(keys, 0) + c * a * p
         rhs: dict = {}
-        for c, mu in to_F["M", b].items():
+        for c, mu in to_F_M[M[b]].items():
             for keys, r in rho[c].items():
                 rhs[keys] = rhs.get(keys, 0) + mu * r
         if msym_action_M(bp, t, tc.LEAF) != Mb("M", b) \

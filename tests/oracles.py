@@ -305,6 +305,30 @@ def fraction_coinvariant_kernel(n: int, restricted: bool) -> list:
     return out
 
 
+def pivot_columns(rows: list) -> list:
+    """The pivot columns of the reduced row echelon form of the integer
+    rows ``{column: value}``, over the rationals: Gauss-Jordan elimination
+    in :class:`Fraction`, column by column from the least, on the dense
+    matrix.  They depend on the row space only."""
+    width = 1 + max((c for row in rows for c in row), default=-1)
+    dense = [[Fraction(row.get(c, 0)) for c in range(width)] for row in rows]
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        lead = next((i for i in range(rank, len(dense)) if dense[i][col]),
+                    None)
+        if lead is None:
+            continue
+        dense[rank], dense[lead] = dense[lead], dense[rank]
+        top = dense[rank]
+        for i, row in enumerate(dense):
+            if i != rank and row[col]:
+                f = row[col] / top[col]
+                dense[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(col)
+    return pivots
+
+
 def perm_backslash_decompositions(w: tuple) -> tuple:
     """All pairs ``(u, v)`` of permutations with ``w`` = ``u`` over ``v``:
     the first ``k`` letters of ``w`` are its ``k`` largest values, ``u`` is

@@ -114,6 +114,35 @@ def test_tags_keep_families_and_bases_apart():
     assert ha.format_lincomb(F("Y", ())) == "1"
 
 
+def test_combinations_copy_their_terms_and_check_every_m_leg():
+    """A combination drops its zero coefficients and keeps a copy of its
+    terms, whether or not any is zero, and refuses a term that is not a
+    bi-leveled tree wherever a leg is of family M: the element of a
+    linear combination, and either leg of a tensor."""
+    b, c = tc.all_bileveled(1)[0], tc.all_bileveled(2)[0]
+    tree = tc.parse_tree("(..)")
+    for terms in [{b: 2, c: -1}, {b: 2, c: 0}]:
+        a = LinComb("M", "F", terms)
+        assert a.terms == {x: k for x, k in terms.items() if k}
+        assert a.terms is not terms
+        terms[b] = 5
+        assert a.terms[b] == 2
+    t = TensorComb(("M", "Y"), "F", {(b, tree): 0, (c, tc.LEAF): 3})
+    assert t.terms == {(c, tc.LEAF): 3}
+    for legs, terms in [
+            (("M",), {tree: 1}),
+            (("M",), {b: 1, tree: 2}),
+            (("M",), {b: 0, tree: 2}),
+            (("M", "Y"), {(b, tree): 1, (tree, tc.LEAF): 1}),
+            (("Y", "M"), {(tree, b): 1, (tc.LEAF, tree): 1}),
+            (("M", "M"), {(b, c): 0, (b, tree): 1})]:
+        with pytest.raises(ValueError, match="bi-leveled"):
+            if len(legs) == 1:
+                LinComb(legs[0], "F", terms)
+            else:
+                TensorComb(legs, "F", terms)
+
+
 def test_signed_display():
     # terms are ordered by text: 12 < 21 < 231
     assert ha.format_lincomb(LinComb("S", "F", {(1, 2): -1, (2, 1): 1})) \

@@ -1,13 +1,16 @@
 """The two module/comodule structures of the bi-leveled family over the
 trees, their coinvariants, and the final graded bijection."""
 
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
+from treesym import cli
 from treesym import hopf_algebra as ha
 from treesym import hopf_modules as hm
 from treesym import projections as pj
@@ -254,6 +257,51 @@ def test_coinvariant_kernel_equals_the_rational_vectors(restricted):
             assert coaction(vec) == ha.tensor_of(vec, F("Y", tc.LEAF))
 
 
+ECHELON_CASES = [
+    # the second row meets the first row's pivot and still adds rank
+    [{0: 1, 1: 1}, {0: 1, 2: 1}],
+    # a pivot entry other than 1 scales the row it reduces
+    [{0: 2, 1: 1}, {0: 3, 2: 1}, {0: 6, 1: 3, 2: 2}],
+    # rank comes only after two reductions, and one row is dependent
+    [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 7}, {0: 3, 1: 6, 2: 10, 3: 1},
+     {0: 1, 1: 2, 2: 3}],
+    # a row that is a multiple of a pivot row, an empty row, a zero row
+    [{1: 4, 3: -6}, {1: 2, 3: -3}, {}, {0: 0, 2: 0}],
+]
+
+
+def echelon_batch(count: int, seed: int) -> list:
+    """``count`` sparse integer matrices of up to six rows and columns,
+    entries from -3 to 3, drawn from ``seed``."""
+    rng = random.Random(seed)
+    batch = []
+    for _ in range(count):
+        width = rng.randint(1, 6)
+        batch.append([{c: rng.randint(-3, 3) for c in range(width)
+                       if rng.random() < 0.6}
+                      for _ in range(rng.randint(1, 6))])
+    return batch
+
+
+def test_echelon_pivots_match_the_exact_elimination():
+    """The pivot columns of :func:`hm._echelon` are those of the
+    rational reduced row echelon form, on matrices whose later rows meet
+    an existing pivot and still carry rank; each kept row is primitive,
+    positive at its pivot, its least column, and lies in the row space."""
+    carried = 0
+    for rows in ECHELON_CASES + echelon_batch(300, seed=20091):
+        pivots = hm._echelon([dict(row) for row in rows])
+        assert sorted(pivots) == oracles.pivot_columns(rows), rows
+        for col, row in pivots.items():
+            assert min(row) == col and row[col] > 0, rows
+            assert math.gcd(*row.values()) == 1, rows
+            assert len(oracles.pivot_columns(rows + [row])) == len(pivots)
+        firsts = {min(c for c, x in row.items() if x)
+                  for row in rows if any(row.values())}
+        carried += len(pivots) > len(firsts)
+    assert carried >= 20
+
+
 def test_coinvariants_suite_runs_without_sympy():
     script = ("import sys; from treesym import cli; "
               "code = cli.run(['verify', '--suite', 'coinvariants', '--n', '4']); "
@@ -388,20 +436,71 @@ def test_plus_module_report_drops_cancelled_terms(monkeypatch, k):
         in report["violations"]
 
 
+def one_run(suite: str, through: int) -> dict:
+    """The reports of one run's checker of ``suite``, degree by degree
+    from the suite's first degree through ``through``, as ``verify``
+    builds and calls it."""
+    checker, first, _ = cli.SUITES[suite]
+    check = checker()
+    return {n: check(n) for n in range(first, through + 1)}
+
+
 def test_hopf_module_reports_match_their_oracles(monkeypatch):
-    """Both reports pass at every total degree below 6.  Each image
-    computed once per call gives the whole report, its violations in
-    order, that recomputing every image for each case gives: on the true
-    structure and on one with a dropped action term."""
-    for n in range(6):
-        plus, bbslash = hm.plus_module_verify(n), hm.bbslash_verify(n)
-        assert plus["ok"] and bbslash["ok"], n
-        assert plus == oracles.plus_module_verify(n)
-        assert bbslash == oracles.bbslash_verify(n)
-    monkeypatch.setattr(hm, "plus_action", drop_first_term(hm.plus_action))
-    failing = 0
-    for n in range(5):
-        report = hm.plus_module_verify(n)
-        assert report == oracles.plus_module_verify(n)
-        failing += not report["ok"]
-    assert failing
+    """Each degree's report from one run's checker, whose images of lower
+    degrees were computed at earlier degrees, is the report of that
+    degree alone and the report that recomputes every image for each
+    case, at every degree through 5: on the true structure, where every
+    report passes, and with the first term dropped from every multi-term
+    action or basis change, where the suite of that map fails and a
+    wrong image of a lower degree has to show the same way in all
+    three."""
+    for mutation, failing in [(None, None),
+                              ((hm, "plus_action"), "hopf-module-plus"),
+                              ((ha, "to_F"), "hopf-module-bbslash")]:
+        with monkeypatch.context() as patch:
+            if mutation is not None:
+                owner, name = mutation
+                patch.setattr(owner, name,
+                              drop_first_term(getattr(owner, name)))
+            for suite, alone, oracle in [
+                    ("hopf-module-plus", hm.plus_module_verify,
+                     oracles.plus_module_verify),
+                    ("hopf-module-bbslash", hm.bbslash_verify,
+                     oracles.bbslash_verify)]:
+                run = one_run(suite, 5)
+                for n, report in run.items():
+                    assert report == alone(n) == oracle(n), (suite, n)
+                assert all(r["ok"] for r in run.values()) \
+                    == (suite != failing), (mutation, suite)
+
+
+IMAGE_MAPS = ((hm, "plus_action"), (hm, "plus_coaction"), (ha, "mul_F"),
+              (ha, "comul_F"), (ha, "to_F"), (ha, "coaction_rho"))
+
+
+@pytest.mark.parametrize("suite,maps", [
+    ("hopf-module-plus", {"plus_action", "plus_coaction", "mul_F",
+                          "comul_F"}),
+    ("hopf-module-bbslash", {"to_F", "coaction_rho"})],
+    ids=["hopf-module-plus", "hopf-module-bbslash"])
+def test_each_image_is_computed_once_per_run(monkeypatch, capsys, suite,
+                                              maps):
+    """Through degree 5, one ``verify`` run calls each map that computes
+    an image, through its module attribute, once per distinct argument:
+    an image of a lower degree is kept for the later degrees."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return wrapper
+
+    for owner, name in IMAGE_MAPS:
+        calls[name] = []
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    assert cli.run(["verify", "--suite", suite, "--n", "5"]) == 0
+    assert capsys.readouterr().out.startswith("OK:")
+    assert {name for name, args in calls.items() if args} == maps
+    for name, args in calls.items():
+        assert len(args) == len(set(args)), name

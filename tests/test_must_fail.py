@@ -130,10 +130,10 @@ def one_more_value(x, y):
 
 
 def drop_first_term(product):
-    """``product`` with the first term dropped from every image that has
-    more than one."""
-    def dropped(a, h):
-        image = product(a, h)
+    """``product``, or any map to linear combinations, with the first term
+    dropped from every image that has more than one."""
+    def dropped(*args):
+        image = product(*args)
         terms = dict(image.terms)
         if len(terms) > 1:
             terms.pop(next(iter(terms)))
@@ -345,11 +345,12 @@ ROWS = {
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=list(ROWS))
 def test_a_mutation_fails_its_suite(row, fresh_caches, monkeypatch, capsys):
-    report, start, _ = cli.SUITES[row.suite]
+    checker, start, _ = cli.SUITES[row.suite]
     monkeypatch.setattr(row.owner, row.name,
                         row.mutate(getattr(row.owner, row.name)))
     first = row.failing[0]
     through = row.failing[-1] if row.through is None else row.through
+    report = checker()
     reports = {n: report(n) for n in range(start, through + 1)}
     assert tuple(n for n, r in reports.items() if not r["ok"]) == row.failing
     violations = reports[first]["violations"]
