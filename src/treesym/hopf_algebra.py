@@ -61,16 +61,12 @@ class _Comb:
         if flavor not in ("F", "M"):
             raise ValueError("unknown flavor %r" % (flavor,))
         self.legs, self.flavor = legs, flavor
-        # a copy keeps the hashes the input stored; a comprehension would
-        # hash every key again
-        self.terms = dict(terms) if all(terms.values()) \
-            else {k: c for k, c in terms.items() if c}
-        bare = self._bare
+        self.terms = {k: c for k, c in terms.items() if c}
         for i, family in enumerate(legs):
             if family not in tc.FAMILIES:
                 raise ValueError("unknown family %r" % (family,))
             if family == "M" and not all(
-                    isinstance(k if bare else k[i], BiLeveledTree)
+                    isinstance(self._legs(k)[i], BiLeveledTree)
                     for k in self.terms):
                 raise ValueError("family M requires a bi-leveled tree")
 
@@ -122,8 +118,6 @@ class LinComb(_Comb):
         self.family = family
         super().__init__((family,), flavor, terms)
 
-    # a key is the element itself, not a tuple of one element per leg
-    _bare = True
     _legs = staticmethod(lambda element: (element,))
 
     def _like(self, terms) -> "LinComb":
@@ -144,7 +138,6 @@ class TensorComb(_Comb):
     ``terms`` maps tuples of elements, one per leg, to coefficients, and
     ``legs`` holds the family of each tensor position."""
 
-    _bare = False
     _legs = staticmethod(tuple)
 
     def __init__(self, legs: tuple, flavor: str, terms: Mapping):

@@ -456,8 +456,9 @@ def plus_module_verify(n: int, images: LawImages | None = None) -> dict:
     tree of positive degree and a tree, of total degree ``n``: the
     coaction of the action is the action and product, leg by leg, of the
     coaction and the coproduct.  Each image of one basis element (action,
-    coaction, product, coproduct) is read from ``images``, which a run
-    passes to each of its degrees and which is fresh by default; each
+    coaction, product, coproduct) is read from ``images``, which a
+    ``verify`` run passes to each of its degrees; the default, a fresh
+    one, is there so that the report of one degree runs alone.  Each
     side is summed from these images into a dict of tensor key (a pair of
     numbers) and coefficient, and the two dicts are compared without
     their zero coefficients."""
@@ -497,12 +498,13 @@ def bbslash_verify(n: int, images: LawImages | None = None) -> dict:
     ``rho_M_closed(b)``; and that closed form, rewritten in the fundamental
     basis, is ``coaction_rho`` of ``b``'s fundamental expansion. A
     violation is the encoding of ``b``.  Each ``to_F`` of one second-basis
-    vector is read from ``images``, which a run passes to each of its
-    degrees and which is fresh by default; each ``coaction_rho`` of one
-    fundamental vector, all of degree ``n``, is computed once per call.
-    Both sides of the last comparison are summed from these images into
-    dicts of tensor key (a pair of numbers) and coefficient, compared
-    without their zero coefficients."""
+    vector is read from ``images``, which a ``verify`` run passes to each
+    of its degrees; the default, a fresh one, is there so that the report
+    of one degree runs alone.  Each ``coaction_rho`` of one fundamental
+    vector, all of degree ``n``, is computed once per call.  Both sides
+    of the last comparison are summed from these images into dicts of
+    tensor key (a pair of numbers) and coefficient, compared without
+    their zero coefficients."""
     images = LawImages() if images is None else images
     M, Y = images.M, images.Y
     to_F_M, to_F_Y = images.to_F_M, images.to_F_Y
