@@ -176,12 +176,13 @@ def weak_leq(u: tuple, v: tuple) -> bool:
 
 def weak_covers(w: tuple) -> tuple:
     """Covers swap the values ``k`` and ``k+1`` when ``k`` appears first."""
-    pos = {a: i for i, a in enumerate(w)}
+    pos = _positions(w)
     out = []
     for k in range(1, len(w)):
-        if pos[k] < pos[k + 1]:
+        i, j = pos[k], pos[k + 1]
+        if i < j:
             lst = list(w)
-            lst[pos[k]], lst[pos[k + 1]] = k + 1, k
+            lst[i], lst[j] = k + 1, k
             out.append(tuple(lst))
     return tuple(out)
 
@@ -442,25 +443,47 @@ def interval_retract_verify(n: int) -> dict:
     """Check that the projection from permutations is an interval retract.
 
     (a) each fiber is an interval of the weak order, (b) the canonical
-    section is order-preserving on covers, (c) it is a genuine section.
+    section is order-preserving on covers, (c) it is a genuine section,
+    (d) ``beta`` is a map of orders onto the covers: each weak cover that
+    leaves its fiber lands on a cover of the bi-leveled order, and each
+    such cover is reached by a weak cover.  A permutation belongs to the
+    last fiber that lists it.
     """
     violations = []
     mposet = family_poset("M", n)
     masks = []  # the inversion mask of each section value
-    for b in mposet.elements:
-        if not is_weak_interval(pj.beta_fiber(b)):
+    fiber_of = {}  # each permutation's element index
+    for i, b in enumerate(mposet.elements):
+        fiber = pj.beta_fiber(b)
+        if not is_weak_interval(fiber):
             violations.append(("fiber-not-interval", tc.format_bileveled(b)))
+        fiber_of.update(dict.fromkeys(fiber, i))
         w = pj.iota(b)
         if pj.beta(w) != b:
             violations.append(("not-a-section", tc.format_bileveled(b)))
         masks.append(_inversion_mask(w))
+    reached = set()
+    for w, i in fiber_of.items():
+        for v in weak_covers(w):
+            j = fiber_of.get(v)
+            if j == i:
+                continue
+            if j in mposet.succ[i]:
+                reached.add((i, j))
+            else:
+                violations.append(("projection-not-order-preserving",
+                                   tc.format_perm(w), tc.format_perm(v)))
+
+    def name(i):
+        return tc.format_bileveled(mposet.elements[i])
+
     for i, js in enumerate(mposet.succ):
         for j in sorted(js):
             if masks[i] & ~masks[j]:
                 violations.append(
-                    ("section-not-order-preserving",
-                     tc.format_bileveled(mposet.elements[i]),
-                     tc.format_bileveled(mposet.elements[j])))
+                    ("section-not-order-preserving", name(i), name(j)))
+            if (i, j) not in reached:
+                violations.append(("cover-not-reached", name(i), name(j)))
     return {"n": n, "ok": not violations, "violations": violations}
 
 

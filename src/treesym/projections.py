@@ -7,7 +7,12 @@ Projection maps between the three families and their canonical sections.
 * ``phi`` forgets the marked nodes; ``tau = phi . beta``;
 * ``min_perm``/``max_perm`` pick the weak-order extremes of a ``tau`` fiber
   (the 231-avoiding and 132-avoiding representatives);
-* ``iota`` is the order-preserving section of ``beta``;
+* ``iota`` is the order-preserving section of ``beta``, built by one
+  walk of the tree and its marks: an unmarked subtree gives its
+  ``max_perm``; at a marked root the left word is raised by the number
+  ``low`` of unmarked nodes on the right, the root takes the largest
+  letter, and the right word's letters above ``low`` are raised by the
+  length of the left word;
 * ``beta_fibers`` groups a degree's permutations by ``beta``, built from
   the fibers of the degree below by inserting the letter 1, with no
   permutation mapped on its own.
@@ -84,26 +89,32 @@ def is_fiber_top(b: BiLeveledTree) -> bool:
 
 
 def iota(b: BiLeveledTree) -> tuple:
-    """The distinguished fiber element of ``beta`` over ``b``.
+    """The distinguished fiber element of ``beta`` over ``b``, by one walk
+    of the tree and its marks.  The empty tree gives ``()``; an unmarked
+    root has no marked node under it, and gives :func:`max_perm`.  At a
+    marked root, with ``wl`` and ``wr`` the words of the two sides and
+    ``low`` the number of unmarked nodes on the right, every letter of
+    ``wl`` is raised by ``low``, the root takes ``len(wl) + len(wr) + 1``,
+    and each letter of ``wr`` above ``low`` is raised by ``len(wl)``: the
+    marked nodes take the largest letters, in 231-avoiding order."""
+    return _section(b.tree, b.ideal, 0)[1]
 
-    Its letters at marked positions follow the 231-avoiding word of the
-    upper tree; the unmarked letters fill the gaps in decreasing blocks,
-    each block 132-avoiding.
-    """
-    n = tc.nodes(b.tree)
-    if n == 0:
-        return ()
-    t0, forest = tc.forest_form(b)
-    r = len(b.ideal)
-    u = (n + 1 - r,) + tuple(a + n + 1 - r for a in min_perm(t0))
-    out = []
-    below = n - r
-    for ui, piece in zip(u, forest):
-        # each block takes the largest unmarked letters not yet placed
-        below -= tc.nodes(piece)
-        out.append(ui)
-        out.extend(below + a for a in max_perm(piece))
-    return tuple(out)
+
+def _section(t: tuple, ideal: frozenset, offset: int) -> tuple:
+    """``(marked count, word)`` of :func:`iota`'s rule on the subtree
+    ``t``, whose nodes are numbered from ``offset + 1``."""
+    if not t:
+        return 0, ()
+    left, right = t
+    root = offset + tc.nodes(left) + 1
+    if root not in ideal:
+        return 0, max_perm(t)
+    marked_l, wl = _section(left, ideal, offset)
+    marked_r, wr = _section(right, ideal, root)
+    low, k = len(wr) - marked_r, len(wl)
+    return (marked_l + marked_r + 1,
+            tuple(a + low for a in wl) + (k + len(wr) + 1,)
+            + tuple(a + k if a > low else a for a in wr))
 
 
 @lru_cache(maxsize=None)

@@ -47,7 +47,7 @@ __all__ = [
     "all_perms", "all_bileveled", "is_admissible_ideal", "splittings",
     "perm_splittings", "tree_splittings", "bileveled_splittings",
     "restricted_splittings", "graft", "graft_trees", "graft_perms",
-    "graft_bileveled", "forest_form",
+    "graft_bileveled",
     "enumerate_family", "tree_backslash_decompositions",
     "perm_backslash_decompositions", "bileveled_backslash_decompositions",
 ]
@@ -524,50 +524,3 @@ FAMILIES = {
                 bileveled_splittings, graft_bileveled,
                 bileveled_backslash_decompositions),
 }
-
-
-# ---------------------------------------------------------------------------
-# the two representations of a bi-leveled tree
-
-
-def _prune_marked(t: tuple, ideal: frozenset, offset: int):
-    """Induced subtree on the marked nodes plus the hanging pieces.
-
-    ``t``'s root must be marked.  Returns the induced tree and the list of
-    unmarked subtrees hanging at its leaves, left to right.
-    """
-    left, right = t
-    root = offset + nodes(left) + 1
-    if left and (offset + nodes(left[0]) + 1) in ideal:
-        lt, lparts = _prune_marked(left, ideal, offset)
-    else:
-        lt, lparts = LEAF, [left]
-    if right and (root + nodes(right[0]) + 1) in ideal:
-        rt, rparts = _prune_marked(right, ideal, root)
-    else:
-        rt, rparts = LEAF, [right]
-    return (lt, rt), lparts + rparts
-
-
-def _drop_leftmost_node(t: tuple) -> tuple:
-    left, right = t
-    if not left:
-        if right:
-            raise ValueError("leftmost node has a child in the upper set")
-        return LEAF
-    return (_drop_leftmost_node(left), right)
-
-
-def forest_form(b: BiLeveledTree):
-    """Rewrite ``b`` as ``(t0, (t1, ..., tr))``.
-
-    ``t0`` is the upper part with its (forced) leftmost node removed; the
-    forest collects the lower pieces hanging at the remaining ``r`` leaves
-    of the upper part, where ``r`` is the size of the upper set.
-    """
-    if not b.tree:
-        raise ValueError("the empty tree has no forest form")
-    upper, hanging = _prune_marked(b.tree, b.ideal, 0)
-    if hanging[0]:
-        raise ValueError("inadmissible upper set: piece under the leftmost node")
-    return _drop_leftmost_node(upper), tuple(hanging[1:])

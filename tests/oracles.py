@@ -52,7 +52,9 @@ set for the marks of each part, and the coaction summed over the
 two-part splittings of each bi-leveled tree (both of which the cut
 tables replaced), the three kinds of covers of the paper's
 classification of the bi-leveled order (which the block lookups of
-``posets._m_cover_steps`` replaced), the inverse of the forest form, and
+``posets._m_cover_steps`` replaced), the forest form of a bi-leveled
+tree, with its inverse and the section ``iota`` read off it (which the one
+walk of the tree and its marks in ``projections._section`` replaced), and
 the fibers of ``tau``.  Last of all, the two Hopf-module reports as they
 were before they kept each single-element image for the length of the
 call: they recompute every image for every pair, and call each function
@@ -590,6 +592,72 @@ def split_coaction(a: LinComb, split) -> ha.TensorComb:
     return ha.TensorComb(("M", "Y"), "F", out)
 
 
+def _prune_marked(t: tuple, ideal: frozenset, offset: int):
+    """Induced subtree on the marked nodes plus the hanging pieces.
+
+    ``t``'s root must be marked.  Returns the induced tree and the list of
+    unmarked subtrees hanging at its leaves, left to right.
+    """
+    left, right = t
+    root = offset + tc.nodes(left) + 1
+    if left and (offset + tc.nodes(left[0]) + 1) in ideal:
+        lt, lparts = _prune_marked(left, ideal, offset)
+    else:
+        lt, lparts = tc.LEAF, [left]
+    if right and (root + tc.nodes(right[0]) + 1) in ideal:
+        rt, rparts = _prune_marked(right, ideal, root)
+    else:
+        rt, rparts = tc.LEAF, [right]
+    return (lt, rt), lparts + rparts
+
+
+def _drop_leftmost_node(t: tuple) -> tuple:
+    left, right = t
+    if not left:
+        if right:
+            raise ValueError("leftmost node has a child in the upper set")
+        return tc.LEAF
+    return (_drop_leftmost_node(left), right)
+
+
+def forest_form(b: tc.BiLeveledTree):
+    """Rewrite ``b`` as ``(t0, (t1, ..., tr))``.
+
+    ``t0`` is the upper part with its (forced) leftmost node removed; the
+    forest collects the lower pieces hanging at the remaining ``r`` leaves
+    of the upper part, where ``r`` is the size of the upper set.
+    """
+    if not b.tree:
+        raise ValueError("the empty tree has no forest form")
+    upper, hanging = _prune_marked(b.tree, b.ideal, 0)
+    if hanging[0]:
+        raise ValueError("inadmissible upper set: piece under the leftmost node")
+    return _drop_leftmost_node(upper), tuple(hanging[1:])
+
+
+def iota(b: tc.BiLeveledTree) -> tuple:
+    """The section of ``beta`` read off the forest form.
+
+    Its letters at marked positions follow the 231-avoiding word of the
+    upper tree; the unmarked letters fill the gaps in decreasing blocks,
+    each block 132-avoiding.
+    """
+    n = tc.nodes(b.tree)
+    if n == 0:
+        return ()
+    t0, forest = forest_form(b)
+    r = len(b.ideal)
+    u = (n + 1 - r,) + tuple(a + n + 1 - r for a in pj.min_perm(t0))
+    out = []
+    below = n - r
+    for ui, piece in zip(u, forest):
+        # each block takes the largest unmarked letters not yet placed
+        below -= tc.nodes(piece)
+        out.append(ui)
+        out.extend(below + a for a in pj.max_perm(piece))
+    return tuple(out)
+
+
 def _add_leftmost_node(t: tuple) -> tuple:
     if not t:
         return (tc.LEAF, tc.LEAF)
@@ -597,7 +665,7 @@ def _add_leftmost_node(t: tuple) -> tuple:
 
 
 def ideal_form(t0: tuple, forest: Sequence[tuple]) -> tc.BiLeveledTree:
-    """Inverse of :func:`treesym.trees_core.forest_form`."""
+    """Inverse of :func:`forest_form`."""
     if len(forest) != tc.nodes(t0) + 1:
         raise ValueError("forest size must be one more than the upper tree size")
     upper = _add_leftmost_node(t0)
@@ -640,7 +708,7 @@ def m_covers_by_types(b: tc.BiLeveledTree) -> dict:
 
     # type (i): a rotation inside exactly one component of the forest form
     # (the marked upper tree or one lower piece); the mark count is fixed
-    t0, forest = tc.forest_form(b)
+    t0, forest = forest_form(b)
     for t02 in tamari_covers(t0):
         add(ideal_form(t02, forest), "i")
     for i, piece in enumerate(forest):

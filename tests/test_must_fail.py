@@ -116,6 +116,14 @@ def fiber_of_top(bad_fiber):
     return lambda fiber: lambda b: bad_fiber if b == TOP_3 else fiber(b)
 
 
+def last_two_swapped(iota):
+    """Each section value with its last two letters swapped."""
+    def swapped(b):
+        w = iota(b)
+        return w[:-2] + w[:-3:-1] if len(w) > 1 else w
+    return swapped
+
+
 def one_more_value(x, y):
     """``FinitePoset.mobius_row`` with the value 1 at ``y``, where it is
     0, in the row of ``x``."""
@@ -263,7 +271,8 @@ ROWS = {
     # the interval retract
     "fiber-marks-unshifted": Row(
         "interval-retract", pj, "_beta_inserting_one", unshifted_marks, (3,),
-        kinds={"fiber-not-interval"}),
+        kinds={"fiber-not-interval", "projection-not-order-preserving",
+               "cover-not-reached"}),
     "section-inversion-dropped": Row(
         "interval-retract", po, "_inversion_mask", dropped_top_inversion,
         (3,), kinds={"section-not-order-preserving"}),
@@ -279,6 +288,30 @@ ROWS = {
         "interval-retract", pj, "beta_fiber",
         fiber_of_top(tuple(w for w in tc.all_perms(3) if w != (1, 2, 3))),
         (3,), violations=[("fiber-not-interval", "(.(.(..)));{1}")]),
+    "unmarked-pieces-231-avoiding": Row(
+        "interval-retract", pj, "max_perm", lambda _: pj.min_perm,
+        (4, 5, 6), kinds={"section-not-order-preserving"}),
+    "section-last-letters-swapped": Row(
+        "interval-retract", pj, "iota", last_two_swapped, (2, 3, 4),
+        violations=[("not-a-section", "(.(..));{1}"),
+                    ("not-a-section", "((..).);{1,2}"),
+                    ("section-not-order-preserving", "((..).);{1,2}",
+                     "(.(..));{1}")]),
+    # with a cover kind left out of ``_m_cover_steps``, the weak covers
+    # that reach it land off the covers
+    "beta-order-mark-drop": Row(
+        "interval-retract", po, "_m_cover_steps",
+        without_steps(lambda j, kind: kind == 1), (3, 4),
+        violations=[("projection-not-order-preserving", "132", "231")]),
+    "beta-order-rotation": Row(
+        "interval-retract", po, "_m_cover_steps",
+        without_steps(lambda j, kind: kind == 2), (3, 4),
+        violations=[("projection-not-order-preserving", "312", "321"),
+                    ("projection-not-order-preserving", "123", "132")]),
+    "beta-order-third-kind": Row(
+        "interval-retract", po, "_m_cover_steps",
+        without_steps(lambda j, kind: kind == 3), (2, 3, 4),
+        violations=[("projection-not-order-preserving", "12", "21")]),
     # the restricted Hopf module
     "plus-action-term-dropped": Row(
         "hopf-module-plus", hm, "plus_action", drop_first_term, (3,)),

@@ -1,6 +1,7 @@
 """Projections between the families, their fibers, and the canonical
 order-preserving section into the permutations."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from treesym import posets as po
@@ -125,6 +126,21 @@ def test_beta_fibers_are_weak_order_intervals():
 @given(bileveleds())
 def test_iota_is_a_section(b):
     assert pj.beta(pj.iota(b)) == b
+
+
+def iota_matches_the_oracle(degrees):
+    for n in degrees:
+        for b in tc.all_bileveled(n):
+            assert pj.iota(b) == oracles.iota(b), tc.format_bileveled(b)
+
+
+def test_iota_matches_the_forest_form_oracle():
+    iota_matches_the_oracle(range(8))
+
+
+@pytest.mark.slow
+def test_iota_matches_the_forest_form_oracle_through_degree_9():
+    iota_matches_the_oracle(range(8, 10))
 
 
 def test_iota_eleven_letter_display():

@@ -308,14 +308,14 @@ def test_graft_single_tree_onto_leaf_is_identity():
 def test_forest_form_round_trip():
     for n in range(1, 7):
         for b in tc.all_bileveled(n):
-            t0, forest = tc.forest_form(b)
+            t0, forest = oracles.forest_form(b)
             assert len(forest) == tc.nodes(t0) + 1 == len(b.ideal)
             assert oracles.ideal_form(t0, forest) == b
 
 
 def test_forest_form_single_node():
     b = tc.parse_bileveled("(..);{1}")
-    t0, forest = tc.forest_form(b)
+    t0, forest = oracles.forest_form(b)
     assert t0 == tc.LEAF and forest == (tc.LEAF,)
 
 
