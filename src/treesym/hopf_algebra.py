@@ -8,19 +8,20 @@ along the family's order.  This module implements:
 * the product of two fundamental basis elements (split the left factor
   along a multiset of leaves, graft the pieces onto the right factor);
 * the coproduct on ``S`` and ``Y`` (two-part splittings);
-* the coaction of ``Y`` on ``M`` and the comodule map of ``S`` on ``M``;
-* the linear extensions of ``tau`` and ``beta``;
+* the coaction of ``Y`` on ``M``, which cuts a bi-leveled tree in two
+  at each leaf, or at each leaf from a given one on;
 * basis changes ``to_M`` / ``to_F`` and the closed forms for the second
   basis: products on ``S`` and ``Y`` (:data:`M_PRODUCTS`) read from
   shuffles, the second through the first along ``tau``; coproducts as sums
   over the two-factor backslash decompositions of
   :data:`trees_core.FAMILIES`; and the coaction with its single exceptional
   term;
-* tensors: the outer product of combinations, one linear map applied per
-  leg, and the leg-by-leg product of two tensors.
+* the leg-by-leg product of two tensors.
 
 A vector is a :class:`LinComb`: a family tag, a basis flavor (``"F"`` or
-``"M"``) and a map from elements of that family to coefficients.  A
+``"M"``) and a map from elements of that family to coefficients;
+:meth:`LinComb.map_elements` extends a map of elements, such as ``tau``
+or ``beta``, linearly.  A
 :class:`TensorComb` carries one family tag per leg, one flavor, and a map
 from tuples of elements to coefficients.  The tags are checked once per
 combination; the zero keeps its tags.  All coefficients are exact
@@ -43,11 +44,9 @@ __all__ = [
     "F", "Mb", "COPRODUCTS", "M_PRODUCTS",
     "mul_F", "mul_M", "perm_product_M", "tree_product_M",
     "comul_F", "coaction_rho", "split_coaction",
-    "ssym_comodule_on_msym",
-    "lin_tau", "lin_beta",
     "to_M", "to_F",
     "comul_M_closed", "rho_M_closed",
-    "tensor_of", "tensor_apply", "tensor_mul",
+    "tensor_mul",
     "format_lincomb",
 ]
 
@@ -271,33 +270,6 @@ def split_coaction(a: LinComb, first: int) -> TensorComb:
     return TensorComb(("M", "Y"), "F", out)
 
 
-def ssym_comodule_on_msym(a: LinComb) -> TensorComb:
-    """Comodule map of permutations on bi-leveled trees: split the
-    distinguished fiber representative and push the first part back down."""
-    _require(a, "F", families=("M",))
-    out: dict = {}
-    for x, c in a.terms.items():
-        w = pj.iota(x)
-        for left, right in tc.perm_splittings(w, 1):
-            keys = (pj.beta(tc.standardize(left)), tc.standardize(right))
-            out[keys] = out.get(keys, 0) + c
-    return TensorComb(("M", "S"), "F", out)
-
-
-# ---------------------------------------------------------------------------
-# linear extensions of the projection maps
-
-
-def lin_tau(a: LinComb) -> LinComb:
-    _require(a, "F", families=("S",))
-    return a.map_elements("Y", pj.tau)
-
-
-def lin_beta(a: LinComb) -> LinComb:
-    _require(a, "F", families=("S",))
-    return a.map_elements("M", pj.beta)
-
-
 # ---------------------------------------------------------------------------
 # basis change
 
@@ -447,35 +419,12 @@ def _expand(out: dict, c: int, images) -> None:
         out[ks] = out.get(ks, 0) + v
 
 
-def tensor_of(*factors: LinComb) -> TensorComb:
-    """Outer product of linear or tensor combinations of one flavor."""
-    flavors = {a.flavor for a in factors}
-    if len(flavors) > 1:
-        raise ValueError("tensor legs must share one flavor")
-    out: dict = {}
-    _expand(out, 1, factors)
-    legs = tuple(family for a in factors for family in a.legs)
-    return TensorComb(legs, flavors.pop(), out)
-
-
 def _one_term_legs(t: TensorComb) -> list:
     """The terms of ``t`` as ``(one-term combination per leg,
     coefficient)`` pairs."""
     return [([LinComb(family, t.flavor, {x: 1})
               for family, x in zip(t.legs, keys)], c)
             for keys, c in t.terms.items()]
-
-
-def tensor_apply(t: TensorComb, *leg_maps) -> TensorComb:
-    """Apply one linear map per tensor leg and expand multilinearly; the
-    legs of the result are those of the maps' images of zero."""
-    if len(t.legs) != len(leg_maps):
-        raise ValueError("arity mismatch")
-    out: dict = {}
-    for legs, c in _one_term_legs(t):
-        _expand(out, c, [fn(a) for fn, a in zip(leg_maps, legs)])
-    return tensor_of(*[fn(LinComb(family, t.flavor, {}))
-                       for fn, family in zip(leg_maps, t.legs)])._like(out)
 
 
 def tensor_mul(t1: TensorComb, t2: TensorComb, *leg_muls) -> TensorComb:

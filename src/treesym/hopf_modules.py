@@ -39,7 +39,7 @@ from .hopf_algebra import LinComb, TensorComb, F, Mb
 from .trees_core import BiLeveledTree
 
 __all__ = [
-    "plus_action", "plus_coaction", "plus_coaction_M_closed",
+    "plus_action", "plus_coaction",
     "is_indecomposable_bileveled", "is_b_prime",
     "b_basis", "b_prime_basis", "b_decompose",
     "bbslash", "bbslash_decompose",
@@ -88,17 +88,6 @@ def plus_coaction(a: LinComb) -> TensorComb:
     if any(not b.tree for b in a.terms):
         raise ValueError("the coaction is defined on positive degrees only")
     return ha.split_coaction(a, 1)
-
-
-def plus_coaction_M_closed(b: BiLeveledTree) -> TensorComb:
-    """The restricted coaction of one second-basis vector: a sum over all
-    two-factor backslash decompositions, that is the closed full coaction
-    without its exceptional term (the one with an empty first factor)."""
-    if not b.tree:
-        raise ValueError("the coaction is defined on positive degrees only")
-    return TensorComb(("M", "Y"), "M", {
-        keys: c for keys, c in ha.rho_M_closed(b).terms.items()
-        if keys[0].tree})
 
 
 # ---------------------------------------------------------------------------

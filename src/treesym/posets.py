@@ -25,10 +25,12 @@ on orders checked to be lattices, where they are read, and not kept.
 :func:`mobius_row_of` reads a Mobius row by element, in closed form where
 there is one, so an order is built only where its covers or its closure
 are read.  The weak order's closed form walks the submasks of a
-permutation's ascent mask through a per-degree table of value maps.  The
-two verify reports test the weak order on inversion sets kept as int
-bitmasks, one bit per pair of positions; :func:`inversion_set` and
-:func:`weak_leq` stay the readable definitions.
+permutation's ascent mask through a per-degree table of value maps.
+:func:`interval_retract_verify` tests the weak order on inversion
+bitmasks, one bit per pair of positions; :func:`fiberwise_mobius_verify`
+reads :func:`weak_mobius_row` and a fiber map.  No command calls
+:func:`weak_leq` or :func:`inversion_set`: the tracer counts ``weak_leq``,
+and the tests use both as the definition of the weak order.
 """
 
 from __future__ import annotations
@@ -64,9 +66,6 @@ class FinitePoset:
         self.elements = tuple(elements)
         self.succ = succ
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     @cached_property
     def index(self) -> dict:
         return {x: i for i, x in enumerate(self.elements)}
@@ -100,19 +99,9 @@ class FinitePoset:
             raise ValueError("the order is not a lattice")
         return join
 
-    def leq(self, x, y) -> bool:
-        return bool(self.up[self.index[x]] >> self.index[y] & 1)
-
     def above(self, x) -> list:
         """The elements ``y >= x``, in index order."""
         return [self.elements[j] for j in _bits(self.up[self.index[x]])]
-
-    def covers(self) -> tuple:
-        """All cover pairs ``(x, y)`` with ``x`` covered by ``y``, in index
-        order of ``x`` and then of ``y``."""
-        return tuple((x, self.elements[j])
-                     for x, js in zip(self.elements, self.succ)
-                     for j in sorted(js))
 
     def mobius(self, x, y) -> int:
         i, j = self.index[x], self.index[y]

@@ -21,15 +21,13 @@ Projection maps between the three families and their canonical sections.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from . import trees_core as tc
 from .trees_core import BiLeveledTree
 
 __all__ = [
     "tau", "t_set", "beta", "phi", "min_perm", "max_perm", "iota",
-    "beta_fibers", "beta_fiber", "avoids_132", "avoids_pinned",
-    "PINNED_PATTERNS", "beta_max", "is_fiber_top",
+    "beta_fibers", "beta_fiber", "avoids_132", "beta_max", "is_fiber_top",
 ]
 
 
@@ -173,16 +171,6 @@ def beta_fiber(b: BiLeveledTree) -> tuple:
     return beta_fibers(tc.nodes(b.tree)).get(b, ())
 
 
-# ---------------------------------------------------------------------------
-# pattern scans
-
-PINNED_PATTERNS = ((2, 0, 3, 1), (0, 2, 3, 1), (3, 0, 2, 1))
-"""Forbidden patterns characterizing :func:`iota`'s image within a fiber.
-
-Each is a relative-order pattern on four letters whose first letter is
-pinned to position 1 of the permutation (0 denotes the smallest letter)."""
-
-
 def avoids_132(w: tuple) -> bool:
     """Does ``w`` avoid the pattern 132?  One pass from the right: ``two``
     is the largest letter seen so far with a larger letter to its left, and
@@ -198,17 +186,3 @@ def avoids_132(w: tuple) -> bool:
         stack.append(a)
     return True
 
-
-def avoids_pinned(w: tuple, pattern: tuple) -> bool:
-    """Does ``w`` avoid ``pattern`` among the subsequences that start with
-    ``w``'s first letter?"""
-    if not w:
-        return True
-    # distinct letters have the pattern's relative order exactly when they
-    # increase when read at the pattern's positions, smallest letter first
-    order = sorted(range(len(pattern)), key=pattern.__getitem__)
-    for rest in combinations(w[1:], len(pattern) - 1):
-        sub = (w[0],) + rest
-        if [sub[i] for i in order] == sorted(sub):
-            return False
-    return True

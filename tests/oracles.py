@@ -75,7 +75,13 @@ position-built rotation rows of the Tamari and bi-leveled orders; the
 indecomposable factors of a tree; the closed formula for the counts
 ``B_n`` of indecomposable bi-leveled trees; the degree-0 basis vector; and
 the product, composition and shift of truncated series, kept as
-coefficient tuples as :mod:`treesym.series` keeps them.
+coefficient tuples as :mod:`treesym.series` keeps them.  Last of all come
+the definitions that left the package because no command reaches them:
+the relation ``x <= y`` and the cover pairs of a built order, the outer
+product of combinations and one linear map applied per tensor leg, the
+comodule map of permutations on bi-leveled trees, the closed restricted
+coaction, and the patterns pinned to the first letter that single out
+``iota`` in each fiber of ``beta``.
 """
 
 import math
@@ -123,7 +129,7 @@ def down_sets(poset) -> list:
     ones :func:`leq_order` read pair by pair, and for any other order the
     transpose of its ``up``."""
     if poset not in _DOWN:
-        down = [0] * len(poset)
+        down = [0] * len(poset.elements)
         for i, mask in enumerate(poset.up):
             for j in po._bits(mask):
                 down[j] |= 1 << i
@@ -228,7 +234,7 @@ def chain_sum_meeting_all_blocks(poset, blocks: Sequence[set]) -> int:
 
 def hall_mobius(poset, x, y) -> int:
     """Mobius value via chains from ``x`` to ``y`` (test oracle)."""
-    if not poset.leq(x, y):
+    if not leq(poset, x, y):
         return 0
     i0, j0 = poset.index[x], poset.index[y]
     below_y = down_sets(poset)[j0]
@@ -767,7 +773,7 @@ def bbslash_verify(n: int) -> dict:
         closed = ha.rho_M_closed(b)
         if hm.msym_action_M(bp, t, tc.LEAF) != Mb("M", b) \
                 or hm.msym_coaction_M(bp, t) != closed \
-                or ha.tensor_apply(closed, ha.to_F, ha.to_F) \
+                or tensor_apply(closed, ha.to_F, ha.to_F) \
                 != ha.coaction_rho(ha.to_F(Mb("M", b))):
             violations.append(tc.format_bileveled(b))
     return {"n": n, "ok": not violations, "violations": violations}
@@ -916,3 +922,71 @@ def compose(outer: tuple, inner: tuple) -> tuple:
 def shift(a: tuple) -> tuple:
     """``q`` times a truncated series, to the same order."""
     return (0,) + a[:-1]
+
+
+def leq(poset, x, y) -> bool:
+    """Is ``x <= y`` in a built order?"""
+    return bool(poset.up[poset.index[x]] >> poset.index[y] & 1)
+
+
+def covers(poset) -> tuple:
+    """All cover pairs ``(x, y)`` of a built order, with ``x`` covered by
+    ``y``, in index order of ``x`` and then of ``y``."""
+    return tuple((x, poset.elements[j])
+                 for x, js in zip(poset.elements, poset.succ)
+                 for j in sorted(js))
+
+
+def tensor_of(*factors: LinComb) -> ha.TensorComb:
+    """Outer product of linear or tensor combinations of one flavor."""
+    flavors = {a.flavor for a in factors}
+    if len(flavors) > 1:
+        raise ValueError("tensor legs must share one flavor")
+    out: dict = {}
+    ha._expand(out, 1, factors)
+    legs = tuple(family for a in factors for family in a.legs)
+    return ha.TensorComb(legs, flavors.pop(), out)
+
+
+def tensor_apply(t: ha.TensorComb, *leg_maps) -> ha.TensorComb:
+    """Apply one linear map per tensor leg and expand multilinearly; the
+    legs of the result are those of the maps' images of zero."""
+    if len(t.legs) != len(leg_maps):
+        raise ValueError("arity mismatch")
+    out: dict = {}
+    for legs, c in ha._one_term_legs(t):
+        ha._expand(out, c, [fn(a) for fn, a in zip(leg_maps, legs)])
+    return tensor_of(*[fn(LinComb(family, t.flavor, {}))
+                       for fn, family in zip(leg_maps, t.legs)])._like(out)
+
+
+def ssym_comodule_on_msym(a: LinComb) -> ha.TensorComb:
+    """Comodule map of permutations on bi-leveled trees: split the
+    distinguished fiber representative and push the first part back down."""
+    ha._require(a, "F", families=("M",))
+    out: dict = {}
+    for x, c in a.terms.items():
+        w = pj.iota(x)
+        for left, right in tc.perm_splittings(w, 1):
+            keys = (pj.beta(tc.standardize(left)), tc.standardize(right))
+            out[keys] = out.get(keys, 0) + c
+    return ha.TensorComb(("M", "S"), "F", out)
+
+
+def plus_coaction_M_closed(b: tc.BiLeveledTree) -> ha.TensorComb:
+    """The restricted coaction of one second-basis vector: a sum over all
+    two-factor backslash decompositions, that is the closed full coaction
+    without its exceptional term (the one with an empty first factor)."""
+    if not b.tree:
+        raise ValueError("the coaction is defined on positive degrees only")
+    return ha.TensorComb(("M", "Y"), "M", {
+        keys: c for keys, c in ha.rho_M_closed(b).terms.items()
+        if keys[0].tree})
+
+
+PINNED_PATTERNS = ((2, 0, 3, 1), (0, 2, 3, 1), (3, 0, 2, 1))
+"""Forbidden patterns characterizing the section ``iota``'s image within
+a fiber of ``beta``, for :func:`avoids_pinned`.
+
+Each is a relative-order pattern on four letters whose first letter is
+pinned to position 1 of the permutation (0 denotes the smallest letter)."""

@@ -402,12 +402,30 @@ def test_size_cap_override(capsys, monkeypatch):
 
 
 def test_size_cap_override_must_be_an_integer(capsys, monkeypatch):
-    for raw in ("abc", "-1"):
+    for raw in ("abc", "-1", "1_0", "\uff19", "+9"):
         monkeypatch.setenv("TREESYM_MAX_N", raw)
         code, out, err = invoke(capsys, "enumerate", "--family", "Y", "--n",
                                 "3", "--count")
         assert code == 2 and out == "", raw
         assert "treesym: error: TREESYM_MAX_N must be" in err, raw
+
+
+NUMBER_OPTIONS = [("enumerate", "--family", "S", "--count", "--n"),
+                  ("series", "--which", "Y", "--order")]
+
+
+@pytest.mark.parametrize("text", ["1_0", "\uff13", "+3"])
+@pytest.mark.parametrize("command", NUMBER_OPTIONS)
+def test_number_options_are_read_as_element_text_is(capsys, command, text):
+    """ASCII digits, perhaps after a minus sign: ``int`` alone would also
+    read underscores, other digits and a plus sign."""
+    code, out, _ = invoke(capsys, *command, text)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", NUMBER_OPTIONS)
+def test_number_options_allow_spaces_around(capsys, command):
+    assert invoke(capsys, *command, " 3 ")[0] == 0
 
 
 # commands that recurse over their tree once per level or more: the fiber

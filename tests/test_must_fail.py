@@ -27,7 +27,7 @@ from treesym import hopf_modules as hm
 from treesym import posets as po
 from treesym import projections as pj
 from treesym import trees_core as tc
-from treesym.hopf_algebra import F, Mb, LinComb, TensorComb
+from treesym.hopf_algebra import F, LinComb, TensorComb
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def flip_one_coefficient(coaction):
     return flipped
 
 
-EXTRA_RHO_TERM = ha.tensor_of(Mb("M", hm.EMPTY_B), Mb("Y", tc.LEAF))
+EXTRA_RHO_TERM = TensorComb(("M", "Y"), "M", {(hm.EMPTY_B, tc.LEAF): 1})
 
 
 def image_of_another_pair(kappa):

@@ -1,13 +1,15 @@
 """Every top-level definition of the package is reached by a command or
-by the benchmark tracer, apart from a fixed list kept for suites to come.
+by the benchmark tracer, and those reached by the tracer alone are a
+pinned list.
 
-The pass reads the source, not the running code.  Its roots are every
-module-level statement that is not a ``def`` or a ``class`` (the tables
-``SUITES``, ``OPS``, ``MAP_TABLE``, ``GRAMMAR``, ``FAMILIES``, ``ORDERS``,
-``SERIES``, ...), ``cli.main``, ``cli.run``, and each name the tracer
-wraps; a ``Class.method`` entry roots its class.  From a reached body it
-follows bare names, names bound by ``from .x import y``, and
-``alias.attr`` on the package's module aliases.
+The pass reads the source, not the running code.  The roots of a
+command are every module-level statement that is not a ``def`` or a
+``class`` (the tables ``SUITES``, ``OPS``, ``MAP_TABLE``, ``GRAMMAR``,
+``FAMILIES``, ``ORDERS``, ``SERIES``, ...), ``cli.main`` and ``cli.run``;
+the tracer adds each name it wraps, and a ``Class.method`` entry roots
+its class.  From a reached body the pass follows bare names, names bound
+by ``from .x import y``, and ``alias.attr`` on the package's module
+aliases.
 """
 
 import ast
@@ -18,17 +20,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "treesym"
 TRACER = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
 
-# Kept for the suites that will reach them: the checks of tau, beta, the
-# pinned patterns, the SSym comodule, the closed restricted coaction, and
-# the tensor helpers of a law runner.
-AWAITING_SUITES = {
-    ("hopf_algebra", "lin_tau"),
-    ("hopf_algebra", "lin_beta"),
-    ("hopf_algebra", "ssym_comodule_on_msym"),
-    ("hopf_algebra", "tensor_of"),
-    ("hopf_algebra", "tensor_apply"),
-    ("hopf_modules", "plus_coaction_M_closed"),
-    ("projections", "avoids_pinned"),
+# Reached only through a name the tracer wraps: when the tracer stops
+# wrapping these names, this is what leaves the package with them.
+TRACER_ONLY = {
+    ("hopf_algebra", "tensor_mul"),
+    ("hopf_algebra", "_one_term_legs"),
+    ("hopf_algebra", "_expand"),
+    ("hopf_modules", "msym_action_F"),
+    ("hopf_modules", "in_script_s"),
+    ("posets", "weak_leq"),
+    ("posets", "inversion_set"),
 }
 
 
@@ -70,13 +71,16 @@ def _referenced(mod: str, node, names: dict, aliases: dict) -> set:
     return found
 
 
-def unreached() -> set:
+def unreached(tracer: bool = True) -> set:
+    """The definitions that no command reaches, nor, when ``tracer``, a
+    name the tracer wraps."""
     modules = _modules()
     defs, names, aliases = _scopes(modules)
     todo = [("cli", "main"), ("cli", "run")]
-    for module, attr in list(TRACER["SPANS"].values()) \
-            + list(TRACER["COUNTED"].values()):
-        todo.append((module, attr.split(".")[0]))
+    if tracer:
+        for module, attr in list(TRACER["SPANS"].values()) \
+                + list(TRACER["COUNTED"].values()):
+            todo.append((module, attr.split(".")[0]))
     for mod, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -91,5 +95,9 @@ def unreached() -> set:
     return set(defs) - seen
 
 
-def test_only_the_awaited_definitions_are_unreached():
-    assert unreached() == AWAITING_SUITES
+def test_every_definition_is_reached():
+    assert unreached() == set()
+
+
+def test_the_tracer_alone_reaches_the_pinned_definitions():
+    assert unreached(tracer=False) == TRACER_ONLY
