@@ -114,11 +114,11 @@ def _check_size(n: int) -> None:
 
 def _cmd_enumerate(args) -> int:
     _check_size(args.n)
-    elements = tc.enumerate_family(args.family, args.n)
-    if args.count:
-        print(_json(len(elements)) if args.json else len(elements))
+    if args.count:  # the JSON text of an int is its decimal text
+        print(se.SERIES[args.family](args.n))
         return 0
-    encoded = sorted(map(tc.FAMILIES[args.family].format, elements))
+    encoded = sorted(map(tc.FAMILIES[args.family].format,
+                         tc.enumerate_family(args.family, args.n)))
     if args.json:
         print(_json(encoded))
     else:

@@ -26,9 +26,11 @@ on orders checked to be lattices, where they are read, and not kept.
 there is one, so an order is built only where its covers or its closure
 are read.  The weak order's closed form walks the submasks of a
 permutation's ascent mask through a per-degree table of value maps.
-:func:`interval_retract_verify` tests the weak order on inversion
-bitmasks, one bit per pair of positions; :func:`fiberwise_mobius_verify`
-reads :func:`weak_mobius_row` and a fiber map.  No command calls
+The two order suites read one fiber table per degree.
+:func:`interval_retract_verify` checks each fiber and ``beta``'s covers
+in one walk of the weak covers, on inversion bitmasks, one bit per pair
+of positions; :func:`fiberwise_mobius_verify` reads
+:func:`weak_mobius_row`.  No command calls
 :func:`weak_leq` or :func:`inversion_set`: the tracer counts ``weak_leq``,
 and the tests use both as the definition of the weak order.
 """
@@ -37,16 +39,15 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import projections as pj
 from . import trees_core as tc
 
 __all__ = [
     "FinitePoset", "ORDERS", "family_poset", "inversion_set", "weak_leq",
-    "weak_covers", "weak_mobius_row", "is_weak_interval", "mobius_row_of",
-    "mobius", "interval_retract_verify", "fiberwise_mobius_verify",
-    "hasse_dot",
+    "weak_covers", "weak_mobius_row", "mobius_row_of", "mobius",
+    "interval_retract_verify", "fiberwise_mobius_verify", "hasse_dot",
 ]
 
 
@@ -247,41 +248,6 @@ def _inversion_mask(w: tuple) -> int:
     return mask
 
 
-def is_weak_interval(perms: Iterable[tuple]) -> bool:
-    """Are these permutations of one size exactly an interval of the weak
-    order?
-
-    With ``lo`` and ``hi`` members with the fewest and the most inversions,
-    every member must lie between them, and every weak cover of a member
-    that stays below ``hi`` must be a member.  Every element of
-    ``[lo, hi]`` is reached from ``lo`` by such covers, so the members are
-    then exactly ``[lo, hi]``.  A cover of ``w <= hi`` that swaps ``k`` at
-    position ``i`` with ``k+1`` at position ``j > i`` adds the one
-    inversion ``(i, j)``, so it stays below ``hi`` exactly when that pair
-    is an inversion of ``hi``.  Inversion sets are the bitmasks of
-    :func:`_inversion_mask`, and a permutation is known by its mask, so
-    a cover is looked up among the members as its member's mask with the
-    one bit added.
-    """
-    members = {_inversion_mask(w): w for w in perms}
-    if not members:
-        return False
-    bottom = min(members, key=int.bit_count)
-    top = max(members, key=int.bit_count)
-    if any(bottom & ~m or m & ~top for m in members):
-        return False
-    for m, w in members.items():
-        n = len(w)
-        pos = _positions(w)
-        for k in range(1, n):
-            i, j = pos[k], pos[k + 1]
-            if i < j:
-                bit = 1 << (i * n + j)
-                if top & bit and m | bit not in members:
-                    return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def family_poset(family: str, n: int) -> FinitePoset:
     """The order on one graded piece, built from its covers."""
@@ -428,6 +394,16 @@ def mobius(family: str, x, y) -> int:
 # verification reports
 
 
+def _fiber_table(n: int) -> tuple:
+    """The bi-leveled order of degree ``n``, each element's
+    :func:`pj.beta_fiber` in element order, and each permutation's element
+    index: that of the last fiber that lists it."""
+    mposet = family_poset("M", n)
+    fibers = [pj.beta_fiber(b) for b in mposet.elements]
+    return mposet, fibers, {w: i for i, fiber in enumerate(fibers)
+                            for w in fiber}
+
+
 def interval_retract_verify(n: int) -> dict:
     """Check that the projection from permutations is an interval retract.
 
@@ -437,31 +413,56 @@ def interval_retract_verify(n: int) -> dict:
     leaves its fiber lands on a cover of the bi-leveled order, and each
     such cover is reached by a weak cover.  A permutation belongs to the
     last fiber that lists it.
+
+    (a) and (d) are one walk of each fiber member's weak covers, on the
+    inversion masks of :func:`_inversion_mask`.  With ``lo`` and ``hi``
+    members with the fewest and the most inversions, every member must
+    lie between them, and every cover of a member below ``hi`` must be a
+    member, since each element of ``[lo, hi]`` is reached from ``lo`` by
+    such covers.  A cover swapping ``k`` at position ``p`` with ``k+1``
+    at ``q > p`` adds the one inversion ``(p, q)``, so it is known by its
+    mask, and is below ``hi`` iff that is an inversion of ``hi``.  Only a
+    cover that leaves its fiber is built, to look up its fiber for (d).
     """
-    violations = []
-    mposet = family_poset("M", n)
+    violations, off_covers = [], []
+    mposet, fibers, fiber_of = _fiber_table(n)
     masks = []  # the inversion mask of each section value
-    fiber_of = {}  # each permutation's element index
-    for i, b in enumerate(mposet.elements):
-        fiber = pj.beta_fiber(b)
-        if not is_weak_interval(fiber):
+    reached = []  # the covers of each element that a weak cover lands on
+    for b, fiber, covers in zip(mposet.elements, fibers, mposet.succ):
+        members = {_inversion_mask(w): w for w in fiber}
+        hits = set()
+        interval = bool(members)
+        if interval:
+            lo = min(members, key=int.bit_count)
+            hi = max(members, key=int.bit_count)
+            interval = not any(lo & ~m or m & ~hi for m in members)
+        for m, w in members.items():
+            pos = _positions(w)
+            for k in range(1, n):
+                p, q = pos[k], pos[k + 1]
+                bit = 1 << (p * n + q)
+                if p > q or m | bit in members:
+                    continue
+                if hi & bit:
+                    interval = False
+                    continue
+                v = list(w)
+                v[p], v[q] = k + 1, k
+                v = tuple(v)
+                j = fiber_of.get(v)
+                if j in covers:
+                    hits.add(j)
+                else:
+                    off_covers.append(("projection-not-order-preserving",
+                                       tc.format_perm(w), tc.format_perm(v)))
+        if not interval:
             violations.append(("fiber-not-interval", tc.format_bileveled(b)))
-        fiber_of.update(dict.fromkeys(fiber, i))
         w = pj.iota(b)
         if pj.beta(w) != b:
             violations.append(("not-a-section", tc.format_bileveled(b)))
         masks.append(_inversion_mask(w))
-    reached = set()
-    for w, i in fiber_of.items():
-        for v in weak_covers(w):
-            j = fiber_of.get(v)
-            if j == i:
-                continue
-            if j in mposet.succ[i]:
-                reached.add((i, j))
-            else:
-                violations.append(("projection-not-order-preserving",
-                                   tc.format_perm(w), tc.format_perm(v)))
+        reached.append(hits)
+    violations += off_covers
 
     def name(i):
         return tc.format_bileveled(mposet.elements[i])
@@ -471,7 +472,7 @@ def interval_retract_verify(n: int) -> dict:
             if masks[i] & ~masks[j]:
                 violations.append(
                     ("section-not-order-preserving", name(i), name(j)))
-            if (i, j) not in reached:
+            if j not in reached[i]:
                 violations.append(("cover-not-reached", name(i), name(j)))
     return {"n": n, "ok": not violations, "violations": violations}
 
@@ -485,14 +486,12 @@ def fiberwise_mobius_verify(n: int) -> dict:
     bi-leveled order itself, unless it is not a lattice (the one violation
     then), are compared with these sums; pairs missing from both are zero.
     """
-    mposet = family_poset("M", n)
+    mposet, _, fiber_of = _fiber_table(n)
     mposet.up  # a cover listed after its element raises here
     try:
         mposet._join
     except ValueError:
         return {"n": n, "ok": False, "violations": [("not-a-lattice", n)]}
-    fiber_of = {w: mposet.index[b]
-                for b, fiber in pj.beta_fibers(n).items() for w in fiber}
     sums = [{} for _ in mposet.elements]
     for a, x in fiber_of.items():
         acc = sums[x]

@@ -220,10 +220,10 @@ def parse_bileveled(text: str) -> BiLeveledTree:
     ideal = frozenset(map(_decimal, body.split(",")) if body else ())
     if None in ideal:
         raise ParseError(f"bad node number in {text!r}", len(tree_part) + 1)
-    b = BiLeveledTree(t, ideal)
     if not is_admissible_ideal(t, ideal):
-        raise ParseError(f"inadmissible node set in {text!r}", 0)
-    return b
+        raise ParseError(f"inadmissible node set in {text!r}",
+                         len(tree_part) + 1)
+    return BiLeveledTree(t, ideal)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ mu(x, z) over x <= z < y``, taking the elements by the sizes of their
 down-sets and listing the nonzero values below each, which the crosscut
 rows of :class:`treesym.posets.FinitePoset` replaced; :func:`interval`
 and :func:`is_interval_subset` read intervals from the up-sets and the
-down-sets, the last the reference for the weak-order fiber test
-:func:`treesym.posets.is_weak_interval`.
+down-sets, the last the reference for the fiber test of
+:func:`treesym.posets.interval_retract_verify`.
 The chain-counting oracles for Mobius values work on any
 :class:`treesym.posets.FinitePoset` through its up-sets and down-sets,
 independently of the sparse Mobius rows they check.

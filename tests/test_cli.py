@@ -13,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -213,14 +214,19 @@ def test_map_rejects_bad_node_number(capsys):
     assert err.splitlines()[-1].startswith("treesym: error: bad node number")
 
 
-@pytest.mark.parametrize("text", [
-    "(.(..));{0,1}", "(.(..));{-1,1}", "(.(..));{1,4}", ".;{1}"])
+# each text, and the byte offset of its node set
+MARKS_OFF_THE_TREE = {
+    "(.(..));{0,1}": 8, "(.(..));{-1,1}": 8, "(.(..));{1,4}": 8, ".;{1}": 2}
+
+
+@pytest.mark.parametrize("text", MARKS_OFF_THE_TREE)
 def test_map_rejects_marks_off_the_tree(capsys, text):
     code, out, err = invoke(capsys, "map", "phi", text)
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert lines[0].startswith("usage: treesym")
-    assert lines[-1].startswith("treesym: error: inadmissible node set")
+    assert lines[-1] == "treesym: error: inadmissible node set in %r " \
+        "(at byte %d)" % (text, MARKS_OFF_THE_TREE[text])
     assert "Traceback" not in err
 
 
@@ -588,6 +594,25 @@ def test_out_of_memory_is_one_error_line():
     done = spawn_main("mobius", "--family", "Y", comb, comb, script=script)
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr == b"treesym: error: out of memory\n"
+
+
+@pytest.mark.parametrize("family,n,count", [
+    ("S", 11, 39916800), ("M", 13, 11485068), ("Y", 16, 35357670)])
+def test_count_builds_no_element(family, n, count):
+    """``enumerate --count`` prints the closed form of the count, n!,
+    ``a_number`` or ``catalan``, and builds no element: with the cap
+    raised and the child held to 200 MB of address space, as in
+    :func:`test_out_of_memory_is_one_error_line`, a piece too large to
+    build is counted in well under a second."""
+    script = ("import os, resource; os.environ['TREESYM_MAX_N'] = '400'; "
+              "resource.setrlimit(resource.RLIMIT_AS, (200 << 20,) * 2); "
+              + CLI_MAIN)
+    start = time.monotonic()
+    done = spawn_main("enumerate", "--family", family, "--n", str(n),
+                      "--count", script=script)
+    assert time.monotonic() - start < 1
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, b"%d\n" % count, b"")
 
 
 @pytest.mark.parametrize("redirect,script", [

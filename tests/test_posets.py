@@ -410,23 +410,33 @@ def test_set_bits_match_the_lowest_bit_loop():
         assert po._bits(mask) == oracles.bits(mask), mask.bit_length()
 
 
-def test_weak_interval_test_matches_closure_oracle():
-    """Every subset of S_3, every beta-fiber through degree 5, and every
-    such fiber with one permutation added or removed."""
-    sposet = po.family_poset("S", 3)
-    for r in range(len(sposet.elements) + 1):
-        for sub in combinations(sposet.elements, r):
-            assert po.is_weak_interval(sub) == \
-                is_interval_subset(sposet, sub), sub
-    for n in range(6):
-        sposet = po.family_poset("S", n)
-        for fiber in pj.beta_fibers(n).values():
+def test_fiber_test_matches_closure_oracle(monkeypatch):
+    """``interval-retract`` reports ``fiber-not-interval`` for an element
+    exactly when the set given as its fiber is not a weak-order interval:
+    every subset of S_3 as the fiber of the degree-3 top, and through
+    degree 4 every beta-fiber and every such fiber with one permutation
+    added or removed."""
+    beta_fiber = pj.beta_fiber
+    s3 = tc.all_perms(3)
+    cases = [(pj.beta((3, 2, 1)), set(sub))
+             for r in range(len(s3) + 1) for sub in combinations(s3, r)]
+    for n in range(5):
+        perms = tc.all_perms(n)
+        for b, fiber in pj.beta_fibers(n).items():
             members = set(fiber)
-            variants = [members] + [members - {w} for w in members] + [
-                members | {w} for w in sposet.elements if w not in members]
-            for sub in variants:
-                assert po.is_weak_interval(sub) == \
-                    is_interval_subset(sposet, sub), sorted(sub)
+            cases += [(b, members)] + [(b, members - {w}) for w in members]
+            cases += [(b, members | {w}) for w in perms if w not in members]
+    assert len(cases) == 641
+    for b, sub in cases:
+        n = tc.nodes(b.tree)
+        monkeypatch.setattr(pj, "beta_fiber", lambda x: (
+            tuple(sorted(sub)) if x == b else beta_fiber(x)))
+        report = po.interval_retract_verify(n)
+        reported = [v for v in report["violations"]
+                    if v[0] == "fiber-not-interval"]
+        expected = [] if is_interval_subset(po.family_poset("S", n), sub) \
+            else [("fiber-not-interval", tc.format_bileveled(b))]
+        assert reported == expected, (b, sorted(sub))
 
 
 def test_order_suites_build_no_weak_order_closure():
